@@ -8,7 +8,6 @@ Writes the trajectory CSV next to the script unless --out is given.
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -38,12 +37,10 @@ def main() -> None:
             lyapunov=lambda s: lyapunov_value(scenario.game, s, x_star, transforms),
         )
 
-    start = time.perf_counter()
     traj = seeker.integrate(scenario.initial_state(seeker), params)
-    wall = time.perf_counter() - start
     traj.write_csv(args.out)
 
-    print(f"integrated {traj.steps} steps to t={traj.final_time:g} in {wall:.1f}s")
+    print(f"integrated {traj.steps} steps to t={traj.final_time:g} in {traj.wall_time:.1f}s")
     print(f"|x(T)|_inf            = {np.abs(traj.final_x).max():.3e}")
     print(f"pseudo-gradient inf   = {traj.pg_norm[-1]:.3e}")
     print(f"disagreement norm     = {traj.gbar_norm[-1]:.3e}")

@@ -18,9 +18,6 @@ from .dynamics import (
     Seeker,
     SeekerState,
     Trajectory,
-    compute_estimates,
-    integrate,
-    rhs,
 )
 from .expr import (
     DomainError,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
 
 import numpy as np
 
@@ -79,18 +78,21 @@ def _build_parser() -> _Parser:
 def _load(args):
     scenario = load_scenario(args.scenario)
     game = scenario.game
-    if args.delta is not None:
-        game = dataclasses.replace(game, delta=args.delta)
-        scenario = dataclasses.replace(scenario, game=game)
     params = scenario.params
-    if args.step is not None:
-        params = dataclasses.replace(params, step=args.step)
-    if args.horizon is not None:
-        params = dataclasses.replace(params, horizon=args.horizon)
+    try:
+        if args.delta is not None:
+            game = dataclasses.replace(game, delta=args.delta)
+            scenario = dataclasses.replace(scenario, game=game)
+        if args.step is not None:
+            params = dataclasses.replace(params, step=args.step)
+        if args.horizon is not None:
+            params = dataclasses.replace(params, horizon=args.horizon)
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+    except ValueError as err:  # a Game, IntegrateParams or Scenario check
+        raise _UsageError(str(err)) from None
     if params is not scenario.params:
         scenario = dataclasses.replace(scenario, params=params)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     for warning in scenario.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return scenario
@@ -116,9 +118,7 @@ def _cmd_run(args) -> int:
                 scenario.game, state, x_star, transforms
             ),
         )
-    start = time.perf_counter()
     trajectory = seeker.integrate(scenario.initial_state(seeker), params)
-    wall = time.perf_counter() - start
     if args.out:
         trajectory.write_csv(args.out)
     else:
@@ -131,7 +131,7 @@ def _cmd_run(args) -> int:
         ("t_end", _fmt(trajectory.final_time)),
         ("steps", str(trajectory.steps)),
         ("stopped_early", str(trajectory.stopped_early).lower()),
-        ("wall_time_s", f"{wall:.3f}"),
+        ("wall_time_s", f"{trajectory.wall_time:.3f}"),
     ]
     summary = _kv_or_text(pairs, args.format or "text")
     if args.summary:

@@ -5,7 +5,8 @@ protocol, run per component over the neighborhood communication graph, drives
 the per-agent estimates toward the block average of the cost partials.  The
 same right-hand side covers single-agent descent, single-coalition social
 minimization and the general multi-coalition game without special cases:
-degenerate blocks simply have zero Laplacians.
+the consensus term is a sum over the directed edges inside each block, and a
+singleton block simply has none.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ __all__ = [
     "NumericsError",
     "DomainUnrecoverableError",
     "NonFiniteStateError",
-    "compute_estimates",
-    "rhs",
-    "integrate",
 ]
 
 
@@ -68,16 +66,15 @@ class IntegrateParams:
     record_stride: int = 100
     stop_tol: float | None = 1e-8
     record_w: bool = False
-    record_estimates: bool = False
     diagnostics: bool = True
     lyapunov: Callable[["SeekerState"], float] | None = None
     max_halvings: int = 40
 
     def __post_init__(self):
-        if not (self.step > 0):
-            raise ValueError("step must be positive")
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
+        if not (0 < self.step < math.inf):
+            raise ValueError("step must be positive and finite")
+        if not (0 < self.horizon < math.inf):
+            raise ValueError("horizon must be positive and finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
         if self.method not in ("rk4", "euler"):
@@ -92,7 +89,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     w_samples: np.ndarray | None = None
-    estimate_samples: np.ndarray | None = None
     pg_norm: np.ndarray | None = None
     gbar_norm: np.ndarray | None = None
     lyapunov: np.ndarray | None = None
@@ -183,19 +179,21 @@ class Seeker:
     def __init__(self, game: Game):
         self.game = game
         self.layout: Layout = game.layout
-        self._pfun = compile_vector_function(self.layout.partial_exprs(), game.var_names)
-        self._cfun = compile_vector_function(
-            [f for c in game.coalitions for f in c.costs], game.var_names
+        # Costs first, then partials in slot order: one call evaluates both,
+        # so the cost-domain check rides along with every partials evaluation.
+        costs = [f for c in game.coalitions for f in c.costs]
+        self._n_costs = len(costs)
+        self._fun = compile_vector_function(
+            costs + self.layout.partial_exprs(), game.var_names
         )
-        self._big_l = self.layout.big_laplacian
         self._own = self.layout.own_slots
-        self._gain = game.delta * np.array(
+        self._neg_gain = -game.delta * np.array(
             [d for c in game.coalitions for d in c.dbar]
         )
-        self._component_sum = self.layout.component_sum
-        self._block_slices = [
-            (b.start, b.stop) for b in self.layout.blocks if b.size > 1
-        ]
+        self._head, self._tail, self._weight = self.layout.edges
+        self._starts = self.layout.block_starts
+        self._sizes = np.array([b.size for b in self.layout.blocks], dtype=np.intp)
+        self._shared = self._sizes > 1
 
     # -- state construction --------------------------------------------------
 
@@ -218,15 +216,13 @@ class Seeker:
     def partial_vector(self, x: np.ndarray) -> np.ndarray:
         """Flat cost-partial vector at ``x``; the point must lie inside every
         cost's domain, which is checked by evaluating the costs themselves."""
-        args = x.tolist()
         try:
-            costs = self._cfun(*args)
-            vals = np.array(self._pfun(*args))
+            vals = np.array(self._fun(*x.tolist()))
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise DomainError(str(err)) from err
-        if not (np.all(np.isfinite(vals)) and all(math.isfinite(v) for v in costs)):
+        if not np.isfinite(vals).all():
             raise DomainError("non-finite cost or partial derivative")
-        return vals
+        return vals[self._n_costs :]
 
     def estimates_flat(self, state: SeekerState) -> np.ndarray:
         return state.w + self.partial_vector(state.x)
@@ -237,8 +233,10 @@ class Seeker:
 
     def _rhs_from_pvec(self, w: np.ndarray, pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = w + pvec
-        dx = -self._gain * g[self._own]
-        dw = -(self._big_l @ g)
+        dx = self._neg_gain * g[self._own]
+        dw = np.bincount(
+            self._head, self._weight * (g[self._tail] - g[self._head]), self.layout.size
+        )
         return dx, dw
 
     def rhs_arrays(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,17 +246,15 @@ class Seeker:
         return self.rhs_arrays(state.x, state.w)
 
     def pseudo_gradient_inf(self, x: np.ndarray) -> float:
-        p = self._component_sum @ self.partial_vector(x)
+        p = np.add.reduceat(self.partial_vector(x), self._starts)
         return float(np.abs(p).max())
 
     def block_residuals(self, g: np.ndarray) -> np.ndarray:
-        """Per-block 2-norm of the disagreement component (estimates minus
-        their block mean); zero for singleton blocks."""
-        out = np.zeros(len(self._block_slices))
-        for idx, (a, b) in enumerate(self._block_slices):
-            seg = g[a:b]
-            out[idx] = float(np.linalg.norm(seg - seg.mean()))
-        return out
+        """2-norm of the disagreement component (estimates minus their block
+        mean) of every block with more than one member, in block order."""
+        means = np.add.reduceat(g, self._starts) / self._sizes
+        dev = g - np.repeat(means, self._sizes)
+        return np.sqrt(np.add.reduceat(dev * dev, self._starts)[self._shared])
 
     # -- stepping ---------------------------------------------------------------
 
@@ -276,7 +272,7 @@ class Seeker:
             k4x, k4w = self.rhs_arrays(x + h * k3x, w + h * k3w)
             xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             wn = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(wn))):
+        if not (np.isfinite(xn).all() and np.isfinite(wn).all()):
             raise DomainError("step produced a non-finite state")
         return xn, wn, self.partial_vector(xn)
 
@@ -294,12 +290,11 @@ class Seeker:
         times = [t]
         states = [x.copy()]
         w_samples = [w.copy()] if params.record_w else None
-        g_samples = [w + pvec] if params.record_estimates else None
         pg, gbar, vvals = ([], [], []) if params.diagnostics else (None, None, None)
 
         def record_diag() -> tuple[float, float]:
             g = w + pvec
-            p = self._component_sum @ pvec
+            p = np.add.reduceat(pvec, self._starts)
             p_inf = float(np.abs(p).max())
             resid = self.block_residuals(g)
             max_resid = float(resid.max()) if resid.size else 0.0
@@ -336,8 +331,6 @@ class Seeker:
                 states.append(x.copy())
                 if w_samples is not None:
                     w_samples.append(w.copy())
-                if g_samples is not None:
-                    g_samples.append(w + pvec)
                 p_inf, max_resid = record_diag()
                 if (
                     params.stop_tol is not None
@@ -352,7 +345,6 @@ class Seeker:
             times=np.array(times),
             states=np.array(states),
             w_samples=np.array(w_samples) if w_samples is not None else None,
-            estimate_samples=np.array(g_samples) if g_samples is not None else None,
             pg_norm=np.array(pg) if pg is not None else None,
             gbar_norm=np.array(gbar) if gbar is not None else None,
             lyapunov=np.array(vvals) if (vvals is not None and params.lyapunov is not None) else None,
@@ -361,23 +353,3 @@ class Seeker:
             wall_time=time.perf_counter() - start,
         )
 
-
-# ---------------------------------------------------------------------------
-# One-shot conveniences (construct a Seeker directly for repeated use)
-# ---------------------------------------------------------------------------
-
-
-def compute_estimates(game: Game, state: SeekerState) -> dict[tuple[int, int, int], float]:
-    """Estimate table g_ijk = w_ijk + d f_ij / d x_ik at the given state."""
-    return Seeker(game).estimates(state)
-
-
-def rhs(game: Game, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (dx, dw) of the seeking dynamics at ``state``."""
-    return Seeker(game).rhs(state)
-
-
-def integrate(
-    game: Game, state0: SeekerState, params: IntegrateParams | None = None
-) -> Trajectory:
-    return Seeker(game).integrate(state0, params)

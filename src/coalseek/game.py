@@ -243,13 +243,36 @@ class Layout:
         return out
 
     @cached_property
-    def big_laplacian(self) -> np.ndarray:
-        big = np.zeros((self.size, self.size))
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed communication edges inside every block, in slot
+        coordinates: ``(head, tail, weight)``, one entry per ordered pair of
+        adjacent members, sorted by head then tail.  With these,
+        ``-L g = bincount(head, weight * (g[tail] - g[head]), size)`` for the
+        block-diagonal Laplacian ``L``; the entry count is the per-step
+        traffic ``tx_proposed`` of ``analysis.cost_accounting``."""
+        head: list[int] = []
+        tail: list[int] = []
+        weight: list[float] = []
         for b in self.blocks:
-            big[b.start : b.stop, b.start : b.stop] = self.block_laplacians[
-                (b.coalition, b.k)
-            ]
-        return big
+            comm = self.game.coalitions[b.coalition - 1].comm
+            slot_of = {j: b.start + pos for pos, j in enumerate(b.members)}
+            for j in b.members:
+                for l in comm.neighbors(j):
+                    if l in slot_of:
+                        head.append(slot_of[j])
+                        tail.append(slot_of[l])
+                        weight.append(comm.weight(j, l))
+        return (
+            np.array(head, dtype=np.intp),
+            np.array(tail, dtype=np.intp),
+            np.array(weight, dtype=float),
+        )
+
+    @cached_property
+    def block_starts(self) -> np.ndarray:
+        """First slot of each block.  Blocks are in profile order, so
+        ``np.add.reduceat(pvec, block_starts)`` is the pseudo-gradient."""
+        return np.array([b.start for b in self.blocks], dtype=np.intp)
 
     @cached_property
     def own_slots(self) -> np.ndarray:
@@ -262,17 +285,6 @@ class Layout:
             ],
             dtype=int,
         )
-
-    @cached_property
-    def component_sum(self) -> np.ndarray:
-        """Matrix summing a flat partials vector into the pseudo-gradient."""
-        mat = np.zeros((self.game.n_actions, self.size))
-        row = 0
-        for b in self.blocks:
-            col = self.game.action_index(b.coalition, b.k)
-            mat[col, b.start : b.stop] = 1.0
-            row += 1
-        return mat
 
     def partial_exprs(self) -> list[Expression]:
         """Cached partial derivatives in slot order."""

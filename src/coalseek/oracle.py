@@ -122,7 +122,6 @@ def solve_stationary(
                 break
             alpha *= 0.5
         if not accepted:
-            res_inf = float(np.abs(p).max())
             return StationaryReport(best_x, best_res, it + 1, best_res <= tol,
                                     "no descent after backtracking")
     res_inf = float(np.abs(p).max())

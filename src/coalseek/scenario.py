@@ -10,6 +10,7 @@ error: the run is allowed, the convergence guarantee just is not)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -53,6 +54,10 @@ class Scenario:
     reference: dict[str, Any] = field(default_factory=dict, repr=False)
     notes: str = ""
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError(f"$.seed: must be non-negative, got {self.seed}")
+
     def initial_state(self, seeker: Seeker | None = None) -> SeekerState:
         seeker = seeker or Seeker(self.game)
         w = np.zeros(seeker.layout.size)
@@ -64,6 +69,19 @@ class Scenario:
 _REQUIRED = object()
 
 
+def _finite(value, where: str) -> float:
+    """A JSON number that is finite as a float; JSON's NaN and Infinity
+    extensions and integers too large for a float are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+
+
 def _expect(doc: dict, key: str, kind, path: str, default=_REQUIRED):
     if key not in doc:
         if default is _REQUIRED:
@@ -71,12 +89,18 @@ def _expect(doc: dict, key: str, kind, path: str, default=_REQUIRED):
         return default
     value = doc[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, f"{path}.{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if not isinstance(value, kind):
         raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _numbers(raw, n: int, where: str) -> tuple[float, ...]:
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ScenarioError(f"{where}: expected {n} numbers")
+    return tuple(_finite(v, f"{where}[{pos}]") for pos, v in enumerate(raw))
 
 
 def _edge_list(raw, m: int, path: str) -> Graph:
@@ -92,11 +116,7 @@ def _edge_list(raw, m: int, path: str) -> Graph:
             raise ScenarioError(f"{where}: endpoints must be integers")
         if not (1 <= j <= m and 1 <= l <= m):
             raise ScenarioError(f"{where}: endpoints must lie in 1..{m}")
-        w = 1.0
-        if len(spec) == 3:
-            if not isinstance(spec[2], (int, float)) or isinstance(spec[2], bool):
-                raise ScenarioError(f"{where}: weight must be a number")
-            w = float(spec[2])
+        w = _finite(spec[2], f"{where}[2]") if len(spec) == 3 else 1.0
         edges.append((j, l, w))
     try:
         return Graph.build(range(1, m + 1), edges)
@@ -135,11 +155,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
             except ParseError as err:
                 raise ScenarioError(f"{path}.costs[{jpos}]: {err}") from None
         m = len(costs)
-        dbar_raw = _expect(raw, "dbar", list, path, [1.0] * m)
-        if len(dbar_raw) != m or any(
-            not isinstance(v, (int, float)) or isinstance(v, bool) for v in dbar_raw
-        ):
-            raise ScenarioError(f"{path}.dbar: expected {m} numbers")
+        dbar = _numbers(_expect(raw, "dbar", list, path, [1.0] * m), m, f"{path}.dbar")
         comm = _edge_list(_expect(raw, "communication", list, path, []), m, f"{path}.communication")
         inferred = infer_interference_graph(costs, ci)
         if "interference" in raw:
@@ -164,7 +180,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         coalitions.append(
             Coalition(
                 costs=tuple(costs),
-                dbar=tuple(float(v) for v in dbar_raw),
+                dbar=dbar,
                 comm=comm,
                 interference=interference,
             )
@@ -176,7 +192,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"$.coalitions: {err}") from None
 
     integ = _expect(doc, "integrator", dict, "$", {})
-    params = IntegrateParams(
+    settings = dict(
         method=_expect(integ, "method", str, "$.integrator", "rk4"),
         step=_expect(integ, "step", float, "$.integrator", 1e-3),
         horizon=_expect(integ, "horizon", float, "$.integrator", 100.0),
@@ -187,20 +203,15 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
             else _expect(integ, "stop_tol", float, "$.integrator", 1e-8)
         ),
     )
+    try:
+        params = IntegrateParams(**settings)
+    except ValueError as err:
+        raise ScenarioError(f"$.integrator: {err}") from None
 
     n = game.n_actions
-    initial_x = _expect(doc, "initial_x", list, "$", [0.0] * n)
-    if len(initial_x) != n or any(
-        not isinstance(v, (int, float)) or isinstance(v, bool) for v in initial_x
-    ):
-        raise ScenarioError(f"$.initial_x: expected {n} numbers")
+    initial_x = _numbers(_expect(doc, "initial_x", list, "$", [0.0] * n), n, "$.initial_x")
     x_star_raw = doc.get("x_star")
-    if x_star_raw is not None:
-        if not isinstance(x_star_raw, list) or len(x_star_raw) != n:
-            raise ScenarioError(f"$.x_star: expected {n} numbers")
-        x_star = tuple(float(v) for v in x_star_raw)
-    else:
-        x_star = None
+    x_star = None if x_star_raw is None else _numbers(x_star_raw, n, "$.x_star")
     seed = _expect(doc, "seed", int, "$", 0)
 
     allow_w = _expect(doc, "allow_nonzero_w", bool, "$", False)
@@ -218,9 +229,11 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
             if not isinstance(spec, list) or len(spec) != 4:
                 raise ScenarioError(f"{where}: expected [i, j, k, value]")
             i, j, k, value = spec
+            if not all(type(v) is int for v in (i, j, k)):
+                raise ScenarioError(f"{where}: indices i, j, k must be integers")
             if (i, j, k) not in layout.slots:
                 raise ScenarioError(f"{where}: no stored estimate with index ({i},{j},{k})")
-            initial_w.append((int(i), int(j), int(k), float(value)))
+            initial_w.append((i, j, k, _finite(value, f"{where}[3]")))
 
     reference = _expect(doc, "reference", dict, "$", {})
     notes = _expect(doc, "notes", str, "$", "")
@@ -229,7 +242,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         name=name,
         game=game,
         params=params,
-        initial_x=tuple(float(v) for v in initial_x),
+        initial_x=initial_x,
         x_star=x_star,
         seed=seed,
         initial_w=tuple(initial_w),

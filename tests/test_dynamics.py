@@ -7,9 +7,6 @@ from coalseek.dynamics import (
     NonFiniteStateError,
     Seeker,
     SeekerState,
-    compute_estimates,
-    integrate,
-    rhs,
 )
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
@@ -55,8 +52,8 @@ def test_estimates_zero_w_are_raw_partials(example2_game):
 
 
 def test_estimates_at_origin(example2_game):
-    state = Seeker(example2_game).initial_state(np.zeros(10))
-    est = compute_estimates(example2_game, state)
+    seeker = Seeker(example2_game)
+    est = seeker.estimates(seeker.initial_state(np.zeros(10)))
     assert est[(3, 6, 1)] == 1.0  # d f_36 / d x_31 = exp(0)
     assert est[(3, 1, 1)] == -1.0  # d f_31 / d x_31 = -exp(0) + 0 - 0
 
@@ -75,7 +72,8 @@ def test_singleton_estimate_tracks_partial():
 
 def test_rhs_single_agent():
     game = _single_agent_game()
-    dx, dw = rhs(game, Seeker(game).initial_state([0.0]))
+    seeker = Seeker(game)
+    dx, dw = seeker.rhs(seeker.initial_state([0.0]))
     assert dx[0] == 6.0
     assert np.all(dw == 0.0)
 
@@ -357,9 +355,10 @@ def test_csv_round_trip(tmp_path, example2):
     assert np.array_equal(parsed[:, 1:11], traj.states)
 
 
-def test_integrate_module_function(example2):
-    state = Seeker(example2.game).initial_state(np.array(example2.initial_x))
-    traj = integrate(
-        example2.game, state, IntegrateParams(step=0.01, horizon=0.5, record_stride=10, stop_tol=None)
+def test_integrate_counts_fixed_steps(example2):
+    seeker = Seeker(example2.game)
+    traj = seeker.integrate(
+        example2.initial_state(seeker),
+        IntegrateParams(step=0.01, horizon=0.5, record_stride=10, stop_tol=None),
     )
     assert traj.steps == 50

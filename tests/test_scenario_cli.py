@@ -161,6 +161,51 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+_COALITION = _minimal_doc()["coalitions"][0]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"integrator": {"method": "foo"}}, id="method"),
+        pytest.param({"integrator": {"step": -1}}, id="step"),
+        pytest.param({"integrator": {"horizon": 0}}, id="horizon"),
+        pytest.param({"integrator": {"horizon": float("inf")}}, id="horizon-inf"),
+        pytest.param({"integrator": {"record_stride": 0}}, id="record_stride"),
+        pytest.param({"x_star": ["a", 0.0]}, id="x_star"),
+        pytest.param({"initial_x": [float("nan"), 0.0]}, id="initial_x-nan"),
+        pytest.param({"initial_x": [float("inf"), 0.0]}, id="initial_x-inf"),
+        pytest.param(
+            {"allow_nonzero_w": True, "initial_w": [[1, 1.5, 1, 0.5]]}, id="initial_w-index"
+        ),
+        pytest.param(
+            {"allow_nonzero_w": True, "initial_w": [[1, 1, 1, "x"]]}, id="initial_w-value"
+        ),
+        pytest.param({"delta": float("inf")}, id="delta-inf"),
+        pytest.param({"coalitions": [dict(_COALITION, dbar=[float("nan"), 1.0])]}, id="dbar-nan"),
+        pytest.param(
+            {"coalitions": [dict(_COALITION, communication=[[1, 2, float("inf")]])]},
+            id="weight-inf",
+        ),
+        pytest.param({"seed": -1}, id="seed"),
+    ],
+)
+def test_cli_malformed_scenario_is_validation_error(tmp_path, capsys, overrides):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_minimal_doc(**overrides)))
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: $.")
+    assert err.count("\n") == 1
+
+
+def test_cli_bad_override_is_usage_error(capsys):
+    assert main(["run", "coalition1-fig1", "--step", "-1"]) == 1
+    assert main(["solve", "coalition1-fig1", "--delta", "0"]) == 1
+    assert main(["check", "coalition1-fig1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.count("usage error") == 3
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     doc = {
         "schema": SCHEMA_KEY,
