@@ -23,6 +23,7 @@ __all__ = [
     "parse",
     "render",
     "evaluate",
+    "product_power",
     "differentiate",
     "free_variables",
 ]
@@ -341,6 +342,25 @@ def _pow_value(base: float, exponent: float) -> float:
         raise DomainError(f"pow({base!r}, {exponent!r}) left the real domain") from err
 
 
+_PRODUCT_POWERS = (2.0, 3.0)
+
+
+def product_power(e: Expression) -> int | None:
+    """2 or 3 when ``e`` is ``u^2`` or ``u^3`` with a literal exponent, else None.
+
+    Every evaluator computes these two as the products ``u*u`` and ``u*u*u``:
+    a product is correctly rounded where libm ``pow`` is not always, and
+    numpy arrays multiply with the same bits, so all evaluators agree."""
+    if (
+        isinstance(e, Binary)
+        and e.op == "pow"
+        and isinstance(e.right, Const)
+        and e.right.value in _PRODUCT_POWERS
+    ):
+        return int(e.right.value)
+    return None
+
+
 def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
     """Evaluate at an assignment covering all free variables; returns a finite real."""
     if isinstance(e, Const):
@@ -374,6 +394,9 @@ def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
         if right == 0.0:
             raise DomainError("division by zero")
         return _finite(left / right)
+    # ``product_power`` inlined, as this is the tree-walk's hot path.
+    if isinstance(e.right, Const) and right in _PRODUCT_POWERS:
+        return _finite(left * left if right == 2.0 else left * left * left)
     return _finite(_pow_value(left, right))
 
 

@@ -5,6 +5,8 @@ here from the per-block definitions: the block Laplacians, the tree-walking
 pseudo-gradient, a per-block residual loop and the traffic count.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,16 @@ def _arrays(obj, depth=0, seen=None):
 
 def test_thousand_agent_ring_holds_no_dense_operator():
     game = _ring_game(1000)
-    seeker = Seeker(game)
+    game.layout.partial_exprs()  # the symbolic partials belong to the game
+    tracemalloc.start()
+    try:
+        seeker = Seeker(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Four shapes cover all 4000 kernel outputs, so the build emits no
+    # per-expression code; straight-line code for all of them takes 15 MiB.
+    assert peak <= 4 * 2**20
     size = seeker.layout.size
     assert size == 3000
     traj = seeker.integrate(
