@@ -105,8 +105,7 @@ def build_block_transforms(
 
 def _estimate_blocks(game: Game, state: SeekerState):
     """Yield (block, g_block, partial_block) with g = w + cost partials."""
-    env = game.assignment(game.as_profile(state.x))
-    pvec = game.layout.partial_vector(env)
+    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
     for b in game.layout.blocks:
         seg = slice(b.start, b.stop)
         yield b, state.w[seg] + pvec[seg], pvec[seg]
@@ -171,14 +170,10 @@ def lyapunov_value(
         tr = transforms[(b.coalition, b.k)]
         gbar = tr.basis.T @ g
         total += float(gbar @ tr.lyapunov_matrix @ gbar)
-    idx = 0
-    for i, c in enumerate(game.coalitions, start=1):
-        for j in range(1, c.m + 1):
-            n_block = game.layout.block_size(i, j)
-            weight = n_block / c.dbar[j - 1]
-            diff = state.x[idx] - x_star[idx]
-            total += 0.5 * weight * diff * diff
-            idx += 1
+    # Blocks are in profile order, one per action.
+    dbar = [d for c in game.coalitions for d in c.dbar]
+    for b, d, diff in zip(game.layout.blocks, dbar, state.x - x_star):
+        total += 0.5 * (b.size / d) * diff * diff
     return total
 
 

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dynamics import NumericsError, Seeker
+from .dynamics import NumericsError, Seeker, SeekerState
+from .expr import DomainError
 from .graphs import interference_to_k_graph
 from .oracle import check_monotonicity, gradient_check, solve_stationary
 from .scenario import ScenarioError, available_presets, load_scenario
@@ -214,11 +215,10 @@ def _cmd_check(args) -> int:
 
     mono = check_monotonicity(game, base - 2.0, base + 2.0, pairs=200, seed=scenario.seed)
 
-    seeker = Seeker(game)
     worst_gap = 0.0
     for _ in range(50):
-        state = seeker.initial_state(base + rng.uniform(-1.0, 1.0, n))
-        state.w = rng.normal(size=seeker.layout.size)
+        x = game.as_profile(base + rng.uniform(-1.0, 1.0, n))
+        state = SeekerState(x, rng.normal(size=game.layout.size))
         for b in game.layout.blocks:
             state.w[b.start : b.stop] -= state.w[b.start : b.stop].mean()
         for record in analysis.deviation_bounds(game, state).values():
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except ScenarioError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 2
-    except (NumericsError, np.linalg.LinAlgError) as err:
+    except (NumericsError, DomainError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

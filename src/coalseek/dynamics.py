@@ -12,14 +12,13 @@ singleton block simply has none.
 from __future__ import annotations
 
 import math
-import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .expr import Const, DomainError, Expression, Unary, Var, product_power
+from .expr import DomainError
 from .game import Game, Layout
 
 __all__ = [
@@ -134,179 +133,13 @@ class Trajectory:
                 fh.close()
 
 
-# ---------------------------------------------------------------------------
-# Compiled cost/partial kernel
-#
-# The costs of a graphical game repeat a few forms across many agents, so the
-# expressions are grouped by shape: the tree with its constants and variables
-# lifted out.  A large enough group is evaluated as one numpy expression over
-# all its instances (vector mode): constants become per-instance columns and
-# variables index gathers from ``x``.  Vector mode covers only the operations
-# numpy evaluates with the same bits as Python floats: + - * /, negation, and
-# u^2 and u^3 as products.  numpy's exp and power differ from math.exp and
-# Python's pow in the last bit on some inputs, so every other expression, and
-# every small group, is straight-line scalar code (scalar mode).
-# ---------------------------------------------------------------------------
-
-# Fewest instances for vector mode.  On congestion-net's two largest shapes
-# (Intel Xeon, Python 3.11, numpy 2.4) scalar code still wins at 64 instances
-# and vector mode wins from 128: a numpy expression costs about a microsecond
-# per operation whatever its length, scalar code a fraction of one per
-# instance.  256 keeps a factor of two over that crossover.
-VECTOR_MIN_INSTANCES = 256
-
-_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
-def _source(
-    e: Expression, slot_of: dict[str, int], lift: Callable[[Expression], str] | None = None
-) -> str | None:
-    """Scalar-mode Python source for ``e``.  With ``lift``, which renders the
-    leaves, vector-mode source instead: the operands are numpy arrays and a
-    division checks its denominator; None where vector mode does not cover
-    ``e``."""
-    if isinstance(e, Const):
-        return lift(e) if lift else repr(e.value)
-    if isinstance(e, Var):
-        return lift(e) if lift else f"v{slot_of[e.name]}"
-    if isinstance(e, Unary):
-        if lift and e.op != "neg":
-            return None
-        inner = _source(e.arg, slot_of, lift)
-        if inner is None:
-            return None
-        return f"(-{inner})" if e.op == "neg" else f"_{e.op}({inner})"
-    left = _source(e.left, slot_of, lift)
-    if left is None:
-        return None
-    if e.op == "pow":
-        power = product_power(e)
-        if power is not None:
-            if isinstance(e.left, (Const, Var)):
-                return f"({' * '.join([left] * power)})"
-            # ``_t`` is read right after it is bound, so nesting cannot clobber it.
-            return f"((_t := {left}){' * _t' * (power - 1)})"
-        if lift:
-            return None
-        if isinstance(e.right, Const) and e.right.value == int(e.right.value):
-            return f"({left})**{int(e.right.value)}"
-        return f"_pw({left}, {_source(e.right, slot_of)})"
-    right = _source(e.right, slot_of, lift)
-    if right is None:
-        return None
-    if lift and e.op == "div":
-        right = f"_nz({right})"
-    return f"({left} {_INFIX[e.op]} {right})"
-
-
-def _nonzero(den: np.ndarray) -> np.ndarray:
-    if not den.all():
-        raise DomainError("division by zero")
-    return den
-
-
-def _lift(
-    e: Expression, slot_of: dict[str, int]
-) -> tuple[str | None, list[float], list[int]]:
-    """Vector-mode source of ``e`` with its leaves renamed ``c<n>`` and
-    ``g<n>`` in order (the shape), and the constants and slots they stand
-    for; the source is None when vector mode does not cover ``e``."""
-    consts: list[float] = []
-    slots: list[int] = []
-
-    def lift(leaf: Expression) -> str:
-        if isinstance(leaf, Const):
-            consts.append(leaf.value)
-            return f"c{len(consts) - 1}"
-        slots.append(slot_of[leaf.name])
-        return f"g{len(slots) - 1}"
-
-    return _source(e, slot_of, lift), consts, slots
-
-
-def compile_vector_function(
-    exprs: Iterable[Expression], names: tuple[str, ...]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile expressions into one function of the point ``x`` (a float
-    array in ``names`` order) that returns their values as one array, in
-    input order.  Leaving the domain (a zero denominator, log of a
-    non-positive value, an overflowing exp or pow) raises ``DomainError``;
-    other non-finite values are returned for the caller to check."""
-    exprs = list(exprs)
-    slot_of = {name: i for i, name in enumerate(names)}
-    groups: dict[str | None, list[tuple[int, list[float], list[int]]]] = {}
-    if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode
-        for pos, e in enumerate(exprs):
-            shape, consts, slots = _lift(e, slot_of)
-            groups.setdefault(shape, []).append((pos, consts, slots))
-
-    namespace = {
-        "_exp": math.exp,
-        "_log": math.log,
-        "_pw": math.pow,
-        "_nz": _nonzero,
-        "_empty": np.empty,
-        "_errstate": np.errstate,
-        "DomainError": DomainError,
-    }
-    lines = [f"out = _empty({len(exprs)})"]
-    vector_groups = [
-        (shape, members)
-        for shape, members in groups.items()
-        if shape is not None and len(members) >= VECTOR_MIN_INSTANCES
-    ]
-    if vector_groups:
-        lines.append('with _errstate(all="ignore"):')
-    vectorized: set[int] = set()
-    for q, (shape, members) in enumerate(vector_groups):
-        positions, consts, slots = (np.array(column) for column in zip(*members))
-        namespace[f"_p{q}"] = positions
-        for n, column in enumerate(consts.T):
-            # A constant shared by every instance enters as a numpy scalar.
-            bits = column.view(np.int64)
-            namespace[f"_c{q}_{n}"] = column[0] if (bits == bits[0]).all() else column
-        for n, column in enumerate(slots.T):
-            namespace[f"_i{q}_{n}"] = column
-        body = re.sub(r"\bc(\d+)\b", rf"_c{q}_\1", shape)
-        body = re.sub(r"\bg(\d+)\b", rf"x[_i{q}_\1]", body)
-        lines.append(f"    out[_p{q}] = {body}")
-        vectorized.update(positions.tolist())
-
-    scalar = [pos for pos in range(len(exprs)) if pos not in vectorized]
-    if scalar:
-        body = ", ".join(_source(exprs[pos], slot_of) for pos in scalar)
-        read = sorted({int(i) for i in re.findall(r"\bv(\d+)\b", body)})
-        if read:
-            namespace["_vs"] = np.array(read, dtype=np.intp)
-            values = "x.tolist()" if len(read) == len(names) else "x[_vs].tolist()"
-            lines.append("".join(f"v{i}, " for i in read) + f"= {values}")
-        if vectorized:
-            namespace["_ps"] = np.array(scalar, dtype=np.intp)
-        lines.append(f"{'out[_ps]' if vectorized else 'out[...]'} = ({body},)")
-    source = (
-        "def _fn(x):\n    try:\n"
-        + "".join(f"        {line}\n" for line in lines)
-        + "    except (ValueError, ZeroDivisionError, OverflowError) as err:\n"
-        + "        raise DomainError(str(err)) from err\n"
-        + "    return out\n"
-    )
-    exec(compile(source, "<coalseek-compiled>", "exec"), namespace)
-    return namespace["_fn"]
-
-
 class Seeker:
     """Dynamics engine bound to one game; reusable across integrations."""
 
     def __init__(self, game: Game):
         self.game = game
         self.layout: Layout = game.layout
-        # Costs first, then partials in slot order: one call evaluates both,
-        # so the cost-domain check rides along with every partials evaluation.
-        costs = [f for c in game.coalitions for f in c.costs]
-        self._n_costs = len(costs)
-        self._fun = compile_vector_function(
-            costs + self.layout.partial_exprs(), game.var_names
-        )
+        game.kernel  # compiled here, so building a Seeker includes the compile
         self._own = self.layout.own_slots
         self._neg_gain = -game.delta * np.array(
             [d for c in game.coalitions for d in c.dbar]
@@ -335,18 +168,12 @@ class Seeker:
     # -- core evaluations -----------------------------------------------------
 
     def partial_vector(self, x: np.ndarray) -> np.ndarray:
-        """Flat cost-partial vector at ``x``; the point must lie inside every
-        cost's domain, which is checked by evaluating the costs themselves."""
-        vals = self._fun(x)
-        if not np.isfinite(vals).all():
-            raise DomainError("non-finite cost or partial derivative")
-        return vals[self._n_costs :]
-
-    def estimates_flat(self, state: SeekerState) -> np.ndarray:
-        return state.w + self.partial_vector(state.x)
+        """Flat cost-partial vector at ``x``, which must lie in the game's
+        domain (see ``Game.costs_and_partials``)."""
+        return self.game.costs_and_partials(x)[1]
 
     def estimates(self, state: SeekerState) -> dict[tuple[int, int, int], float]:
-        flat = self.estimates_flat(state)
+        flat = state.w + self.partial_vector(state.x)
         return {key: float(flat[slot]) for key, slot in self.layout.slots.items()}
 
     def _rhs_from_pvec(self, w: np.ndarray, pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,10 +189,6 @@ class Seeker:
 
     def rhs(self, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
         return self.rhs_arrays(state.x, state.w)
-
-    def pseudo_gradient_inf(self, x: np.ndarray) -> float:
-        p = np.add.reduceat(self.partial_vector(x), self._starts)
-        return float(np.abs(p).max())
 
     def block_residuals(self, g: np.ndarray) -> np.ndarray:
         """2-norm of the disagreement component (estimates minus their block

@@ -12,18 +12,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
     Binary,
     Const,
+    DomainError,
     Expression,
     Unary,
     Var,
+    compile_vector_function,
     differentiate,
-    evaluate,
     free_variables,
 )
 from .graphs import Graph, laplacian
@@ -38,7 +39,6 @@ __all__ = [
     "action_name",
     "split_action_name",
     "infer_interference_graph",
-    "validate_domain",
     "pseudo_gradient",
     "coalition_cost",
     "build_congestion_game",
@@ -174,12 +174,6 @@ class Game:
             raise GameError("profile entries must be finite")
         return arr
 
-    def assignment(self, x: np.ndarray) -> dict[str, float]:
-        return dict(zip(self.var_names, x.tolist()))
-
-    def interference_neighbors(self, i: int, j: int) -> tuple[int, ...]:
-        return self.coalitions[i - 1].interference.neighbors(j)
-
     # -- derivative cache and block layout ----------------------------------
 
     @cached_property
@@ -197,6 +191,23 @@ class Game:
     @cached_property
     def layout(self) -> "Layout":
         return Layout(self)
+
+    @cached_property
+    def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The game's compiled evaluator: every cost in profile order, then
+        every partial in slot order (``Layout.partial_exprs``), at a profile."""
+        costs = [f for c in self.coalitions for f in c.costs]
+        return compile_vector_function(costs + self.layout.partial_exprs(), self.var_names)
+
+    def costs_and_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-agent costs (profile order) and the flat partial vector (slot
+        order) at the profile ``x``.  The game's domain is where every cost
+        and every partial is finite; outside it this raises DomainError."""
+        vals = self.kernel(x)
+        if not np.isfinite(vals).all():
+            raise DomainError("non-finite cost or partial derivative")
+        n = self.n_actions
+        return vals[:n], vals[n:]
 
 
 class Layout:
@@ -223,16 +234,9 @@ class Layout:
         self.blocks: tuple[Block, ...] = tuple(blocks)
         self.slots = slots
         self.size = offset
-        self.block_by_key = {(b.coalition, b.k): b for b in blocks}
 
     def slot(self, i: int, j: int, k: int) -> int:
         return self.slots[(i, j, k)]
-
-    def block(self, i: int, k: int) -> Block:
-        return self.block_by_key[(i, k)]
-
-    def block_size(self, i: int, k: int) -> int:
-        return self.block_by_key[(i, k)].size
 
     @cached_property
     def block_laplacians(self) -> dict[tuple[int, int], np.ndarray]:
@@ -294,13 +298,6 @@ class Layout:
             out[slot] = table[key]
         return out
 
-    def partial_vector(self, assignment: Mapping[str, float]) -> np.ndarray:
-        vals = np.empty(self.size)
-        table = self.game.partials
-        for key, slot in self.slots.items():
-            vals[slot] = evaluate(table[key], assignment)
-        return vals
-
 
 # ---------------------------------------------------------------------------
 # Game-level evaluations
@@ -311,50 +308,28 @@ def infer_interference_graph(costs: Sequence[Expression], coalition: int) -> Gra
     """Dependency graph of one coalition: agents j and k are adjacent iff the
     cost of j depends on the action of k or vice versa (syntactically)."""
     m = len(costs)
-    deps: list[set[int]] = []
-    for f in costs:
-        own = set()
+    edges = set()
+    for j, f in enumerate(costs, start=1):
         for name in free_variables(f):
             idx = split_action_name(name)
-            if idx is not None and idx[0] == coalition and 1 <= idx[1] <= m:
-                own.add(idx[1])
-        deps.append(own)
-    edges = set()
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            if j != k and (k in deps[j - 1] or j in deps[k - 1]):
-                edges.add((min(j, k), max(j, k)))
+            if idx is not None and idx[0] == coalition and 1 <= idx[1] <= m and idx[1] != j:
+                edges.add((min(j, idx[1]), max(j, idx[1])))
     return Graph.build(range(1, m + 1), sorted(edges))
-
-
-def validate_domain(game: Game, env: Mapping[str, float]) -> None:
-    """Evaluate every cost at the assignment; raises DomainError when the
-    point lies outside some cost's domain."""
-    for c in game.coalitions:
-        for f in c.costs:
-            evaluate(f, env)
 
 
 def pseudo_gradient(game: Game, x) -> np.ndarray:
     """Stacked gradient of each coalition's cost in its own action block,
     entry (i, k) summed over the closed interference neighborhood of k."""
-    profile = game.as_profile(x)
-    env = game.assignment(profile)
-    validate_domain(game, env)
-    out = np.empty(game.n_actions)
-    table = game.partials
-    for b in game.layout.blocks:
-        out[game.action_index(b.coalition, b.k)] = sum(
-            evaluate(table[(b.coalition, j, b.k)], env) for j in b.members
-        )
-    return out
+    pvec = game.costs_and_partials(game.as_profile(x))[1]
+    return np.add.reduceat(pvec, game.layout.block_starts)
 
 
 def coalition_cost(game: Game, i: int, x) -> float:
     if not 1 <= i <= game.n_coalitions:
         raise GameError(f"no coalition {i}")
-    env = game.assignment(game.as_profile(x))
-    return sum(evaluate(f, env) for f in game.coalitions[i - 1].costs)
+    costs = game.costs_and_partials(game.as_profile(x))[0]
+    start = sum(game.sizes[: i - 1])
+    return sum(costs[start : start + game.sizes[i - 1]].tolist())
 
 
 # ---------------------------------------------------------------------------

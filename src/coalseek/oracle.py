@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, differentiate, evaluate, free_variables
+from .expr import DomainError, compile_vector_function, differentiate, free_variables
 from .game import Game, coalition_cost, pseudo_gradient
 
 __all__ = [
@@ -50,23 +50,25 @@ def _jacobian_exprs(game: Game):
     return out
 
 
-def _jacobian(game: Game, x: np.ndarray, exprs, fd_step: float = 1e-6) -> np.ndarray:
+def _jacobian_function(game: Game):
+    """Compiled pseudo-gradient Jacobian: a function of the profile ``x``
+    returning the dense ``n x n`` matrix; raises DomainError where an entry
+    is not finite."""
+    exprs = _jacobian_exprs(game)
+    second = compile_vector_function(exprs.values(), game.var_names)
+    rows = np.array([row for row, _ in exprs], dtype=np.intp)
+    cols = np.array([col for _, col in exprs], dtype=np.intp)
     n = game.n_actions
-    jac = np.zeros((n, n))
-    if exprs is not None:
-        env = game.assignment(x)
-        for (row, col), e in exprs.items():
-            jac[row, col] = evaluate(e, env)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        values = second(x)
+        if not np.isfinite(values).all():
+            raise DomainError("non-finite second derivative")
+        jac = np.zeros((n, n))
+        jac[rows, cols] = values
         return jac
-    for col in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[col] += fd_step
-        xm[col] -= fd_step
-        jac[:, col] = (pseudo_gradient(game, xp) - pseudo_gradient(game, xm)) / (
-            2.0 * fd_step
-        )
-    return jac
+
+    return jacobian
 
 
 def solve_stationary(
@@ -74,7 +76,6 @@ def solve_stationary(
     x0,
     tol: float = 1e-10,
     max_iter: int = 50,
-    jacobian: str = "symbolic",
     max_halvings: int = 30,
 ) -> StationaryReport:
     """Damped Newton iteration on the pseudo-gradient.
@@ -84,9 +85,7 @@ def solve_stationary(
     the best iterate seen is returned either way.  A singular Jacobian is
     reported, not raised.
     """
-    if jacobian not in ("symbolic", "fd"):
-        raise ValueError("jacobian must be 'symbolic' or 'fd'")
-    exprs = _jacobian_exprs(game) if jacobian == "symbolic" else None
+    jacobian = None
     x = game.as_profile(x0)
     p = pseudo_gradient(game, x)
     best_x, best_res = x.copy(), float(np.abs(p).max())
@@ -96,8 +95,10 @@ def solve_stationary(
             best_x, best_res = x.copy(), res_inf
         if res_inf <= tol:
             return StationaryReport(x, res_inf, it, True)
+        # Compiled on the first step, so a start that has converged skips it.
+        jacobian = jacobian or _jacobian_function(game)
         try:
-            jac = _jacobian(game, x, exprs)
+            jac = jacobian(x)
         except DomainError as err:
             return StationaryReport(best_x, best_res, it, best_res <= tol,
                                     f"jacobian left the domain: {err}")
@@ -267,19 +268,17 @@ def gradient_check(game: Game, x, h: float = 1e-6) -> float:
     """Max over all stored partials of the relative gap between the symbolic
     derivative and a central finite difference of the per-agent cost."""
     x = game.as_profile(x)
-    env = game.assignment(x)
+    sym = game.costs_and_partials(x)[1]
     worst = 0.0
-    for (i, j, k), expr in game.partials.items():
-        sym = evaluate(expr, env)
-        col = game.action_index(i, k)
+    # Block ``col`` holds the partials d f_ij / d x_col over its members j.
+    for col, b in enumerate(game.layout.blocks):
+        agents = [game.action_index(b.coalition, j) for j in b.members]
         xp, xm = x.copy(), x.copy()
         xp[col] += h
         xm[col] -= h
-        f = game.coalitions[i - 1].costs[j - 1]
-        fd = (evaluate(f, game.assignment(xp)) - evaluate(f, game.assignment(xm))) / (
-            2.0 * h
-        )
-        rel = abs(sym - fd) / max(1.0, abs(sym))
-        if rel > worst:
-            worst = rel
+        up = game.costs_and_partials(xp)[0][agents]
+        down = game.costs_and_partials(xm)[0][agents]
+        fd = (up - down) / (2.0 * h)
+        s = sym[b.start : b.stop]
+        worst = max(worst, float((np.abs(s - fd) / np.maximum(1.0, np.abs(s))).max()))
     return worst

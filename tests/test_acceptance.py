@@ -18,7 +18,7 @@ from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
 from coalseek.game import pseudo_gradient
 from coalseek.graphs import interference_to_k_graph, is_connected, validate_containment
 from coalseek.oracle import check_monotonicity, gradient_check, solve_stationary, verify_nash
-from conftest import STATIONARY_SECOND
+from conftest import STATIONARY_SECOND, tree_walk_partials
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -127,7 +127,7 @@ def test_criterion_05_conservation_and_mean_identity(
     ):
         layout = game.layout
         for x, w in zip(traj.states, traj.w_samples):
-            pvec = layout.partial_vector(game.assignment(x))
+            pvec = tree_walk_partials(game, x)
             for blk in layout.blocks:
                 seg = slice(blk.start, blk.stop)
                 worst_sum = max(worst_sum, abs(w[seg].sum()))

@@ -13,12 +13,12 @@ from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game
 from coalseek.graphs import Graph
+from conftest import tree_walk_partials
 
 
 def _consensus_w(game, x):
     """Auxiliary vector that puts every block exactly at its average."""
-    env = game.assignment(game.as_profile(x))
-    pvec = game.layout.partial_vector(env)
+    pvec = tree_walk_partials(game, x)
     w = np.zeros(game.layout.size)
     for b in game.layout.blocks:
         seg = slice(b.start, b.stop)

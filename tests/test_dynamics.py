@@ -11,6 +11,7 @@ from coalseek.dynamics import (
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
+from conftest import assignment, tree_walk_partials
 
 
 def _single_agent_game(cost="(x1_1 - 3)^2", delta=1.0, dbar=1.0):
@@ -44,7 +45,7 @@ def test_estimates_zero_w_are_raw_partials(example2_game):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 10)
     est = seeker.estimates(seeker.initial_state(x))
-    env = example2_game.assignment(x)
+    env = assignment(example2_game, x)
     from coalseek.expr import evaluate
 
     for key, value in est.items():
@@ -120,7 +121,7 @@ def test_rhs_stationarity_characterization():
     x_star = np.linalg.solve(m, -b)
     assert np.abs(pseudo_gradient(game, x_star)).max() <= 1e-12
     # consensus w: every estimate equals its block average
-    env = game.assignment(x_star)
+    env = assignment(game, x_star)
     from coalseek.expr import evaluate
 
     w = np.zeros(seeker.layout.size)
@@ -266,8 +267,7 @@ def test_conservation_and_mean_identity(example2):
     traj = seeker.integrate(example2.initial_state(seeker), params)
     layout = example2.game.layout
     for x, w in zip(traj.states, traj.w_samples):
-        env = example2.game.assignment(x)
-        pvec = layout.partial_vector(env)
+        pvec = tree_walk_partials(example2.game, x)
         for blk in layout.blocks:
             seg = slice(blk.start, blk.stop)
             assert abs(w[seg].sum()) <= 1e-8

@@ -59,6 +59,8 @@ def test_left_associativity():
         ("(1 + 2", "expected ')'"),
         ("1 2", "unexpected trailing input"),
         ("x1_1 ^ x1_1", "exponent must be a numeric literal"),
+        ("1e999*x1_1^2", "numeric literal '1e999' overflows"),
+        ("x1_1^1e400", "numeric literal '1e400' overflows"),
     ],
 )
 def test_parse_errors(text, message):

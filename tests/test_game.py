@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coalseek.corpus import random_quadratic_game
 from coalseek.expr import DomainError, evaluate, parse, render
 from coalseek.game import (
     Coalition,
@@ -15,7 +18,12 @@ from coalseek.game import (
     split_action_name,
 )
 from coalseek.graphs import Graph
-from conftest import STATIONARY_SECOND
+from conftest import (
+    STATIONARY_SECOND,
+    assignment,
+    tree_walk_partials,
+    tree_walk_pseudo_gradient,
+)
 
 
 def test_action_name_round_trip():
@@ -108,7 +116,7 @@ def test_restricted_sum_equals_full_sum(example2_game):
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(-2, 2, game.n_actions)
-        env = game.assignment(x)
+        env = assignment(game, x)
         restricted = pseudo_gradient(game, x)
         full = np.zeros(game.n_actions)
         for i, c in enumerate(game.coalitions, start=1):
@@ -150,7 +158,7 @@ def test_coalition_cost_additivity(example2_game):
     game = example2_game
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, game.n_actions)
-    env = game.assignment(x)
+    env = assignment(game, x)
     for i, c in enumerate(game.coalitions, start=1):
         total = sum(evaluate(f, env) for f in c.costs)
         assert coalition_cost(game, i, x) == pytest.approx(total, rel=0, abs=0)
@@ -162,6 +170,40 @@ def test_coalition_cost_domain_error_propagates(congestion_demo):
     x[game.action_index(1, 1)] = -1.0  # log barrier pole
     with pytest.raises(DomainError):
         coalition_cost(game, 1, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([1.0, 1e3, 1e100, 1e160, 1e200]),
+)
+def test_kernel_matches_tree_walk_on_quadratic_games(seed, scale):
+    # One domain rule: a point is in the game's domain when every cost and
+    # every partial is finite, whichever evaluator computes them.
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    x = scale * rng.uniform(-1.0, 1.0, game.n_actions)
+    env = assignment(game, x)
+    try:
+        costs = [evaluate(f, env) for c in game.coalitions for f in c.costs]
+        pvec = tree_walk_partials(game, x)
+    except DomainError:
+        with pytest.raises(DomainError):
+            pseudo_gradient(game, x)
+        for i in range(1, game.n_coalitions + 1):
+            with pytest.raises(DomainError):
+                coalition_cost(game, i, x)
+        return
+    # The kernel sums each block with numpy, the reference in member order:
+    # they may differ by a few ulp of the block's absolute sum.
+    layout = game.layout
+    sizes = np.array([b.size for b in layout.blocks])
+    tol = sizes * np.spacing(np.add.reduceat(np.abs(pvec), layout.block_starts))
+    assert (np.abs(pseudo_gradient(game, x) - tree_walk_pseudo_gradient(game, x)) <= tol).all()
+    offset = 0
+    for i, c in enumerate(game.coalitions, start=1):
+        assert coalition_cost(game, i, x) == sum(costs[offset : offset + c.m])
+        offset += c.m
 
 
 # --- congestion builder ----------------------------------------------------------------

@@ -15,8 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalseek.dynamics import VECTOR_MIN_INSTANCES, _lift, compile_vector_function
-from coalseek.expr import Binary, Const, DomainError, Unary, Var, evaluate, parse
+from coalseek import expr
+from coalseek.expr import (
+    VECTOR_MIN_INSTANCES,
+    Binary,
+    Const,
+    DomainError,
+    Unary,
+    Var,
+    _lift,
+    compile_vector_function,
+    evaluate,
+    parse,
+)
 
 NAMES = ("x1_1", "x1_2", "x1_3", "x1_4")
 
@@ -139,15 +150,21 @@ def test_zero_denominator_is_a_domain_error_in_both_modes():
             compile_vector_function([hidden] * count, NAMES)(x)
 
 
-def test_outputs_keep_input_order_across_modes():
+def test_outputs_keep_input_order_across_modes(monkeypatch):
     vector_shape = [parse(f"{k}*x1_1 + x1_{k % 4 + 1}") for k in range(VECTOR_MIN_INSTANCES)]
     scalar_shape = [parse(f"exp(x1_{k % 4 + 1}) - {k}") for k in range(5)]
     exprs = [e for pair in zip(vector_shape, scalar_shape) for e in pair]
-    exprs += vector_shape[len(scalar_shape) :]
+    exprs += vector_shape[len(scalar_shape) :] + [parse("log(x1_3)")]
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    values = compile_vector_function(exprs, NAMES)(x)
     env = dict(zip(NAMES, x.tolist()))
-    assert values.tolist() == [evaluate(e, env) for e in exprs]
+    # With a one-character limit every scalar expression is a chunk of its own.
+    for limit in (expr.MAX_SOURCE_CHARS, 1):
+        monkeypatch.setattr(expr, "MAX_SOURCE_CHARS", limit)
+        fn = compile_vector_function(exprs, NAMES)
+        assert ("_s1" in fn.__globals__) == (limit == 1)  # more than one chunk
+        assert fn(x).tolist() == [evaluate(e, env) for e in exprs]
+        with pytest.raises(DomainError):
+            fn(-x)  # only the last expression, log(x1_3), leaves the domain
 
 
 def test_squares_and_cubes_are_products_in_every_evaluator():

@@ -1,9 +1,10 @@
 import numpy as np
 
 from coalseek.expr import parse
-from coalseek.game import Coalition, Game
+from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
 from coalseek.oracle import (
+    _jacobian_function,
     check_monotonicity,
     gradient_check,
     solve_stationary,
@@ -43,19 +44,47 @@ def test_newton_exact_on_quadratics(quadratic_corpus):
         assert np.abs(report.x - x_star).max() <= 1e-10
 
 
-def test_newton_fd_jacobian_agrees(example2_game):
-    report = solve_stationary(example2_game, 0.1 * np.ones(10), tol=1e-8, jacobian="fd")
-    assert report.converged
-    assert np.abs(report.x).max() <= 1e-6
+def _central_difference_jacobian(game, x, h=1e-6):
+    n = game.n_actions
+    jac = np.empty((n, n))
+    for col in range(n):
+        up, down = x.copy(), x.copy()
+        up[col] += h
+        down[col] -= h
+        jac[:, col] = (pseudo_gradient(game, up) - pseudo_gradient(game, down)) / (2.0 * h)
+    return jac
+
+
+def test_newton_fd_jacobian_agrees(
+    example2_game, congestion_demo, quadratic_corpus
+):
+    rng = np.random.default_rng(12)
+    cases = [(example2_game, 2.0), (congestion_demo.game, 0.5)]
+    cases += [(sample.game, 3.0) for sample in quadratic_corpus[:5]]
+    for game, span in cases:
+        jacobian = _jacobian_function(game)
+        for _ in range(5):
+            x = rng.uniform(-span, span, game.n_actions)
+            compiled = jacobian(x)
+            fd = _central_difference_jacobian(game, x)
+            assert np.abs(compiled - fd).max() <= 1e-8 * max(1.0, np.abs(compiled).max())
+
 
 
 def test_newton_fd_singular_at_cancellation_scale(example2_game):
     # at x31 = 97 the exp terms (~1e42) absorb every finite difference, so the
-    # fd jacobian row degenerates; this must be reported, not crash
+    # central-difference row of x31's agent degenerates; the compiled Jacobian
+    # keeps that row, and Newton from there converges
     x0 = np.array([48.0, 14.0, 7.0, 0.0, 97.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    report = solve_stationary(example2_game, x0, tol=1e-8, jacobian="fd")
-    assert report.message == "singular jacobian"
-
+    fd = _central_difference_jacobian(example2_game, x0)
+    assert (fd[4] == 0.0).all()
+    assert np.linalg.matrix_rank(fd) == example2_game.n_actions - 1
+    compiled = _jacobian_function(example2_game)(x0)
+    assert np.isfinite(compiled).all()
+    assert np.linalg.matrix_rank(compiled) == example2_game.n_actions
+    report = solve_stationary(example2_game, x0, tol=1e-8)
+    assert report.converged
+    assert report.message == ""
 
 def test_newton_singular_jacobian_reported():
     game = _quadratic_single("x1_1^3")  # P = 3 x^2, jacobian 6x vanishes at 0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coalseek.cli import main
+from coalseek.expr import compile_vector_function
 from coalseek.scenario import (
     SCHEMA_KEY,
     ScenarioError,
@@ -188,6 +189,10 @@ _COALITION = _minimal_doc()["coalitions"][0]
             id="weight-inf",
         ),
         pytest.param({"seed": -1}, id="seed"),
+        pytest.param(
+            {"coalitions": [dict(_COALITION, costs=["1e999*x1_1^2", _COALITION["costs"][1]])]},
+            id="cost-literal-inf",
+        ),
     ],
 )
 def test_cli_malformed_scenario_is_validation_error(tmp_path, capsys, overrides):
@@ -219,6 +224,42 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "check"])
+def test_cli_start_outside_domain_is_numerical_failure(tmp_path, capsys, command):
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "pole",
+        "coalitions": [{"costs": ["x1_1^2 - log(x1_1)"], "communication": []}],
+        "initial_x": [-1.0],
+    }
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
+    import coalseek.game
+    import coalseek.oracle
+
+    compiled = []
+
+    def counting(exprs, names):
+        compiled.append(names)
+        return compile_vector_function(exprs, names)
+
+    monkeypatch.setattr(coalseek.game, "compile_vector_function", counting)
+    monkeypatch.setattr(coalseek.oracle, "compile_vector_function", counting)
+    assert main(["check", "congestion-demo"]) == 0
+    assert len(compiled) == 1
 
 
 def test_cli_run_writes_csv_and_summary(tmp_path, capsys):
