@@ -140,6 +140,8 @@ class Seeker:
         self.game = game
         self.layout: Layout = game.layout
         game.kernel  # compiled here, so building a Seeker includes the compile
+        self._costs_and_partials = game.costs_and_partials
+        self._n = game.n_actions
         self._own = self.layout.own_slots
         self._neg_gain = -game.delta * np.array(
             [d for c in game.coalitions for d in c.dbar]
@@ -169,23 +171,31 @@ class Seeker:
 
     def partial_vector(self, x: np.ndarray) -> np.ndarray:
         """Flat cost-partial vector at ``x``, which must lie in the game's
-        domain (see ``Game.costs_and_partials``)."""
-        return self.game.costs_and_partials(x)[1]
+        domain (see ``Game.costs_and_partials``).  Every integration stage
+        evaluates through here; ``bench/tracing.py`` times it as
+        ``dynamics.partials``."""
+        return self._costs_and_partials(x)[1]
 
     def estimates(self, state: SeekerState) -> dict[tuple[int, int, int], float]:
         flat = state.w + self.partial_vector(state.x)
         return {key: float(flat[slot]) for key, slot in self.layout.slots.items()}
 
-    def _rhs_from_pvec(self, w: np.ndarray, pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = w + pvec
+    def _rhs_from_pvec(self, z: np.ndarray, pvec: np.ndarray) -> np.ndarray:
+        """Time derivative of the state ``z = [x; w]`` whose partial vector
+        is ``pvec``, as one array ``[dx; dw]``."""
+        g = z[self._n :] + pvec
         dx = self._neg_gain * g[self._own]
         dw = np.bincount(
             self._head, self._weight * (g[self._tail] - g[self._head]), self.layout.size
         )
-        return dx, dw
+        return np.concatenate((dx, dw))
+
+    def _rhs(self, z: np.ndarray) -> np.ndarray:
+        return self._rhs_from_pvec(z, self.partial_vector(z[: self._n]))
 
     def rhs_arrays(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._rhs_from_pvec(w, self.partial_vector(x))
+        dz = self._rhs(np.concatenate((x, w)))
+        return dz[: self._n], dz[self._n :]
 
     def rhs(self, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
         return self.rhs_arrays(state.x, state.w)
@@ -199,42 +209,40 @@ class Seeker:
 
     # -- stepping ---------------------------------------------------------------
 
-    def _step(self, x, w, h, method, pvec):
-        """One accepted step needs every stage AND the committed endpoint to
-        stay inside the cost domains; the endpoint's partial vector doubles as
-        the next step's first stage."""
+    def _step(self, z, h, method, pvec):
+        """One step of the state ``z = [x; w]``.  An accepted step needs every
+        stage AND the committed endpoint to stay inside the cost domains; the
+        endpoint's partial vector doubles as the next step's first stage."""
+        k1 = self._rhs_from_pvec(z, pvec)
         if method == "euler":
-            k1x, k1w = self._rhs_from_pvec(w, pvec)
-            xn, wn = x + h * k1x, w + h * k1w
+            zn = z + h * k1
         else:
-            k1x, k1w = self._rhs_from_pvec(w, pvec)
-            k2x, k2w = self.rhs_arrays(x + 0.5 * h * k1x, w + 0.5 * h * k1w)
-            k3x, k3w = self.rhs_arrays(x + 0.5 * h * k2x, w + 0.5 * h * k2w)
-            k4x, k4w = self.rhs_arrays(x + h * k3x, w + h * k3w)
-            xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            wn = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if not (np.isfinite(xn).all() and np.isfinite(wn).all()):
+            k2 = self._rhs(z + 0.5 * h * k1)
+            k3 = self._rhs(z + 0.5 * h * k2)
+            k4 = self._rhs(z + h * k3)
+            zn = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(zn).all():
             raise DomainError("step produced a non-finite state")
-        return xn, wn, self.partial_vector(xn)
+        return zn, self.partial_vector(zn[: self._n])
 
     def integrate(self, state0: SeekerState, params: IntegrateParams | None = None) -> Trajectory:
         params = params or IntegrateParams()
         if not (np.all(np.isfinite(state0.x)) and np.all(np.isfinite(state0.w))):
             raise NonFiniteStateError("initial state contains non-finite entries")
         start = time.perf_counter()
-        x = state0.x.copy()
-        w = state0.w.copy()
+        n = self._n
+        z = np.concatenate((state0.x, state0.w))
         t = state0.t
         t_end = state0.t + params.horizon
-        pvec = self.partial_vector(x)  # validates the initial cost domain
+        pvec = self.partial_vector(z[:n])  # validates the initial cost domain
 
         times = [t]
-        states = [x.copy()]
-        w_samples = [w.copy()] if params.record_w else None
+        states = [z[:n].copy()]
+        w_samples = [z[n:].copy()] if params.record_w else None
         pg, gbar, vvals = ([], [], []) if params.diagnostics else (None, None, None)
 
         def record_diag() -> tuple[float, float]:
-            g = w + pvec
+            g = z[n:] + pvec
             p = np.add.reduceat(pvec, self._starts)
             p_inf = float(np.abs(p).max())
             resid = self.block_residuals(g)
@@ -243,7 +251,7 @@ class Seeker:
                 pg.append(p_inf)
                 gbar.append(float(np.sqrt((resid**2).sum())))
                 if params.lyapunov is not None:
-                    vvals.append(params.lyapunov(SeekerState(x, w, t)))
+                    vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
             return p_inf, max_resid
 
         record_diag()
@@ -255,7 +263,7 @@ class Seeker:
             halvings = 0
             while True:
                 try:
-                    xn, wn, pvec_n = self._step(x, w, h_try, params.method, pvec)
+                    zn, pvec_n = self._step(z, h_try, params.method, pvec)
                     break
                 except DomainError:
                     halvings += 1
@@ -264,14 +272,14 @@ class Seeker:
                             f"step at t={t:.6g} failed after {params.max_halvings} halvings"
                         ) from None
                     h_try *= 0.5
-            x, w, t, pvec = xn, wn, t + h_try, pvec_n
+            z, t, pvec = zn, t + h_try, pvec_n
             steps += 1
             at_end = t >= t_end - eps
             if steps % params.record_stride == 0 or at_end:
                 times.append(t)
-                states.append(x.copy())
+                states.append(z[:n].copy())
                 if w_samples is not None:
-                    w_samples.append(w.copy())
+                    w_samples.append(z[n:].copy())
                 p_inf, max_resid = record_diag()
                 if (
                     params.stop_tol is not None

@@ -4,7 +4,8 @@ symbolic differentiation.
 Cost functions are plain expression trees over named real variables.  Trees are
 immutable, so they are safe to share between threads and to cache derivatives of.
 ``compile_vector_function`` is the evaluator every consumer uses; the
-tree-walking ``evaluate`` is its reference.
+tree-walking ``evaluate`` is its reference, and names the failing operation
+when a point is outside a game's domain.
 """
 
 from __future__ import annotations
@@ -421,6 +422,13 @@ def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
 # u^2 and u^3 as products.  numpy's exp and power differ from math.exp and
 # Python's pow in the last bit on some inputs, so every other expression, and
 # every small group, is straight-line scalar code (scalar mode).
+#
+# Scalar mode computes each distinct subtree once.  Partials repeat their
+# cost's subtrees (a congestion cost's ``capacity - load`` reappears in every
+# partial of it and in every cost that routes over the link), so the
+# expressions are value-numbered into one DAG first: a subtree's key is its
+# operator and the keys of its operands.  Every operation keeps its operands,
+# so each value has the same bits as in the tree.
 # ---------------------------------------------------------------------------
 
 # Fewest instances for vector mode.  On congestion-net's two largest shapes
@@ -430,52 +438,51 @@ def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
 # instance.  256 keeps a factor of two over that crossover.
 VECTOR_MIN_INSTANCES = 256
 
-# Most scalar-mode source characters compiled at once.  CPython parses a whole
-# source before compiling it, at about 150 bytes per character: congestion-
-# net's 82k-character Newton Jacobian raised the peak RSS by 12 MiB compiled
-# whole and by 6 MiB in three pieces.
+# Scalar-mode source characters after which a piece is closed.  CPython
+# parses a whole source before compiling it, at about 150 bytes per
+# character, so a long kernel is compiled in pieces.  With shared subtrees,
+# congestion-net's Newton Jacobian is one piece of 15k characters (82k
+# unshared), and its kernel one of 12k.
 MAX_SOURCE_CHARS = 32768
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+# Scalar-mode source of each DAG operator, by its operands' sources.
+_SCALAR = {
+    **{op: f"({{}} {symbol} {{}})" for op, symbol in _INFIX.items()},
+    "neg": "(-{})",
+    "exp": "_exp({})",
+    "log": "_log({})",
+    "ipow": "({})**{}",
+    "pow": "_pw({}, {})",
+}
 
 
-def _source(
-    e: Expression, slot_of: dict[str, int], lift: Callable[[Expression], str] | None = None
-) -> str | None:
-    """Scalar-mode Python source for ``e``.  With ``lift``, which renders the
-    leaves, vector-mode source instead: the operands are numpy arrays and a
-    division checks its denominator; None where vector mode does not cover
-    ``e``."""
-    if isinstance(e, Const):
-        return lift(e) if lift else repr(e.value)
-    if isinstance(e, Var):
-        return lift(e) if lift else f"v{slot_of[e.name]}"
+def _vector_source(e: Expression, lift: Callable[[Expression], str]) -> str | None:
+    """Vector-mode source for ``e``, its leaves rendered by ``lift``: the
+    operands are numpy arrays and a division checks its denominator; None
+    where vector mode does not cover ``e``."""
+    if isinstance(e, (Const, Var)):
+        return lift(e)
     if isinstance(e, Unary):
-        if lift and e.op != "neg":
+        if e.op != "neg":
             return None
-        inner = _source(e.arg, slot_of, lift)
-        if inner is None:
-            return None
-        return f"(-{inner})" if e.op == "neg" else f"_{e.op}({inner})"
-    left = _source(e.left, slot_of, lift)
+        inner = _vector_source(e.arg, lift)
+        return None if inner is None else f"(-{inner})"
+    left = _vector_source(e.left, lift)
     if left is None:
         return None
     if e.op == "pow":
         power = product_power(e)
-        if power is not None:
-            if isinstance(e.left, (Const, Var)):
-                return f"({' * '.join([left] * power)})"
-            # ``_t`` is read right after it is bound, so nesting cannot clobber it.
-            return f"((_t := {left}){' * _t' * (power - 1)})"
-        if lift:
+        if power is None:
             return None
-        if isinstance(e.right, Const) and e.right.value == int(e.right.value):
-            return f"({left})**{int(e.right.value)}"
-        return f"_pw({left}, {_source(e.right, slot_of)})"
-    right = _source(e.right, slot_of, lift)
+        if isinstance(e.left, (Const, Var)):
+            return f"({' * '.join([left] * power)})"
+        # ``_t`` is read right after it is bound, so nesting cannot clobber it.
+        return f"((_t := {left}){' * _t' * (power - 1)})"
+    right = _vector_source(e.right, lift)
     if right is None:
         return None
-    if lift and e.op == "div":
+    if e.op == "div":
         right = f"_nz({right})"
     return f"({left} {_INFIX[e.op]} {right})"
 
@@ -502,7 +509,120 @@ def _lift(
         slots.append(slot_of[leaf.name])
         return f"g{len(slots) - 1}"
 
-    return _source(e, slot_of, lift), consts, slots
+    return _vector_source(e, lift), consts, slots
+
+
+# A value in the scalar-mode DAG: a leaf is its own source text, an interior
+# node its index in ``_Dag.nodes``.
+_Ref = Union[str, int]
+
+
+class _Dag:
+    """Scalar-mode expressions, value-numbered: structurally equal subtrees
+    are one node.  ``nodes[k]`` is ``(op, *operands)``; an operand is a
+    ``_Ref``, or the text of a literal integer exponent.  ``uses[k]`` counts
+    the operand slots that read node ``k`` plus the outputs it is."""
+
+    def __init__(self, slot_of: dict[str, int]):
+        self._var_ref = {name: f"v{slot}" for name, slot in slot_of.items()}
+        self.nodes: list[tuple] = []
+        self.uses: list[int] = []
+        self._number: dict[tuple, int] = {}
+        # Interior nodes by tree-node identity: the frozen dataclasses hash
+        # recursively, so keying on the trees themselves would rehash every
+        # subtree.
+        self._seen: dict[int, int] = {}
+
+    def output(self, e: Expression) -> _Ref:
+        ref = self._ref(e)
+        if isinstance(ref, int):
+            self.uses[ref] += 1
+        return ref
+
+    def _node(self, key: tuple) -> int:
+        ref = self._number.get(key)
+        if ref is None:
+            ref = self._number[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.uses.append(0)
+            for operand in key[1:]:
+                if isinstance(operand, int):
+                    self.uses[operand] += 1
+        return ref
+
+    def _ref(self, e: Expression) -> _Ref:
+        if isinstance(e, Const):
+            return repr(e.value)  # the shortest round trip keeps every bit, -0.0 too
+        if isinstance(e, Var):
+            return self._var_ref[e.name]
+        ref = self._seen.get(id(e))
+        if ref is not None:
+            return ref
+        if isinstance(e, Unary):
+            ref = self._node((e.op, self._ref(e.arg)))
+        else:
+            left = self._ref(e.left)
+            power = product_power(e) if e.op == "pow" else None
+            if power == 2:  # u*u and u*u*u, as every evaluator computes them
+                key = ("mul", left, left)
+            elif power == 3:
+                key = ("mul", self._node(("mul", left, left)), left)
+            elif (
+                e.op == "pow"
+                and isinstance(e.right, Const)
+                and e.right.value == int(e.right.value)
+            ):
+                key = ("ipow", left, str(int(e.right.value)))
+            else:
+                key = (e.op, left, self._ref(e.right))
+            ref = self._node(key)
+        self._seen[id(e)] = ref
+        return ref
+
+    def source(self, ref: int, piece: "_Piece") -> str:
+        """Source of interior node ``ref`` in ``piece``.  A node used more
+        than once is bound to a temp ``t<k>`` by a line of the piece the
+        first time, and read from it after; every other node is inline."""
+        if ref in piece.temps:
+            return f"t{ref}"
+        op, *operands = self.nodes[ref]
+        src = _SCALAR[op].format(
+            *[x if isinstance(x, str) else self.source(x, piece) for x in operands]
+        )
+        if self.uses[ref] < 2:
+            return src
+        piece.temps[ref] = line = f"t{ref} = {src}"
+        piece.length += len(line) + 5
+        return f"t{ref}"
+
+
+class _Piece:
+    """One scalar-mode function ``_s<c>``: its temp lines, then its outputs."""
+
+    def __init__(self):
+        self.positions: list[int] = []
+        self.outputs: list[str] = []
+        self.temps: dict[int, str] = {}  # node -> the line binding t<node>, in order
+        self.length = 0
+
+    def add(self, dag: _Dag, pos: int, ref: _Ref) -> None:
+        src = ref if isinstance(ref, str) else dag.source(ref, self)
+        self.positions.append(pos)
+        self.outputs.append(src)
+        self.length += len(src) + 2
+
+    def function_source(self, c: int, n_names: int, namespace: dict) -> str:
+        lines = list(self.temps.values())
+        body = "\n".join(lines + self.outputs)
+        read = sorted({int(i) for i in re.findall(r"\bv(\d+)\b", body)})
+        code = []
+        if read:
+            namespace[f"_vs{c}"] = np.array(read, dtype=np.intp)
+            values = "x.tolist()" if len(read) == n_names else f"x[_vs{c}].tolist()"
+            code.append("".join(f"v{i}, " for i in read) + f"= {values}")
+        code += lines
+        code.append(f"return ({', '.join(self.outputs)},)")
+        return f"def _s{c}(x):\n" + "".join(f"    {line}\n" for line in code)
 
 
 def compile_vector_function(
@@ -553,33 +673,23 @@ def compile_vector_function(
         lines.append(f"    out[_p{q}] = {body}")
         vectorized.update(positions.tolist())
 
-    # Scalar mode: pieces of about MAX_SOURCE_CHARS characters of source,
-    # each compiled on its own as a function ``_s<c>``.
-    chunks: list[list[tuple[int, str]]] = []
-    room = -1
-    for pos in range(len(exprs)):
-        if pos in vectorized:
-            continue
-        src = _source(exprs[pos], slot_of)
-        if len(src) > room:
-            chunks.append([])
-            room = MAX_SOURCE_CHARS
-        chunks[-1].append((pos, src))
-        room -= len(src)
-    for c, chunk in enumerate(chunks):
-        body = ", ".join(src for _, src in chunk)
-        read = sorted({int(i) for i in re.findall(r"\bv(\d+)\b", body)})
-        code = []
-        if read:
-            namespace[f"_vs{c}"] = np.array(read, dtype=np.intp)
-            values = "x.tolist()" if len(read) == len(names) else f"x[_vs{c}].tolist()"
-            code.append("".join(f"v{i}, " for i in read) + f"= {values}")
-        code.append(f"return ({body},)")
-        chunk_source = f"def _s{c}(x):\n" + "".join(f"    {line}\n" for line in code)
-        exec(compile(chunk_source, "<coalseek-compiled>", "exec"), namespace)
+    # Scalar mode: one DAG, emitted in pieces that each end with the output
+    # that takes them past MAX_SOURCE_CHARS characters, and compiled each on
+    # its own as a function ``_s<c>``.  A temp is local to its piece, so
+    # sharing stops at a piece boundary.
+    dag = _Dag(slot_of)
+    scalar = [(pos, dag.output(e)) for pos, e in enumerate(exprs) if pos not in vectorized]
+    pieces: list[_Piece] = []
+    for pos, ref in scalar:
+        if not pieces or pieces[-1].length > MAX_SOURCE_CHARS:
+            pieces.append(_Piece())
+        pieces[-1].add(dag, pos, ref)
+    for c, piece in enumerate(pieces):
+        code = piece.function_source(c, len(names), namespace)
+        exec(compile(code, "<coalseek-compiled>", "exec"), namespace)
         target = "out[...]"
-        if vectorized or len(chunks) > 1:
-            namespace[f"_ps{c}"] = np.array([pos for pos, _ in chunk], dtype=np.intp)
+        if vectorized or len(pieces) > 1:
+            namespace[f"_ps{c}"] = np.array(piece.positions, dtype=np.intp)
             target = f"out[_ps{c}]"
         lines.append(f"{target} = _s{c}(x)")
     source = (

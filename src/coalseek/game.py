@@ -25,6 +25,7 @@ from .expr import (
     Var,
     compile_vector_function,
     differentiate,
+    evaluate,
     free_variables,
 )
 from .graphs import Graph, laplacian
@@ -203,11 +204,45 @@ class Game:
         """Per-agent costs (profile order) and the flat partial vector (slot
         order) at the profile ``x``.  The game's domain is where every cost
         and every partial is finite; outside it this raises DomainError."""
-        vals = self.kernel(x)
+        try:
+            vals = self.kernel(x)
+        except DomainError as err:
+            raise _OutsideDomain(self, x) from err
         if not np.isfinite(vals).all():
-            raise DomainError("non-finite cost or partial derivative")
+            raise _OutsideDomain(self, x)
         n = self.n_actions
         return vals[:n], vals[n:]
+
+
+class _OutsideDomain(DomainError):
+    """``Game.costs_and_partials`` left the game's domain at ``x``.  The
+    message names the first cost or partial (in kernel order) that the
+    reference ``expr.evaluate`` rejects, and the operation that failed.  The
+    reference rejects every non-finite intermediate, so it fails on the
+    output the kernel failed on or an earlier one.  The message is worked
+    out only when read: the callers that catch this and retry (step
+    halving, sampling probes) pay nothing for it."""
+
+    def __init__(self, game: Game, x: np.ndarray):
+        super().__init__()
+        self._game = game
+        self._x = np.array(x, dtype=float)
+
+    def __str__(self) -> str:
+        game = self._game
+        env = dict(zip(game.var_names, self._x.tolist()))
+        costs = [f for c in game.coalitions for f in c.costs]
+        n = game.n_actions
+        for pos, e in enumerate(costs + game.layout.partial_exprs()):
+            try:
+                evaluate(e, env)
+            except DomainError as err:
+                if pos < n:
+                    i, j = split_action_name(game.var_names[pos])
+                    return f"{err} in the cost of agent ({i},{j})"
+                i, j, k = next(key for key, slot in game.layout.slots.items() if slot == pos - n)
+                return f"{err} in the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
+        return "non-finite cost or partial derivative"
 
 
 class Layout:

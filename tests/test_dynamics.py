@@ -362,3 +362,25 @@ def test_integrate_counts_fixed_steps(example2):
         IntegrateParams(step=0.01, horizon=0.5, record_stride=10, stop_tol=None),
     )
     assert traj.steps == 50
+
+
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
+def test_fixed_steps_reuse_the_endpoint_partials(example2, monkeypatch, method, stages):
+    # Each step's first stage is the previous endpoint's partials, so N
+    # accepted steps with no halvings make stages * N + 1 kernel calls.
+    game = example2.game
+    kernel = game.kernel
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return kernel(x)
+
+    monkeypatch.setitem(game.__dict__, "kernel", counting)
+    seeker = Seeker(game)
+    traj = seeker.integrate(
+        example2.initial_state(seeker),
+        IntegrateParams(method=method, step=0.01, horizon=0.5, record_stride=10, stop_tol=None),
+    )
+    assert traj.steps == 50  # a halving would need more steps to reach the horizon
+    assert len(calls) == stages * 50 + 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,16 @@ def test_coalition_cost_domain_error_propagates(congestion_demo):
     x[game.action_index(1, 1)] = -1.0  # log barrier pole
     with pytest.raises(DomainError):
         coalition_cost(game, 1, x)
+
+
+def test_domain_error_names_the_first_failing_partial():
+    # Both costs are finite where x1_1 == x1_2; the partials of the second,
+    # (x1_2 - x1_1)^-0.5 / 2 up to sign, are not.
+    g = Graph.build([1, 2], [(1, 2)])
+    game = Game((Coalition((parse("x1_1^2 + x1_2"), parse("(x1_2 - x1_1)^0.5")), (1.0, 1.0), g, g),))
+    message = "pow(0.0, -0.5) left the real domain in the partial of the cost of agent (1,2) in x1_1"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        game.costs_and_partials(np.array([1.0, 1.0]))
 
 
 @settings(max_examples=60, deadline=None)

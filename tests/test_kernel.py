@@ -2,9 +2,10 @@
 
 ``compile_vector_function`` evaluates a shape shared by at least
 ``VECTOR_MIN_INSTANCES`` expressions as one numpy expression and everything
-else as straight-line scalar code.  Vector mode is reached here only the way
-a game reaches it, by repeating one tree over that many instances, and is
-pinned to scalar mode and to the tree-walking ``expr.evaluate``.
+else as straight-line scalar code that computes each distinct subtree once.
+Vector mode is reached here only the way a game reaches it, by repeating one
+tree over that many instances, and is pinned to scalar mode and to the
+tree-walking ``expr.evaluate``; shared subtrees are pinned to ``evaluate``.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from coalseek import expr
 from coalseek.expr import (
+    MAX_SOURCE_CHARS,
     VECTOR_MIN_INSTANCES,
     Binary,
     Const,
@@ -27,7 +29,10 @@ from coalseek.expr import (
     compile_vector_function,
     evaluate,
     parse,
+    render,
 )
+from coalseek.game import FlowAgent, build_congestion_game
+from coalseek.oracle import _jacobian_exprs
 
 NAMES = ("x1_1", "x1_2", "x1_3", "x1_4")
 
@@ -37,14 +42,21 @@ _consts = st.one_of(
 ).map(Const)
 
 
-def _trees(depth=4):
-    leaf = st.one_of(_consts, st.sampled_from(NAMES).map(Var))
+_ops = st.sampled_from(["add", "sub", "mul", "div"])
+
+
+def _trees(depth=4, pool=()):
+    """Random trees; with a ``pool``, most leaves are whole pool trees."""
+    leaves = [_consts, st.sampled_from(NAMES).map(Var)]
+    if pool:
+        leaves += [st.sampled_from(pool)] * 3
+    leaf = st.one_of(*leaves)
     if depth == 0:
         return leaf
-    sub = _trees(depth - 1)
+    sub = _trees(depth - 1, pool)
     return st.one_of(
         leaf,
-        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), sub, sub).map(
+        st.tuples(_ops, sub, sub).map(
             lambda t: Binary(t[0], t[1], t[2])
         ),
         st.tuples(sub, st.sampled_from([2.0, 3.0, 2.0, 3.0, 4.0, -1.0, 0.5])).map(
@@ -185,3 +197,86 @@ def test_squares_and_cubes_are_products_in_every_evaluator():
 def test_square_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         evaluate(parse("x1_1^2"), {"x1_1": 1e200})
+
+
+def _copy(e):
+    """A structurally equal tree that shares no node with ``e``."""
+    return _rebuild(e, lambda c: Const(c.value), lambda v: Var(v.name))
+
+
+@st.composite
+def _sharing_outputs(draw):
+    """Outputs built over a small pool of subtrees, each pool tree used both
+    as the same object and as an equal copy, so equal subtrees recur within
+    and across outputs."""
+    interior = _trees(2).filter(lambda e: isinstance(e, (Unary, Binary)))
+    pool = draw(st.lists(interior, min_size=1, max_size=3))
+    pool += [_copy(e) for e in pool]
+    output = st.tuples(_ops, st.sampled_from(pool), _trees(3, pool))
+    return draw(st.lists(output.map(lambda t: Binary(*t)), min_size=2, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sharing_outputs(), _points)
+def test_shared_subtrees_match_evaluate(outputs, point):
+    x = np.array(point)
+    env = dict(zip(NAMES, point))
+    reasons = []  # None where the reference returns a value
+    refs = []
+    for e in outputs:
+        try:
+            refs.append(evaluate(e, env))
+            reasons.append(None)
+        except DomainError as err:
+            refs.append(None)
+            reasons.append(str(err))
+    fn = compile_vector_function(outputs, NAMES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = fn(x)
+        except DomainError:
+            # The kernel leaves the domain only where the reference does.
+            assert any(reason is not None for reason in reasons)
+            return
+    for value, ref, reason in zip(values.tolist(), refs, reasons):
+        if reason is None:
+            assert _bits(value) == _bits(ref)
+        elif math.isfinite(value):
+            # Only a non-finite intermediate, which the kernel leaves to the
+            # caller's check of its outputs, fails the reference alone.
+            assert reason == "non-finite intermediate value"
+
+
+def test_signed_zero_constants_stay_distinct():
+    fn = compile_vector_function([parse("x1_1*0.0"), parse("x1_1*-0.0")], NAMES)
+    for v, signs in ((1.0, (1.0, -1.0)), (-1.0, (-1.0, 1.0))):
+        values = fn(np.array([v, 0.0, 0.0, 0.0])).tolist()
+        assert values == [0.0, 0.0]
+        assert [math.copysign(1.0, value) for value in values] == list(signs)
+
+
+def _congestion_network():
+    """Four coalitions of 12 flows; each flow crosses its chain links and two
+    links shared by one flow of every coalition, so the second derivatives
+    repeat each link's ``capacity - load`` subtree many times."""
+    m = 12
+    paths = {
+        (i, j): [f"c{i}_{k}" for k in (j - 1, j) if 1 <= k < m] + [f"s{j}", f"s{j % m + 1}"]
+        for i in range(1, 5)
+        for j in range(1, m + 1)
+    }
+    agents = [FlowAgent(i, tuple(path), 10.0) for (i, _), path in paths.items()]
+    links = {name: 40.0 for a in agents for name in a.path}
+    return build_congestion_game(links, agents, kappa=10.0)
+
+
+def test_congestion_jacobian_compiles_into_one_piece():
+    game = _congestion_network()
+    exprs = list(_jacobian_exprs(game).values())
+    assert sum(len(render(e)) for e in exprs) > 2 * MAX_SOURCE_CHARS  # unshared
+    fn = compile_vector_function(exprs, game.var_names)
+    assert "_s0" in fn.__globals__ and "_s1" not in fn.__globals__
+    x = np.full(game.n_actions, 1.5)
+    env = dict(zip(game.var_names, x.tolist()))
+    assert fn(x).tolist() == [evaluate(e, env) for e in exprs]

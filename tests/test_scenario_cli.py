@@ -246,6 +246,42 @@ def test_cli_start_outside_domain_is_numerical_failure(tmp_path, capsys, command
     assert captured.err.count("\n") == 1
 
 
+def _one_agent_file(tmp_path, cost, start):
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "one-agent",
+        "coalitions": [{"costs": [cost], "communication": []}],
+        "initial_x": [start],
+    }
+    path = tmp_path / "one-agent.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "cost, start, message",
+    [
+        ("x1_1^2 - log(x1_1)", -1.0, "log of non-positive value -1.0 in the cost of agent (1,1)"),
+        ("x1_1^1e300", 1.5, "pow(1.5, 1e+300) left the real domain in the cost of agent (1,1)"),
+    ],
+)
+def test_cli_domain_failure_names_operation_and_cost(tmp_path, capsys, cost, start, message):
+    path = _one_agent_file(tmp_path, cost, start)
+    assert main(["run", path, "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+def test_cli_check_skips_samples_outside_the_domain(tmp_path, capsys):
+    # From x1_1 = 0.2, samples at up to -0.8 cross the log barrier at 0.
+    path = _one_agent_file(tmp_path, "x1_1^2 - log(x1_1)", 0.2)
+    assert main(["check", path, "--format", "kv"]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert 0 < int(kv["domain_skipped"]) < 70  # of 20 gradient and 50 bound samples
+    assert float(kv["gradient_max_rel_err"]) <= 1e-6
+    assert float(kv["deviation_bound_max_gap"]) <= 1e-9
+    assert kv["monotone_on_sample"] == "true"
+
+
 def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
     import coalseek.game
     import coalseek.oracle
