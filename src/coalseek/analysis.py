@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SeekerState
-from .game import Game
-from .graphs import interference_to_k_graph, orthonormal_complement
+from .game import Game, action_name
+from .graphs import orthonormal_complement
 
 __all__ = [
     "BlockTransform",
@@ -39,9 +39,6 @@ class BlockTransform:
     subspace, ``reduced_laplacian`` is the block Laplacian in that basis, and
     ``lyapunov_matrix`` solves P A + A P = Q for it."""
 
-    coalition: int
-    k: int
-    members: tuple[int, ...]
     basis: np.ndarray
     reduced_laplacian: np.ndarray
     lyapunov_matrix: np.ndarray
@@ -87,14 +84,7 @@ def build_block_transforms(
         dim = b.size - 1
         q_block = np.eye(dim) if q is None else np.asarray(q, dtype=float)[:dim, :dim]
         p_block = solve_lyapunov(reduced, q_block) if dim > 0 else np.zeros((0, 0))
-        out[(b.coalition, b.k)] = BlockTransform(
-            coalition=b.coalition,
-            k=b.k,
-            members=b.members,
-            basis=basis,
-            reduced_laplacian=reduced,
-            lyapunov_matrix=p_block,
-        )
+        out[(b.coalition, b.k)] = BlockTransform(basis, reduced, p_block)
     return out
 
 
@@ -103,12 +93,10 @@ def build_block_transforms(
 # ---------------------------------------------------------------------------
 
 
-def _estimate_blocks(game: Game, state: SeekerState):
-    """Yield (block, g_block, partial_block) with g = w + cost partials."""
+def _estimates(game: Game, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates ``g = w + cost partials`` and the partials, in slot order."""
     pvec = game.costs_and_partials(game.as_profile(state.x))[1]
-    for b in game.layout.blocks:
-        seg = slice(b.start, b.stop)
-        yield b, state.w[seg] + pvec[seg], pvec[seg]
+    return state.w + pvec, pvec
 
 
 @dataclass(frozen=True)
@@ -120,16 +108,14 @@ class ConsensusRecord:
 def consensus_residual(game: Game, state: SeekerState) -> dict[tuple[int, int], ConsensusRecord]:
     """Per-block disagreement norm and the gap between the mean estimate and
     the block-size-normalized sum of all cost partials for that component."""
-    out = {}
-    for b, g, partials in _estimate_blocks(game, state):
-        basis = orthonormal_complement(b.size)
-        gbar = basis.T @ g
-        target = partials.sum() / b.size
-        out[(b.coalition, b.k)] = ConsensusRecord(
-            gbar_norm=float(np.linalg.norm(gbar)),
-            mean_identity_error=float(abs(g.mean() - target)),
-        )
-    return out
+    layout = game.layout
+    g, pvec = _estimates(game, state)
+    means, norms = layout.block_spread(g)
+    errors = np.abs(means - layout.block_spread(pvec)[0])
+    return {
+        (b.coalition, b.k): ConsensusRecord(gbar_norm=float(norm), mean_identity_error=float(err))
+        for b, norm, err in zip(layout.blocks, norms, errors)
+    }
 
 
 @dataclass(frozen=True)
@@ -140,20 +126,19 @@ class DeviationRecord:
 
 def deviation_bounds(game: Game, state: SeekerState) -> dict[tuple[int, int, int], DeviationRecord]:
     """Per-estimate deviation from the block-average partial, with the tight
-    per-agent bound: the norm of the agent's row of the disagreement basis
-    times the block disagreement norm."""
-    out = {}
-    for b, g, partials in _estimate_blocks(game, state):
-        basis = orthonormal_complement(b.size)
-        gbar_norm = float(np.linalg.norm(basis.T @ g))
-        avg = partials.sum() / b.size
-        for pos, j in enumerate(b.members):
-            beta = float(np.linalg.norm(basis[pos]))
-            out[(b.coalition, j, b.k)] = DeviationRecord(
-                deviation=float(abs(g[pos] - avg)),
-                bound=beta * gbar_norm,
-            )
-    return out
+    per-agent bound: the norm of the agent's row of a disagreement basis,
+    ``sqrt(1 - 1/size)`` for every row of every orthonormal one, times the
+    block disagreement norm."""
+    layout = game.layout
+    sizes = layout.block_sizes
+    g, pvec = _estimates(game, state)
+    norms = layout.block_spread(g)[1]
+    deviation = np.abs(g - np.repeat(layout.block_spread(pvec)[0], sizes))
+    bound = np.repeat(np.sqrt(1.0 - 1.0 / sizes) * norms, sizes)
+    return {
+        key: DeviationRecord(deviation=dev, bound=bnd)
+        for key, dev, bnd in zip(layout.slots, deviation.tolist(), bound.tolist())
+    }
 
 
 def lyapunov_value(
@@ -165,10 +150,11 @@ def lyapunov_value(
     """Energy along trajectories: disagreement quadratic forms plus the
     weighted squared distance of the actions from the reference profile."""
     x_star = game.as_profile(x_star)
+    g = _estimates(game, state)[0]
     total = 0.0
-    for b, g, _ in _estimate_blocks(game, state):
+    for b in game.layout.blocks:
         tr = transforms[(b.coalition, b.k)]
-        gbar = tr.basis.T @ g
+        gbar = tr.basis.T @ g[b.start : b.stop]
         total += float(gbar @ tr.lyapunov_matrix @ gbar)
     # Blocks are in profile order, one per action.
     dbar = [d for c in game.coalitions for d in c.dbar]
@@ -196,16 +182,6 @@ class AgentCost:
 @dataclass(frozen=True)
 class CostReport:
     agents: tuple[AgentCost, ...]
-
-    def coalition_totals(self) -> dict[int, tuple[int, int, int, int]]:
-        out: dict[int, list[int]] = {}
-        for a in self.agents:
-            acc = out.setdefault(a.coalition, [0, 0, 0, 0])
-            acc[0] += a.aux_proposed
-            acc[1] += a.aux_baseline
-            acc[2] += a.tx_proposed
-            acc[3] += a.tx_baseline
-        return {i: tuple(v) for i, v in out.items()}
 
     def totals(self) -> tuple[int, int, int, int]:
         acc = [0, 0, 0, 0]
@@ -254,30 +230,33 @@ def cost_accounting(game: Game) -> CostReport:
     """Per-agent storage and per-step transmission counts.
 
     Proposed scheme: agent j stores an estimate/auxiliary pair per component
-    in its closed interference neighborhood and sends each estimate to its
-    communication neighbors inside that component's neighborhood graph.
+    in its closed interference neighborhood (one per slot it holds) and
+    sends each estimate to its communication neighbors inside that
+    component's neighborhood graph (one per block edge it heads).
     Baseline: a pair per component of the whole coalition, with both values
     sent to every communication neighbor.
     """
+    layout = game.layout
+    # Profile index of the agent (i, j) holding each slot (i, j, k).
+    owner = np.array([game.var_index[action_name(i, j)] for i, j, _ in layout.slots], dtype=np.intp)
+    held = np.bincount(owner, minlength=game.n_actions).tolist()
+    sent = np.bincount(owner[layout.edges[0]], minlength=game.n_actions).tolist()
+    # estimated[a, k]: agent a (profile order) estimates component k.
+    estimated = np.zeros((game.n_actions, max(game.sizes) + 1), dtype=bool)
+    estimated[owner, [k for _, _, k in layout.slots]] = True
     agents = []
     for i, c in enumerate(game.coalitions, start=1):
         for j in range(1, c.m + 1):
-            hood = set(c.interference.neighbors(j)) | {j}
-            dropped = tuple(k for k in range(1, c.m + 1) if k not in hood)
-            tx = 0
-            for k in sorted(hood):
-                sub = interference_to_k_graph(c.comm, c.interference, k)
-                if j in sub.vertices:
-                    tx += sub.degree(j)
+            a = len(agents)
             agents.append(
                 AgentCost(
                     coalition=i,
                     agent=j,
-                    aux_proposed=2 * len(hood),
+                    aux_proposed=2 * held[a],
                     aux_baseline=2 * c.m,
-                    tx_proposed=tx,
+                    tx_proposed=sent[a],
                     tx_baseline=2 * c.m * c.comm.degree(j),
-                    dropped=dropped,
+                    dropped=tuple((np.flatnonzero(~estimated[a, 1 : c.m + 1]) + 1).tolist()),
                 )
             )
     return CostReport(agents=tuple(agents))

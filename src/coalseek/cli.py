@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -129,7 +131,7 @@ def _cmd_run(args) -> int:
     pairs = [("scenario", scenario.name)]
     pairs += [(name, _fmt(v)) for name, v in zip(scenario.game.var_names, final)]
     pairs += [
-        ("pg_inf_norm", _fmt(trajectory.pg_norm[-1]) if trajectory.pg_norm is not None else ""),
+        ("pg_inf_norm", _fmt(trajectory.pg_norm[-1])),
         ("t_end", _fmt(trajectory.final_time)),
         ("steps", str(trajectory.steps)),
         ("stopped_early", str(trajectory.stopped_early).lower()),
@@ -226,11 +228,11 @@ def _cmd_check(args) -> int:
     mono = check_monotonicity(game, base - 2.0, base + 2.0, pairs=200, seed=scenario.seed)
 
     gaps = []
+    layout = game.layout
     for _ in range(50):
         x = game.as_profile(base + rng.uniform(-1.0, 1.0, n))
-        state = SeekerState(x, rng.normal(size=game.layout.size))
-        for b in game.layout.blocks:
-            state.w[b.start : b.stop] -= state.w[b.start : b.stop].mean()
+        w = rng.normal(size=layout.size)
+        state = SeekerState(x, w - np.repeat(layout.block_spread(w)[0], layout.block_sizes))
         try:
             records = analysis.deviation_bounds(game, state).values()
         except DomainError:
@@ -274,7 +276,17 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``): a quiet exit.  Point
+        # the descriptor, if any, at devnull, so the interpreter's final
+        # flush of what is still buffered has nowhere to fail.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 0
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

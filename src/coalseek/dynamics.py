@@ -31,14 +31,17 @@ __all__ = [
     "NonFiniteStateError",
 ]
 
+# Halvings of a rejected step before the run gives up.
+MAX_HALVINGS = 40
+
 
 class NumericsError(RuntimeError):
     pass
 
 
 class DomainUnrecoverableError(NumericsError):
-    """A step could not be completed inside the cost domain even after the
-    maximum number of step halvings."""
+    """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings;
+    the message ends with the cause of the last rejection."""
 
 
 class NonFiniteStateError(NumericsError):
@@ -54,9 +57,6 @@ class SeekerState:
     w: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "SeekerState":
-        return SeekerState(self.x.copy(), self.w.copy(), self.t)
-
 
 @dataclass
 class IntegrateParams:
@@ -66,9 +66,7 @@ class IntegrateParams:
     record_stride: int = 100
     stop_tol: float | None = 1e-8
     record_w: bool = False
-    diagnostics: bool = True
     lyapunov: Callable[["SeekerState"], float] | None = None
-    max_halvings: int = 40
 
     def __post_init__(self):
         if not (0 < self.step < math.inf):
@@ -83,14 +81,14 @@ class IntegrateParams:
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of a run; optional columns are None when not recorded."""
+    """Time-indexed record of a run; ``w_samples`` and ``lyapunov`` are None when not recorded."""
 
     var_names: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray
+    pg_norm: np.ndarray
+    gbar_norm: np.ndarray
     w_samples: np.ndarray | None = None
-    pg_norm: np.ndarray | None = None
-    gbar_norm: np.ndarray | None = None
     lyapunov: np.ndarray | None = None
     stopped_early: bool = False
     steps: int = 0
@@ -105,7 +103,7 @@ class Trajectory:
         return float(self.times[-1])
 
     def write_csv(self, target) -> None:
-        """Write ``t, <actions> [, pgnorm, V, gbar_norm]`` rows; float fields
+        """Write ``t, <actions>, pgnorm [, V], gbar_norm`` rows; float fields
         use shortest round-trip decimal formatting."""
         close = False
         if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
@@ -114,17 +112,13 @@ class Trajectory:
         else:
             fh = target
         try:
-            header = ["t", *self.var_names]
-            columns = [self.times] + [self.states[:, i] for i in range(self.states.shape[1])]
-            if self.pg_norm is not None:
-                header.append("pgnorm")
-                columns.append(self.pg_norm)
+            header = ["t", *self.var_names, "pgnorm"]
+            columns = [self.times, *self.states.T, self.pg_norm]
             if self.lyapunov is not None:
                 header.append("V")
                 columns.append(self.lyapunov)
-            if self.gbar_norm is not None:
-                header.append("gbar_norm")
-                columns.append(self.gbar_norm)
+            header.append("gbar_norm")
+            columns.append(self.gbar_norm)
             fh.write(",".join(header) + "\n")
             for row in zip(*columns):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -147,9 +141,7 @@ class Seeker:
             [d for c in game.coalitions for d in c.dbar]
         )
         self._head, self._tail, self._weight = self.layout.edges
-        self._starts = self.layout.block_starts
-        self._sizes = np.array([b.size for b in self.layout.blocks], dtype=np.intp)
-        self._shared = self._sizes > 1
+        self._multi_member = self.layout.block_sizes > 1
 
     # -- state construction --------------------------------------------------
 
@@ -176,10 +168,6 @@ class Seeker:
         ``dynamics.partials``."""
         return self._costs_and_partials(x)[1]
 
-    def estimates(self, state: SeekerState) -> dict[tuple[int, int, int], float]:
-        flat = state.w + self.partial_vector(state.x)
-        return {key: float(flat[slot]) for key, slot in self.layout.slots.items()}
-
     def _rhs_from_pvec(self, z: np.ndarray, pvec: np.ndarray) -> np.ndarray:
         """Time derivative of the state ``z = [x; w]`` whose partial vector
         is ``pvec``, as one array ``[dx; dw]``."""
@@ -193,19 +181,10 @@ class Seeker:
     def _rhs(self, z: np.ndarray) -> np.ndarray:
         return self._rhs_from_pvec(z, self.partial_vector(z[: self._n]))
 
-    def rhs_arrays(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dz = self._rhs(np.concatenate((x, w)))
-        return dz[: self._n], dz[self._n :]
-
-    def rhs(self, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
-        return self.rhs_arrays(state.x, state.w)
-
     def block_residuals(self, g: np.ndarray) -> np.ndarray:
         """2-norm of the disagreement component (estimates minus their block
         mean) of every block with more than one member, in block order."""
-        means = np.add.reduceat(g, self._starts) / self._sizes
-        dev = g - np.repeat(means, self._sizes)
-        return np.sqrt(np.add.reduceat(dev * dev, self._starts)[self._shared])
+        return self.layout.block_spread(g)[1][self._multi_member]
 
     # -- stepping ---------------------------------------------------------------
 
@@ -239,19 +218,18 @@ class Seeker:
         times = [t]
         states = [z[:n].copy()]
         w_samples = [z[n:].copy()] if params.record_w else None
-        pg, gbar, vvals = ([], [], []) if params.diagnostics else (None, None, None)
+        pg, gbar, vvals = [], [], []
 
         def record_diag() -> tuple[float, float]:
             g = z[n:] + pvec
-            p = np.add.reduceat(pvec, self._starts)
+            p = np.add.reduceat(pvec, self.layout.block_starts)
             p_inf = float(np.abs(p).max())
             resid = self.block_residuals(g)
             max_resid = float(resid.max()) if resid.size else 0.0
-            if params.diagnostics:
-                pg.append(p_inf)
-                gbar.append(float(np.sqrt((resid**2).sum())))
-                if params.lyapunov is not None:
-                    vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
+            pg.append(p_inf)
+            gbar.append(float(np.sqrt((resid**2).sum())))
+            if params.lyapunov is not None:
+                vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
             return p_inf, max_resid
 
         record_diag()
@@ -265,11 +243,11 @@ class Seeker:
                 try:
                     zn, pvec_n = self._step(z, h_try, params.method, pvec)
                     break
-                except DomainError:
+                except DomainError as err:
                     halvings += 1
-                    if halvings > params.max_halvings:
+                    if halvings > MAX_HALVINGS:
                         raise DomainUnrecoverableError(
-                            f"step at t={t:.6g} failed after {params.max_halvings} halvings"
+                            f"step at t={t:.6g} failed after {MAX_HALVINGS} halvings: {err}"
                         ) from None
                     h_try *= 0.5
             z, t, pvec = zn, t + h_try, pvec_n
@@ -293,10 +271,10 @@ class Seeker:
             var_names=self.game.var_names,
             times=np.array(times),
             states=np.array(states),
+            pg_norm=np.array(pg),
+            gbar_norm=np.array(gbar),
             w_samples=np.array(w_samples) if w_samples is not None else None,
-            pg_norm=np.array(pg) if pg is not None else None,
-            gbar_norm=np.array(gbar) if gbar is not None else None,
-            lyapunov=np.array(vvals) if (vvals is not None and params.lyapunov is not None) else None,
+            lyapunov=np.array(vvals) if params.lyapunov is not None else None,
             stopped_early=stopped,
             steps=steps,
             wall_time=time.perf_counter() - start,

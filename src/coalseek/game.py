@@ -194,55 +194,68 @@ class Game:
         return Layout(self)
 
     @cached_property
+    def kernel_exprs(self) -> list[Expression]:
+        """Every cost in profile order, then every partial in slot order."""
+        return [f for c in self.coalitions for f in c.costs] + self.layout.partial_exprs()
+
+    @cached_property
     def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The game's compiled evaluator: every cost in profile order, then
-        every partial in slot order (``Layout.partial_exprs``), at a profile."""
-        costs = [f for c in self.coalitions for f in c.costs]
-        return compile_vector_function(costs + self.layout.partial_exprs(), self.var_names)
+        """The game's compiled evaluator of ``kernel_exprs`` at a profile."""
+        return compile_vector_function(self.kernel_exprs, self.var_names)
 
     def costs_and_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent costs (profile order) and the flat partial vector (slot
         order) at the profile ``x``.  The game's domain is where every cost
         and every partial is finite; outside it this raises DomainError."""
-        try:
-            vals = self.kernel(x)
-        except DomainError as err:
-            raise _OutsideDomain(self, x) from err
-        if not np.isfinite(vals).all():
-            raise _OutsideDomain(self, x)
+        vals = evaluate_in_domain(
+            self.kernel, x, self.kernel_exprs, self.var_names, self._kernel_label
+        )
         n = self.n_actions
         return vals[:n], vals[n:]
 
+    def _kernel_label(self, pos: int) -> str:
+        n = self.n_actions
+        if pos < n:
+            i, j = split_action_name(self.var_names[pos])
+            return f"the cost of agent ({i},{j})"
+        i, j, k = list(self.layout.slots)[pos - n]
+        return f"the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
+
+
+def evaluate_in_domain(fn, x, exprs, var_names, label: Callable[[int], str]) -> np.ndarray:
+    """``fn(x)`` for ``fn`` compiled from ``exprs`` over ``var_names``.  Its
+    domain is where every output is finite; outside it this raises
+    ``_OutsideDomain``, whose message ``label(pos)`` completes."""
+    try:
+        vals = fn(x)
+        if np.isfinite(vals).all():
+            return vals
+    except DomainError:
+        pass
+    raise _OutsideDomain(exprs, var_names, x, label)
+
 
 class _OutsideDomain(DomainError):
-    """``Game.costs_and_partials`` left the game's domain at ``x``.  The
-    message names the first cost or partial (in kernel order) that the
-    reference ``expr.evaluate`` rejects, and the operation that failed.  The
-    reference rejects every non-finite intermediate, so it fails on the
-    output the kernel failed on or an earlier one.  The message is worked
-    out only when read: the callers that catch this and retry (step
-    halving, sampling probes) pay nothing for it."""
+    """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
+    message names the failed operation and ``label(pos)`` of the first output
+    that the reference ``expr.evaluate`` rejects; it rejects every non-finite
+    intermediate, so that is the failing output or an earlier one.  The
+    message is worked out only when read: the callers that catch this and
+    retry (step halving, sampling probes) pay nothing for it."""
 
-    def __init__(self, game: Game, x: np.ndarray):
+    def __init__(self, exprs, var_names, x, label):
         super().__init__()
-        self._game = game
+        self._exprs, self._var_names, self._label = exprs, var_names, label
         self._x = np.array(x, dtype=float)
 
     def __str__(self) -> str:
-        game = self._game
-        env = dict(zip(game.var_names, self._x.tolist()))
-        costs = [f for c in game.coalitions for f in c.costs]
-        n = game.n_actions
-        for pos, e in enumerate(costs + game.layout.partial_exprs()):
+        env = dict(zip(self._var_names, self._x.tolist()))
+        for pos, e in enumerate(self._exprs):
             try:
                 evaluate(e, env)
             except DomainError as err:
-                if pos < n:
-                    i, j = split_action_name(game.var_names[pos])
-                    return f"{err} in the cost of agent ({i},{j})"
-                i, j, k = next(key for key, slot in game.layout.slots.items() if slot == pos - n)
-                return f"{err} in the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
-        return "non-finite cost or partial derivative"
+                return f"{err} in {self._label(pos)}"
+        return "non-finite output"
 
 
 class Layout:
@@ -287,8 +300,10 @@ class Layout:
         coordinates: ``(head, tail, weight)``, one entry per ordered pair of
         adjacent members, sorted by head then tail.  With these,
         ``-L g = bincount(head, weight * (g[tail] - g[head]), size)`` for the
-        block-diagonal Laplacian ``L``; the entry count is the per-step
-        traffic ``tx_proposed`` of ``analysis.cost_accounting``."""
+        block-diagonal Laplacian ``L``.  Each entry is one estimate sent per
+        step, and every edge appears in both directions, so the entries
+        counted by the agent holding the head slot are the traffic
+        ``tx_proposed`` of ``analysis.cost_accounting``."""
         head: list[int] = []
         tail: list[int] = []
         weight: list[float] = []
@@ -312,6 +327,20 @@ class Layout:
         """First slot of each block.  Blocks are in profile order, so
         ``np.add.reduceat(pvec, block_starts)`` is the pseudo-gradient."""
         return np.array([b.start for b in self.blocks], dtype=np.intp)
+
+    @cached_property
+    def block_sizes(self) -> np.ndarray:
+        """Member count of each block."""
+        return np.array([b.size for b in self.blocks], dtype=np.intp)
+
+    def block_spread(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block mean of the slot vector ``g`` and 2-norm of ``g`` minus
+        that mean, in block order; a singleton block's norm is exactly 0.
+        For any orthonormal basis B of the block's disagreement subspace
+        (the complement of the all-ones vector) the norm is ``|B^T g|``."""
+        means = np.add.reduceat(g, self.block_starts) / self.block_sizes
+        dev = g - np.repeat(means, self.block_sizes)
+        return means, np.sqrt(np.add.reduceat(dev * dev, self.block_starts))
 
     @cached_property
     def own_slots(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, compile_vector_function, differentiate, free_variables
-from .game import Game, coalition_cost, pseudo_gradient
+from .game import Game, coalition_cost, evaluate_in_domain, pseudo_gradient
 
 __all__ = [
     "StationaryReport",
@@ -52,20 +52,21 @@ def _jacobian_exprs(game: Game):
 
 def _jacobian_function(game: Game):
     """Compiled pseudo-gradient Jacobian: a function of the profile ``x``
-    returning the dense ``n x n`` matrix; raises DomainError where an entry
-    is not finite."""
+    returning the dense ``n x n`` matrix; raises DomainError, naming the
+    entry and the operation, where an entry is not finite."""
     exprs = _jacobian_exprs(game)
-    second = compile_vector_function(exprs.values(), game.var_names)
+    entries, names = list(exprs.values()), game.var_names
+    second = compile_vector_function(entries, names)
     rows = np.array([row for row, _ in exprs], dtype=np.intp)
     cols = np.array([col for _, col in exprs], dtype=np.intp)
     n = game.n_actions
 
+    def label(pos: int) -> str:
+        return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
+
     def jacobian(x: np.ndarray) -> np.ndarray:
-        values = second(x)
-        if not np.isfinite(values).all():
-            raise DomainError("non-finite second derivative")
         jac = np.zeros((n, n))
-        jac[rows, cols] = values
+        jac[rows, cols] = evaluate_in_domain(second, x, entries, names, label)
         return jac
 
     return jacobian

@@ -56,3 +56,24 @@ def tree_walk_pseudo_gradient(game, x):
     partials; blocks are in profile order."""
     pvec = tree_walk_partials(game, x).tolist()
     return np.array([sum(pvec[b.start : b.stop]) for b in game.layout.blocks])
+
+
+# The seeker's right-hand side and estimates, as the tests read them.
+
+
+def rhs_arrays(seeker, x, w):
+    """Time derivatives ``(dx, dw)`` of the dynamics at actions ``x`` and
+    auxiliary vector ``w``."""
+    dz = seeker._rhs(np.concatenate((x, w)))
+    n = seeker.game.n_actions
+    return dz[:n], dz[n:]
+
+
+def rhs(seeker, state):
+    return rhs_arrays(seeker, state.x, state.w)
+
+
+def estimates(seeker, state):
+    """Estimate ``w + cost partial`` of every stored index (i, j, k)."""
+    flat = state.w + seeker.partial_vector(state.x)
+    return {key: float(flat[slot]) for key, slot in seeker.layout.slots.items()}

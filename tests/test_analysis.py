@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalseek.analysis import (
     build_block_transforms,
@@ -9,10 +11,12 @@ from coalseek.analysis import (
     lyapunov_value,
     solve_lyapunov,
 )
+from coalseek.corpus import random_quadratic_game
 from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game
-from coalseek.graphs import Graph
+from coalseek.graphs import Graph, orthonormal_complement
+from coalseek.scenario import load_scenario
 from conftest import tree_walk_partials
 
 
@@ -158,6 +162,75 @@ def test_deviation_bound_on_random_states(example2_game):
         state = _random_protocol_state(example2_game, rng)
         for record in deviation_bounds(example2_game, state).values():
             assert record.deviation <= record.bound * (1 + 1e-12) + 1e-12
+
+
+# --- one disagreement measure -------------------------------------------------------------
+
+
+def _dense_records(game, state):
+    """Reference: the consensus and deviation records from a dense
+    Householder basis of each block's disagreement subspace."""
+    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
+    consensus, deviation = {}, {}
+    for b in game.layout.blocks:
+        seg = slice(b.start, b.stop)
+        g, partials = state.w[seg] + pvec[seg], pvec[seg]
+        basis = orthonormal_complement(b.size)
+        gbar_norm = float(np.linalg.norm(basis.T @ g))
+        avg = partials.sum() / b.size
+        consensus[(b.coalition, b.k)] = (gbar_norm, float(abs(g.mean() - avg)))
+        for pos, j in enumerate(b.members):
+            beta = float(np.linalg.norm(basis[pos]))
+            deviation[(b.coalition, j, b.k)] = (float(abs(g[pos] - avg)), beta * gbar_norm)
+    return consensus, deviation
+
+
+def _check_against_dense(game, state):
+    consensus, deviation = _dense_records(game, state)
+    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
+    scale = 1.0 + float(np.abs(state.w + pvec).max())
+    got = consensus_residual(game, state)
+    assert list(got) == list(consensus)
+    for key, record in got.items():
+        ref_norm, ref_error = consensus[key]
+        assert abs(record.gbar_norm - ref_norm) <= 1e-12 * scale
+        assert abs(record.mean_identity_error - ref_error) <= 1e-12 * scale
+    got = deviation_bounds(game, state)
+    assert list(got) == list(deviation)
+    for key, record in got.items():
+        ref_dev, ref_bound = deviation[key]
+        assert abs(record.deviation - ref_dev) <= 1e-12 * scale
+        assert abs(record.bound - ref_bound) <= 1e-12 * scale
+    # A singleton block has no disagreement, and its bound is exactly 0.
+    for b in game.layout.blocks:
+        if b.size == 1:
+            assert got[(b.coalition, b.k, b.k)].bound == 0.0
+            assert consensus_residual(game, state)[(b.coalition, b.k)].gbar_norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "preset, lo, hi",
+    [("example2", -2.0, 2.0), ("coalition1-fig1", -2.0, 2.0), ("congestion-demo", 0.0, 1.0)],
+)
+def test_records_match_dense_basis_on_presets(preset, lo, hi):
+    game = load_scenario(preset).game
+    rng = np.random.default_rng(606)
+    for _ in range(20):
+        x = rng.uniform(lo, hi, game.n_actions)
+        w = rng.normal(scale=rng.uniform(0.1, 3.0), size=game.layout.size)
+        _check_against_dense(game, SeekerState(x, w, 0.0))
+        _check_against_dense(game, _random_protocol_state(game, rng, span=hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_records_match_dense_basis_on_quadratic_games(seed):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng, max_coalitions=3, max_agents=7).game
+    x = rng.uniform(-3.0, 3.0, game.n_actions)
+    w = rng.normal(scale=rng.uniform(0.1, 10.0), size=game.layout.size)
+    _check_against_dense(game, SeekerState(x, w, 0.0))
+    _check_against_dense(game, SeekerState(x, np.zeros(game.layout.size), 0.0))
 
 
 # --- lyapunov value ---------------------------------------------------------------------

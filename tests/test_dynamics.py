@@ -11,7 +11,7 @@ from coalseek.dynamics import (
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
-from conftest import assignment, tree_walk_partials
+from conftest import assignment, estimates, rhs, tree_walk_partials
 
 
 def _single_agent_game(cost="(x1_1 - 3)^2", delta=1.0, dbar=1.0):
@@ -44,7 +44,7 @@ def test_estimates_zero_w_are_raw_partials(example2_game):
     seeker = Seeker(example2_game)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 10)
-    est = seeker.estimates(seeker.initial_state(x))
+    est = estimates(seeker, seeker.initial_state(x))
     env = assignment(example2_game, x)
     from coalseek.expr import evaluate
 
@@ -54,7 +54,7 @@ def test_estimates_zero_w_are_raw_partials(example2_game):
 
 def test_estimates_at_origin(example2_game):
     seeker = Seeker(example2_game)
-    est = seeker.estimates(seeker.initial_state(np.zeros(10)))
+    est = estimates(seeker, seeker.initial_state(np.zeros(10)))
     assert est[(3, 6, 1)] == 1.0  # d f_36 / d x_31 = exp(0)
     assert est[(3, 1, 1)] == -1.0  # d f_31 / d x_31 = -exp(0) + 0 - 0
 
@@ -63,8 +63,8 @@ def test_singleton_estimate_tracks_partial():
     game = _single_agent_game()
     seeker = Seeker(game)
     state = seeker.initial_state([0.0])
-    assert seeker.estimates(state)[(1, 1, 1)] == -6.0
-    dx, dw = seeker.rhs(state)
+    assert estimates(seeker, state)[(1, 1, 1)] == -6.0
+    dx, dw = rhs(seeker, state)
     assert dw.size == 1 and dw[0] == 0.0
 
 
@@ -74,7 +74,7 @@ def test_singleton_estimate_tracks_partial():
 def test_rhs_single_agent():
     game = _single_agent_game()
     seeker = Seeker(game)
-    dx, dw = seeker.rhs(seeker.initial_state([0.0]))
+    dx, dw = rhs(seeker, seeker.initial_state([0.0]))
     assert dx[0] == 6.0
     assert np.all(dw == 0.0)
 
@@ -83,9 +83,9 @@ def test_rhs_consensus_two_agents():
     game = _two_agent_game()
     seeker = Seeker(game)
     state = seeker.initial_state([0.0, 0.0])
-    est = seeker.estimates(state)
+    est = estimates(seeker, state)
     assert est[(1, 1, 1)] == 2.0 and est[(1, 2, 1)] == 5.0
-    dx, dw = seeker.rhs(state)
+    dx, dw = rhs(seeker, state)
     layout = game.layout
     assert dw[layout.slot(1, 1, 1)] == 3.0  # -(2 - 5)
     assert dw[layout.slot(1, 2, 1)] == -3.0  # -(5 - 2)
@@ -95,7 +95,7 @@ def test_rhs_block_sums_vanish(example2_game):
     seeker = Seeker(example2_game)
     rng = np.random.default_rng(1)
     state = seeker.initial_state(rng.uniform(-2, 2, 10), rng.normal(size=36))
-    _, dw = seeker.rhs(state)
+    _, dw = rhs(seeker, state)
     for b in example2_game.layout.blocks:
         assert abs(dw[b.start : b.stop].sum()) <= 1e-12
 
@@ -134,13 +134,13 @@ def test_rhs_stationarity_characterization():
         )
         w[blk.start : blk.stop] = vals.mean() - vals
     state = SeekerState(x_star, w, 0.0)
-    dx, dw = seeker.rhs(state)
+    dx, dw = rhs(seeker, state)
     assert np.abs(dx).max() <= 1e-12
     assert np.abs(dw).max() <= 1e-12
     # perturbing w off the consensus manifold re-activates the flow
     w2 = w.copy()
     w2[0] += 0.1
-    dx2, dw2 = seeker.rhs(SeekerState(x_star, w2, 0.0))
+    dx2, dw2 = rhs(seeker, SeekerState(x_star, w2, 0.0))
     assert max(np.abs(dx2).max(), np.abs(dw2).max()) > 1e-3
 
 
@@ -254,7 +254,7 @@ def test_singleton_coalition_reduces_to_plain_descent():
     assert np.all(traj.w_samples[:, slot] == 0.0)
     # along the run, d x_21 / dt = -delta * d f_21 / d x_21 exactly
     for x, w in zip(traj.states[::5], traj.w_samples[::5]):
-        dx, _ = seeker.rhs(SeekerState(x, w, 0.0))
+        dx, _ = rhs(seeker, SeekerState(x, w, 0.0))
         expected = -0.2 * (2.0 * (x[2] + 1.0) + 0.2 * x[0])
         assert dx[2] == pytest.approx(expected, rel=0, abs=1e-15)
 

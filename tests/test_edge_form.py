@@ -24,8 +24,8 @@ from coalseek.game import (
     build_congestion_game,
     pseudo_gradient,
 )
-from coalseek.graphs import Graph
-from conftest import tree_walk_pseudo_gradient
+from coalseek.graphs import Graph, interference_to_k_graph
+from conftest import rhs_arrays, tree_walk_pseudo_gradient
 
 
 def _congestion_network():
@@ -75,7 +75,7 @@ def _check_operators(game, rng, span):
     g = w + pvec
 
     dense = _dense_laplacian(game)
-    _, dw = seeker.rhs_arrays(x, w)
+    _, dw = rhs_arrays(seeker, x, w)
     scale = max(1.0, np.abs(dense).sum(axis=1).max() * np.abs(g).max())
     assert np.abs(dw + dense @ g).max() <= 1e-12 * scale
 
@@ -117,6 +117,34 @@ def _ring_game(m):
         costs.append(Binary("add", quad, Binary("mul", Const(0.1), Binary("mul", own, right))))
     ring = Graph.build(range(1, m + 1), [(j, j % m + 1) for j in range(1, m + 1)])
     return Game(coalitions=(Coalition(tuple(costs), (1.0,) * m, ring, ring),), delta=1.0)
+
+
+def _graph_loop_accounting(game):
+    """Reference: per-agent slot pairs, traffic and dropped components from
+    each component's neighborhood communication graph, built one by one."""
+    out = []
+    for i, c in enumerate(game.coalitions, start=1):
+        for j in range(1, c.m + 1):
+            hood = set(c.interference.neighbors(j)) | {j}
+            tx = 0
+            for k in sorted(hood):
+                sub = interference_to_k_graph(c.comm, c.interference, k)
+                if j in sub.vertices:
+                    tx += sub.degree(j)
+            dropped = tuple(k for k in range(1, c.m + 1) if k not in hood)
+            out.append((i, j, 2 * len(hood), tx, dropped))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["example2", "congestion-demo", "coalition1-fig1", "network", "ring"]
+)
+def test_cost_accounting_matches_neighborhood_graphs(games, name):
+    game = _ring_game(1000) if name == "ring" else games[name]
+    report = cost_accounting(game)
+    got = [(a.coalition, a.agent, a.aux_proposed, a.tx_proposed, a.dropped) for a in report.agents]
+    assert got == _graph_loop_accounting(game)
+    assert all(type(v) is int for a in report.agents for v in (a.aux_proposed, a.tx_proposed))
 
 
 def _arrays(obj, depth=0, seen=None):

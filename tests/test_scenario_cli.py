@@ -1,7 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import coalseek
 from coalseek.cli import main
 from coalseek.expr import compile_vector_function
 from coalseek.scenario import (
@@ -296,6 +303,90 @@ def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
     monkeypatch.setattr(coalseek.oracle, "compile_vector_function", counting)
     assert main(["check", "congestion-demo"]) == 0
     assert len(compiled) == 1
+
+
+def test_cli_jacobian_domain_exit_names_entry_and_operation(tmp_path, capsys):
+    # d2/dx1_1^2 of x1_1^1.5 is 0.75 * x1_1^-0.5, which has no value at 0.
+    path = _one_agent_file(tmp_path, "x1_1^1.5 + x1_1", 0.0)
+    assert main(["solve", path, "--format", "kv"]) == 3
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert kv["message"] == (
+        "jacobian left the domain: pow(0.0, -0.5) left the real domain "
+        "in the jacobian entry d/dx1_1 of component x1_1"
+    )
+
+
+def test_cli_unrecoverable_step_names_its_cause(tmp_path, capsys):
+    # Past the critical gain, example2's run leaves the domain of exp.
+    argv = ["run", "example2", "--delta", "3", "--step", "0.05", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 3
+    assert re.fullmatch(
+        r"numerical failure: step at t=0\.562564 failed after 40 halvings: "
+        r"exp\(\S+\) overflows in the cost of agent \(3,1\)\n",
+        capsys.readouterr().err,
+    )
+
+
+def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
+    # Finite partials, but a communication weight that overflows every
+    # Euler step however short.
+    doc = _minimal_doc(
+        coalitions=[
+            {
+                "costs": ["(x1_1 - 1)^2 + x1_1*x1_2", "(x1_2 + 1)^2 + x1_1*x1_2"],
+                "communication": [[1, 2, 1e308]],
+            }
+        ],
+        integrator={"method": "euler", "step": 0.1, "horizon": 1.0},
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: step at t=0 failed after 40 halvings: "
+        "step produced a non-finite state\n"
+    )
+
+
+def _read_three_lines_and_close(argv):
+    """Run ``coalseek`` with stdout on a pipe whose reader takes three
+    lines and then closes it, as ``| head -3`` does."""
+    src = str(Path(coalseek.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coalseek.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return lines, proc.wait(timeout=120), err
+
+
+def test_cli_closed_stdout_is_a_quiet_exit(tmp_path):
+    lines, code, err = _read_three_lines_and_close(["costs", "congestion-demo", "--format", "kv"])
+    assert lines[0] == b"agent.1_1.aux_proposed=2\n" and len(lines) == 3
+    assert (code, err) == (0, b"")
+    # A report larger than any pipe buffer: the writer must meet the
+    # closed pipe while printing.
+    m = 150
+    doc = _minimal_doc(
+        coalitions=[
+            {
+                "costs": [f"(x1_{j} - 1)^2 + 0.1*x1_{j}*x1_{j % m + 1}" for j in range(1, m + 1)],
+                "communication": [[j, j % m + 1] for j in range(1, m + 1)],
+            }
+        ]
+    )
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    lines, code, err = _read_three_lines_and_close(["costs", str(path), "--format", "kv"])
+    assert all(line.startswith(b"agent.1_1.") for line in lines)
+    assert (code, err) == (0, b"")
 
 
 def test_cli_run_writes_csv_and_summary(tmp_path, capsys):
