@@ -9,13 +9,17 @@ demo stands in for is bundled as reference metadata only, since that network's
 exact topology is not recoverable.  Run from the repository root:
 
     python scripts/build_congestion_demo.py > src/coalseek/presets/congestion-demo.json
+
+Importing the module has no side effects; ``build_document()`` returns the
+preset as a dict.
 """
 
 import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coalseek.expr import render
 from coalseek.game import FlowAgent, build_congestion_game
@@ -55,7 +59,7 @@ COMM_EDGES = {
 }
 
 
-def main() -> None:
+def build_document() -> dict:
     game = build_congestion_game(LINKS, AGENTS, kappa=KAPPA, delta=DELTA)
     doc = {
         "schema": "coalseek/scenario-v1",
@@ -72,10 +76,10 @@ def main() -> None:
         "delta": DELTA,
         "coalitions": [],
         "integrator": {
-            "method": "rk4",
+            "method": "dopri5",
             "step": 0.01,
             "horizon": 600.0,
-            "record_stride": 500,
+            "record_dt": 5.0,
             "stop_tol": 1e-9,
         },
         "initial_x": [0.5] * 10,
@@ -104,7 +108,11 @@ def main() -> None:
             "interference": [[j, l] for j, l in c.interference.edge_pairs()],
         }
         doc["coalitions"].append(entry)
-    json.dump(doc, sys.stdout, indent=2)
+    return doc
+
+
+def main() -> None:
+    json.dump(build_document(), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

@@ -47,7 +47,9 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("scenario", help="preset name or path to a scenario file")
         p.add_argument("--delta", type=float, help="override the scenario gain")
-        p.add_argument("--step", type=float, help="override the integrator step")
+        p.add_argument(
+            "--step", type=float, help="override the integrator step (dopri5: the first trial step)"
+        )
         p.add_argument("--horizon", type=float, help="override the integration horizon")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument(
@@ -134,6 +136,8 @@ def _cmd_run(args) -> int:
         ("pg_inf_norm", _fmt(trajectory.pg_norm[-1])),
         ("t_end", _fmt(trajectory.final_time)),
         ("steps", str(trajectory.steps)),
+        ("rhs_evals", str(trajectory.rhs_evals)),
+        ("rejected_steps", str(trajectory.rejected_steps)),
         ("stopped_early", str(trajectory.stopped_early).lower()),
         ("wall_time_s", f"{trajectory.wall_time:.3f}"),
     ]

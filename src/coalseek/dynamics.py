@@ -1,4 +1,5 @@
-"""Continuous-time seeking dynamics and their fixed-step integration.
+"""Continuous-time seeking dynamics and their integration: fixed-step RK4 or
+Euler, or error-controlled Dormand–Prince 5(4).
 
 Each agent descends its own estimated gradient component while a consensus
 protocol, run per component over the neighborhood communication graph, drives
@@ -31,8 +32,42 @@ __all__ = [
     "NonFiniteStateError",
 ]
 
-# Halvings of a rejected step before the run gives up.
+# Halvings of a step rejected for leaving the domain before the run gives up.
 MAX_HALVINGS = 40
+
+METHODS = ("rk4", "euler", "dopri5")
+
+# dopri5 accepts a step when the RMS over z = [x; w] of its error estimate,
+# each entry scaled by ATOL + RTOL * max(|z|, |z_new|), is at most 1.
+RTOL = 1e-8
+ATOL = 1e-10
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): row s holds the weights
+# of k1..k(s+1) in stage s + 2; the last row is the fifth-order solution,
+# whose derivative is the seventh stage (first same as last).
+_DP_A = [
+    np.array(row)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+]
+# Fifth- minus fourth-order weights of k1..k7: the local error estimate.
+_DP_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+)
+# Step control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): the next
+# step is the last one times the PI factor _SAFETY * err^-_ALPHA *
+# err_prev^_BETA, clamped to [_MIN_FACTOR, _MAX_FACTOR].
+_SAFETY = 0.9
+_ALPHA = 0.2 - 0.75 * 0.04
+_BETA = 0.04
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
 
 
 class NumericsError(RuntimeError):
@@ -40,8 +75,9 @@ class NumericsError(RuntimeError):
 
 
 class DomainUnrecoverableError(NumericsError):
-    """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings;
-    the message ends with the cause of the last rejection."""
+    """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings,
+    and the message ends with the cause of the last rejection; or, under
+    dopri5, the step shrank until it no longer advanced the time."""
 
 
 class NonFiniteStateError(NumericsError):
@@ -60,10 +96,16 @@ class SeekerState:
 
 @dataclass
 class IntegrateParams:
-    method: str = "rk4"  # "rk4" | "euler"
+    """Under "rk4" and "euler" every ``step`` is the same and every
+    ``record_stride``-th one is recorded.  Under "dopri5" ``step`` is the
+    first trial step, the error control picks the rest, and the run is
+    recorded at the times ``k * record_dt`` after the start."""
+
+    method: str = "rk4"  # one of METHODS
     step: float = 1e-3
     horizon: float = 100.0
     record_stride: int = 100
+    record_dt: float | None = None
     stop_tol: float | None = 1e-8
     record_w: bool = False
     lyapunov: Callable[["SeekerState"], float] | None = None
@@ -75,13 +117,22 @@ class IntegrateParams:
             raise ValueError("horizon must be positive and finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if self.method not in ("rk4", "euler"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
+        if self.method == "dopri5":
+            if self.record_dt is None or not (0 < self.record_dt < math.inf):
+                raise ValueError("dopri5 needs a positive, finite record_dt")
+        elif self.record_dt is not None:
+            raise ValueError(f"record_dt is for dopri5; {self.method} records every record_stride steps")
 
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of a run; ``w_samples`` and ``lyapunov`` are None when not recorded."""
+    """Time-indexed record of a run; ``w_samples`` and ``lyapunov`` are None
+    when not recorded.  ``steps`` counts accepted steps, ``rejected_steps``
+    the attempts thrown away (for leaving the domain or, under dopri5, for
+    their error), and ``rhs_evals`` the partial-vector evaluations, one per
+    right-hand side, the initial one included."""
 
     var_names: tuple[str, ...]
     times: np.ndarray
@@ -92,6 +143,8 @@ class Trajectory:
     lyapunov: np.ndarray | None = None
     stopped_early: bool = False
     steps: int = 0
+    rejected_steps: int = 0
+    rhs_evals: int = 0
     wall_time: float = 0.0
 
     @property
@@ -142,6 +195,7 @@ class Seeker:
         )
         self._head, self._tail, self._weight = self.layout.edges
         self._multi_member = self.layout.block_sizes > 1
+        self.evaluations = 0
 
     # -- state construction --------------------------------------------------
 
@@ -164,8 +218,9 @@ class Seeker:
     def partial_vector(self, x: np.ndarray) -> np.ndarray:
         """Flat cost-partial vector at ``x``, which must lie in the game's
         domain (see ``Game.costs_and_partials``).  Every integration stage
-        evaluates through here; ``bench/tracing.py`` times it as
-        ``dynamics.partials``."""
+        evaluates through here, and ``evaluations`` counts the calls;
+        ``bench/tracing.py`` times it as ``dynamics.partials``."""
+        self.evaluations += 1
         return self._costs_and_partials(x)[1]
 
     def _rhs_from_pvec(self, z: np.ndarray, pvec: np.ndarray) -> np.ndarray:
@@ -187,55 +242,55 @@ class Seeker:
         return self.layout.block_spread(g)[1][self._multi_member]
 
     # -- stepping ---------------------------------------------------------------
+    #
+    # The stage arithmetic runs under ``np.errstate``: a stage that overflows
+    # is caught by the finiteness checks and rejected, with no warning.
 
     def _step(self, z, h, method, pvec):
-        """One step of the state ``z = [x; w]``.  An accepted step needs every
-        stage AND the committed endpoint to stay inside the cost domains; the
-        endpoint's partial vector doubles as the next step's first stage."""
-        k1 = self._rhs_from_pvec(z, pvec)
-        if method == "euler":
-            zn = z + h * k1
-        else:
-            k2 = self._rhs(z + 0.5 * h * k1)
-            k3 = self._rhs(z + 0.5 * h * k2)
-            k4 = self._rhs(z + h * k3)
-            zn = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(zn).all():
-            raise DomainError("step produced a non-finite state")
+        """One fixed step of the state ``z = [x; w]``.  An accepted step needs
+        every stage AND the committed endpoint to stay inside the cost
+        domains; the endpoint's partial vector doubles as the next step's
+        first stage."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = self._rhs_from_pvec(z, pvec)
+            if method == "euler":
+                zn = z + h * k1
+            else:
+                k2 = self._rhs(z + 0.5 * h * k1)
+                k3 = self._rhs(z + 0.5 * h * k2)
+                k4 = self._rhs(z + h * k3)
+                zn = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(zn).all():
+                raise DomainError("step produced a non-finite state")
         return zn, self.partial_vector(zn[: self._n])
 
-    def integrate(self, state0: SeekerState, params: IntegrateParams | None = None) -> Trajectory:
-        params = params or IntegrateParams()
-        if not (np.all(np.isfinite(state0.x)) and np.all(np.isfinite(state0.w))):
-            raise NonFiniteStateError("initial state contains non-finite entries")
-        start = time.perf_counter()
-        n = self._n
-        z = np.concatenate((state0.x, state0.w))
-        t = state0.t
-        t_end = state0.t + params.horizon
-        pvec = self.partial_vector(z[:n])  # validates the initial cost domain
+    def _dopri5_step(self, z, h, k1):
+        """One Dormand–Prince attempt from ``z``, whose derivative is ``k1``:
+        the fifth-order endpoint, its partial vector, its derivative (the
+        next attempt's ``k1``) and the scaled RMS error estimate.  A stage or
+        endpoint outside the domain raises ``DomainError``, as in ``_step``."""
+        k = np.empty((7, z.size))
+        k[0] = k1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(1, 6):
+                k[s] = self._rhs(z + h * (_DP_A[s - 1] @ k[:s]))
+            zn = z + h * (_DP_A[5] @ k[:6])
+            if not np.isfinite(zn).all():
+                raise DomainError("step produced a non-finite state")
+            pvec = self.partial_vector(zn[: self._n])
+            k[6] = self._rhs_from_pvec(zn, pvec)
+            scaled = (h * (_DP_E @ k)) / (ATOL + RTOL * np.maximum(np.abs(z), np.abs(zn)))
+            err = math.sqrt(float(scaled @ scaled) / z.size)
+        if not math.isfinite(err):
+            raise DomainError("step produced a non-finite error estimate")
+        return zn, pvec, k[6], err
 
-        times = [t]
-        states = [z[:n].copy()]
-        w_samples = [z[n:].copy()] if params.record_w else None
-        pg, gbar, vvals = [], [], []
-
-        def record_diag() -> tuple[float, float]:
-            g = z[n:] + pvec
-            p = np.add.reduceat(pvec, self.layout.block_starts)
-            p_inf = float(np.abs(p).max())
-            resid = self.block_residuals(g)
-            max_resid = float(resid.max()) if resid.size else 0.0
-            pg.append(p_inf)
-            gbar.append(float(np.sqrt((resid**2).sum())))
-            if params.lyapunov is not None:
-                vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
-            return p_inf, max_resid
-
-        record_diag()
-        stopped = False
-        steps = 0
+    def _fixed_steps(self, z, t, pvec, t_end, params, record):
+        """Steps of ``params.step`` from ``(z, t)`` to ``t_end``, each halved
+        while it leaves the domain; every ``record_stride``-th endpoint and
+        the last go to ``record``.  Returns (accepted, rejected, stopped)."""
         eps = 1e-12 * max(1.0, abs(t_end))
+        steps = rejected = 0
         while t < t_end - eps:
             h_try = min(params.step, t_end - t)
             halvings = 0
@@ -250,22 +305,106 @@ class Seeker:
                             f"step at t={t:.6g} failed after {MAX_HALVINGS} halvings: {err}"
                         ) from None
                     h_try *= 0.5
+            rejected += halvings
             z, t, pvec = zn, t + h_try, pvec_n
             steps += 1
-            at_end = t >= t_end - eps
-            if steps % params.record_stride == 0 or at_end:
-                times.append(t)
-                states.append(z[:n].copy())
-                if w_samples is not None:
-                    w_samples.append(z[n:].copy())
-                p_inf, max_resid = record_diag()
-                if (
-                    params.stop_tol is not None
-                    and p_inf <= params.stop_tol
-                    and max_resid <= params.stop_tol
-                ):
-                    stopped = True
-                    break
+            if steps % params.record_stride == 0 or t >= t_end - eps:
+                if record(t, z, pvec):
+                    return steps, rejected, True
+        return steps, rejected, False
+
+    def _adaptive_steps(self, z, t, pvec, t_end, params, record):
+        """Error-controlled Dormand–Prince steps from ``(z, t)`` to
+        ``t_end``.  A step is cut short to land exactly on the next record
+        time ``t + k * record_dt`` (or ``t_end``), where ``record`` is
+        called.  A step leaving the domain is halved, one failing the error
+        test shrunk by the controller.  Returns (accepted, rejected, stopped)."""
+        t0 = t
+        eps = 1e-12 * max(1.0, abs(t_end))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = self._rhs_from_pvec(z, pvec)
+        h = params.step
+        err_prev = 1.0
+        grow = True  # no growth right after a rejection
+        steps = rejected = halvings = 0
+        n_rec = 1
+        while True:
+            t_rec = t0 + n_rec * params.record_dt
+            if t_rec >= t_end - eps:
+                t_rec = t_end
+            land = t + h >= t_rec - eps
+            h_try = t_rec - t if land else h
+            if t + h_try == t:
+                raise DomainUnrecoverableError(
+                    f"step at t={t:.6g} failed: the step shrank to {h_try:.3g}, "
+                    "below the resolution of t"
+                )
+            try:
+                zn, pvec_n, k7, err = self._dopri5_step(z, h_try, k1)
+            except DomainError as exc:
+                rejected += 1
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise DomainUnrecoverableError(
+                        f"step at t={t:.6g} failed after {MAX_HALVINGS} halvings: {exc}"
+                    ) from None
+                h, grow = 0.5 * h_try, False
+                continue
+            if err > 1.0:
+                rejected += 1
+                h, grow = h_try * max(_MIN_FACTOR, _SAFETY * err**-_ALPHA), False
+                continue
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_ALPHA * err_prev**_BETA
+            factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR if grow else 1.0)
+            err_prev = max(err, 1e-4)
+            # A step cut short to land on a record time does not shrink the next one.
+            h = max(h_try * factor, h) if land else h_try * factor
+            z, pvec, k1 = zn, pvec_n, k7
+            t = t_rec if land else t + h_try
+            steps += 1
+            halvings = 0
+            grow = True
+            if land:
+                if record(t, z, pvec):
+                    return steps, rejected, True
+                if t == t_end:
+                    return steps, rejected, False
+                n_rec += 1
+
+    def integrate(self, state0: SeekerState, params: IntegrateParams | None = None) -> Trajectory:
+        params = params or IntegrateParams()
+        if not (np.all(np.isfinite(state0.x)) and np.all(np.isfinite(state0.w))):
+            raise NonFiniteStateError("initial state contains non-finite entries")
+        start = time.perf_counter()
+        evaluations = self.evaluations
+        n = self._n
+        z = np.concatenate((state0.x, state0.w))
+        pvec = self.partial_vector(z[:n])  # validates the initial cost domain
+
+        times, states, pg, gbar, vvals = [], [], [], [], []
+        w_samples = [] if params.record_w else None
+
+        def record(t, z, pvec) -> bool:
+            """Record the sample at ``t``; True when both stop tolerances hold."""
+            times.append(t)
+            states.append(z[:n].copy())
+            if w_samples is not None:
+                w_samples.append(z[n:].copy())
+            g = z[n:] + pvec
+            p_inf = float(np.abs(np.add.reduceat(pvec, self.layout.block_starts)).max())
+            resid = self.block_residuals(g)
+            pg.append(p_inf)
+            gbar.append(float(np.sqrt((resid**2).sum())))
+            if params.lyapunov is not None:
+                vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
+            max_resid = float(resid.max()) if resid.size else 0.0
+            tol = params.stop_tol
+            return tol is not None and p_inf <= tol and max_resid <= tol
+
+        t_end = state0.t + params.horizon
+        record(state0.t, z, pvec)
+        run = self._adaptive_steps if params.method == "dopri5" else self._fixed_steps
+        steps, rejected, stopped = run(z, state0.t, pvec, t_end, params, record)
 
         return Trajectory(
             var_names=self.game.var_names,
@@ -277,6 +416,7 @@ class Seeker:
             lyapunov=np.array(vvals) if params.lyapunov is not None else None,
             stopped_early=stopped,
             steps=steps,
+            rejected_steps=rejected,
+            rhs_evals=self.evaluations - evaluations,
             wall_time=time.perf_counter() - start,
         )
-

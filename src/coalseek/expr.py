@@ -46,8 +46,8 @@ class ParseError(ValueError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the real domain: log of a non-positive number, division
-    by zero, a fractional power of a negative number, or a non-finite
-    intermediate value."""
+    by zero, a fractional power of a negative number, an overflowing exp or
+    pow, or a non-finite result."""
 
 
 class MissingVariableError(KeyError):
@@ -339,12 +339,6 @@ def render(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise DomainError("non-finite intermediate value")
-    return value
-
-
 def _pow_value(base: float, exponent: float) -> float:
     try:
         return math.pow(base, exponent)
@@ -372,7 +366,18 @@ def product_power(e: Expression) -> int | None:
 
 
 def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
-    """Evaluate at an assignment covering all free variables; returns a finite real."""
+    """Evaluate at an assignment covering all free variables; returns a finite
+    real.  The domain rule is the compiled kernel's: a zero denominator, log
+    of a non-positive value, an overflowing exp or pow, or a non-finite
+    result raises ``DomainError``.  A non-finite intermediate value is
+    carried on, so ``exp(-(1e308*10))`` is 0.0."""
+    value = _value(e, assignment)
+    if not math.isfinite(value):
+        raise DomainError("non-finite value")
+    return value
+
+
+def _value(e: Expression, assignment: Mapping[str, float]) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -381,33 +386,33 @@ def evaluate(e: Expression, assignment: Mapping[str, float]) -> float:
         except KeyError:
             raise MissingVariableError(e.name) from None
     if isinstance(e, Unary):
-        a = evaluate(e.arg, assignment)
+        a = _value(e.arg, assignment)
         if e.op == "neg":
             return -a
         if e.op == "exp":
             try:
-                return _finite(math.exp(a))
+                return math.exp(a)
             except OverflowError as err:
                 raise DomainError(f"exp({a!r}) overflows") from err
         if a <= 0.0:
             raise DomainError(f"log of non-positive value {a!r}")
-        return _finite(math.log(a))
-    left = evaluate(e.left, assignment)
-    right = evaluate(e.right, assignment)
+        return math.log(a)
+    left = _value(e.left, assignment)
+    right = _value(e.right, assignment)
     if e.op == "add":
-        return _finite(left + right)
+        return left + right
     if e.op == "sub":
-        return _finite(left - right)
+        return left - right
     if e.op == "mul":
-        return _finite(left * right)
+        return left * right
     if e.op == "div":
         if right == 0.0:
             raise DomainError("division by zero")
-        return _finite(left / right)
+        return left / right
     power = product_power(e)
     if power is not None:
-        return _finite(left * left if power == 2 else left * left * left)
-    return _finite(_pow_value(left, right))
+        return left * left if power == 2 else left * left * left
+    return _pow_value(left, right)
 
 
 # ---------------------------------------------------------------------------

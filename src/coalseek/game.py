@@ -238,8 +238,8 @@ def evaluate_in_domain(fn, x, exprs, var_names, label: Callable[[int], str]) -> 
 class _OutsideDomain(DomainError):
     """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
     message names the failed operation and ``label(pos)`` of the first output
-    that the reference ``expr.evaluate`` rejects; it rejects every non-finite
-    intermediate, so that is the failing output or an earlier one.  The
+    that the reference ``expr.evaluate`` rejects; it applies the kernel's
+    domain rule, so that is the first output outside the domain.  The
     message is worked out only when read: the callers that catch this and
     retry (step halving, sampling probes) pay nothing for it."""
 

@@ -192,11 +192,21 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"$.coalitions: {err}") from None
 
     integ = _expect(doc, "integrator", dict, "$", {})
+    method = _expect(integ, "method", str, "$.integrator", "rk4")
+    # dopri5 records on a time grid and the fixed-step methods every
+    # record_stride steps; neither reads the other's key.
+    if method == "dopri5" and "record_stride" in integ:
+        raise ScenarioError("$.integrator.record_stride: dopri5 records every record_dt instead")
+    if method != "dopri5" and "record_dt" in integ:
+        raise ScenarioError(f"$.integrator.record_dt: {method} records every record_stride steps instead")
     settings = dict(
-        method=_expect(integ, "method", str, "$.integrator", "rk4"),
+        method=method,
         step=_expect(integ, "step", float, "$.integrator", 1e-3),
         horizon=_expect(integ, "horizon", float, "$.integrator", 100.0),
         record_stride=_expect(integ, "record_stride", int, "$.integrator", 100),
+        record_dt=(
+            _expect(integ, "record_dt", float, "$.integrator") if method == "dopri5" else None
+        ),
         stop_tol=(
             None
             if integ.get("stop_tol") is None and "stop_tol" in integ

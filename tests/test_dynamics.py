@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalseek.dynamics import (
     DomainUnrecoverableError,
@@ -8,6 +12,7 @@ from coalseek.dynamics import (
     Seeker,
     SeekerState,
 )
+from coalseek.corpus import random_quadratic_game
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
@@ -364,10 +369,11 @@ def test_integrate_counts_fixed_steps(example2):
     assert traj.steps == 50
 
 
-@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1), ("dopri5", 6)])
 def test_fixed_steps_reuse_the_endpoint_partials(example2, monkeypatch, method, stages):
     # Each step's first stage is the previous endpoint's partials, so N
-    # accepted steps with no halvings make stages * N + 1 kernel calls.
+    # attempts that stay in the domain make stages * N + 1 kernel calls; a
+    # dopri5 attempt rejected for its error still evaluates its endpoint.
     game = example2.game
     kernel = game.kernel
     calls = []
@@ -378,9 +384,99 @@ def test_fixed_steps_reuse_the_endpoint_partials(example2, monkeypatch, method, 
 
     monkeypatch.setitem(game.__dict__, "kernel", counting)
     seeker = Seeker(game)
-    traj = seeker.integrate(
-        example2.initial_state(seeker),
-        IntegrateParams(method=method, step=0.01, horizon=0.5, record_stride=10, stop_tol=None),
+    if method == "dopri5":
+        params = IntegrateParams(method=method, step=0.5, horizon=5.0, record_dt=0.5, stop_tol=None)
+    else:
+        params = IntegrateParams(method=method, step=0.01, horizon=0.5, record_stride=10, stop_tol=None)
+    traj = seeker.integrate(example2.initial_state(seeker), params)
+    if method == "dopri5":
+        assert traj.rejected_steps > 0  # a first trial step of 0.5 fails the error test
+    else:
+        assert (traj.steps, traj.rejected_steps) == (50, 0)  # a halving needs more steps
+    assert len(calls) == stages * (traj.steps + traj.rejected_steps) + 1 == traj.rhs_evals
+
+
+# --- error-controlled integration ------------------------------------------------
+
+
+def _dopri5(horizon, record_dt, **kw):
+    return IntegrateParams(method="dopri5", horizon=horizon, record_dt=record_dt, **kw)
+
+
+@pytest.mark.parametrize("preset", ["congestion_demo", "fig1_demo"])
+def test_dopri5_matches_fine_rk4_on_presets(request, preset):
+    scenario = request.getfixturevalue(preset)
+    assert scenario.params.method == "dopri5"
+    seeker = Seeker(scenario.game)
+    state = scenario.initial_state(seeker)
+    rk4 = seeker.integrate(
+        state, IntegrateParams(step=0.01, horizon=60.0, record_stride=500, stop_tol=None)
     )
-    assert traj.steps == 50  # a halving would need more steps to reach the horizon
-    assert len(calls) == stages * 50 + 1
+    dopri5 = seeker.integrate(
+        state, dataclasses.replace(scenario.params, horizon=60.0, stop_tol=None)
+    )
+    assert np.abs(dopri5.final_x - rk4.final_x).max() <= 1e-8
+    assert dopri5.final_time == 60.0
+    assert dopri5.rhs_evals * 5 <= rk4.rhs_evals
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_dopri5_matches_fine_rk4_on_quadratic_games(seed):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    seeker = Seeker(game)
+    state = seeker.initial_state(rng.uniform(-2, 2, game.n_actions))
+    rk4 = seeker.integrate(
+        state, IntegrateParams(step=0.01, horizon=10.0, record_stride=100, stop_tol=None)
+    )
+    dopri5 = seeker.integrate(state, _dopri5(10.0, 1.0, step=0.01, stop_tol=None))
+    assert np.abs(dopri5.final_x - rk4.final_x).max() <= 1e-8
+
+
+def test_dopri5_records_on_the_time_grid():
+    game = _single_agent_game(delta=0.5)
+    seeker = Seeker(game)
+    traj = seeker.integrate(
+        seeker.initial_state([0.0]), _dopri5(10.25, 0.1, step=1e-3, stop_tol=None)
+    )
+    # t_k = k * record_dt by multiplication, then the horizon itself
+    assert traj.times.tolist() == [k * 0.1 for k in range(103)] + [10.25]
+    # dx/dt = -(x - 3), so x(t) = 3(1 - e^{-t})
+    assert np.abs(traj.states[:, 0] - 3.0 * (1.0 - np.exp(-traj.times))).max() <= 1e-8
+    assert traj.steps < len(traj.times) * 3
+
+
+def test_dopri5_stops_on_tolerances_at_record_times():
+    game = _single_agent_game(delta=0.5)
+    seeker = Seeker(game)
+    traj = seeker.integrate(seeker.initial_state([0.0]), _dopri5(500.0, 1.0, stop_tol=1e-10))
+    assert traj.stopped_early
+    assert traj.final_time == float(round(traj.final_time)) < 500.0
+    assert traj.pg_norm[-1] <= 1e-10 < traj.pg_norm[-2]
+
+
+def test_dopri5_domain_exit_is_halved_and_counted():
+    # The double log barrier of test_domain_exit_step_rejection_recovers: a
+    # first trial step of 1 from next to the x = 2 wall leaves the domain.
+    game = _single_agent_game("-10*log(2 - x1_1) - 10*log(x1_1 + 1)", delta=1.0)
+    seeker = Seeker(game)
+    traj = seeker.integrate(seeker.initial_state([1.9]), _dopri5(30.0, 1.0, step=1.0, stop_tol=None))
+    assert traj.rejected_steps > 0
+    assert traj.rhs_evals <= 6 * (traj.steps + traj.rejected_steps) + 1
+    assert np.all((traj.states[:, 0] > -1.0) & (traj.states[:, 0] < 2.0))
+    assert abs(traj.final_x[0] - 0.5) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(method="dopri5"), "record_dt"),
+        (dict(method="dopri5", record_dt=0.0), "record_dt"),
+        (dict(method="dopri5", record_dt=float("inf")), "record_dt"),
+        (dict(method="rk4", record_dt=1.0), "record_dt is for dopri5"),
+    ],
+)
+def test_record_dt_belongs_to_dopri5(kw, message):
+    with pytest.raises(ValueError, match=message):
+        IntegrateParams(**kw)

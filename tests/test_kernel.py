@@ -31,7 +31,8 @@ from coalseek.expr import (
     parse,
     render,
 )
-from coalseek.game import FlowAgent, build_congestion_game
+from coalseek.game import Coalition, FlowAgent, Game, build_congestion_game
+from coalseek.graphs import Graph
 from coalseek.oracle import _jacobian_exprs
 
 NAMES = ("x1_1", "x1_2", "x1_3", "x1_4")
@@ -242,10 +243,27 @@ def test_shared_subtrees_match_evaluate(outputs, point):
     for value, ref, reason in zip(values.tolist(), refs, reasons):
         if reason is None:
             assert _bits(value) == _bits(ref)
-        elif math.isfinite(value):
-            # Only a non-finite intermediate, which the kernel leaves to the
-            # caller's check of its outputs, fails the reference alone.
-            assert reason == "non-finite intermediate value"
+        else:
+            # The kernel raised nothing, so the reference rejects only a
+            # non-finite value, which the kernel leaves to the caller's check.
+            assert not math.isfinite(value)
+
+
+def test_reference_follows_the_kernel_domain_rule():
+    # 1e308*10 overflows to inf, and exp(-inf) is 0.0: a non-finite
+    # intermediate with a finite result is inside the domain for both.
+    e = parse("exp(-(x1_1*1e308*10))")
+    assert compile_vector_function([e], NAMES)(np.ones(4)).tolist() == [0.0]
+    assert evaluate(e, {"x1_1": 1.0}) == 0.0
+    with pytest.raises(DomainError, match="non-finite value"):
+        evaluate(parse("x1_1*1e308*10"), {"x1_1": 1.0})
+    # So a domain message names the output that actually failed.
+    g = Graph.build([1, 2], [(1, 2)])
+    costs = (parse("exp(-(x1_1*1e308*10)) + x1_2"), parse("x1_1 + log(x1_2)"))
+    game = Game((Coalition(costs, (1.0, 1.0), g, g),))
+    with pytest.raises(DomainError) as info:
+        game.costs_and_partials(np.array([1.0, -1.0]))
+    assert str(info.value) == "log of non-positive value -1.0 in the cost of agent (1,2)"
 
 
 def test_signed_zero_constants_stay_distinct():

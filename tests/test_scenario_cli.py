@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from coalseek.scenario import (
     available_presets,
     load_scenario,
     parse_scenario,
+    preset_path,
 )
 
 
@@ -180,6 +182,15 @@ _COALITION = _minimal_doc()["coalitions"][0]
         pytest.param({"integrator": {"horizon": 0}}, id="horizon"),
         pytest.param({"integrator": {"horizon": float("inf")}}, id="horizon-inf"),
         pytest.param({"integrator": {"record_stride": 0}}, id="record_stride"),
+        pytest.param(
+            {"integrator": {"method": "dopri5", "record_dt": 1.0, "record_stride": 10}},
+            id="record_stride-dopri5",
+        ),
+        pytest.param({"integrator": {"method": "rk4", "record_dt": 1.0}}, id="record_dt-rk4"),
+        pytest.param({"integrator": {"record_dt": 1.0}}, id="record_dt-default-method"),
+        pytest.param({"integrator": {"method": "dopri5"}}, id="record_dt-missing"),
+        pytest.param({"integrator": {"method": "dopri5", "record_dt": 0}}, id="record_dt-zero"),
+        pytest.param({"integrator": {"method": "dopri5", "record_dt": -1.0}}, id="record_dt-negative"),
         pytest.param({"x_star": ["a", 0.0]}, id="x_star"),
         pytest.param({"initial_x": [float("nan"), 0.0]}, id="initial_x-nan"),
         pytest.param({"initial_x": [float("inf"), 0.0]}, id="initial_x-inf"),
@@ -347,6 +358,96 @@ def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
         "numerical failure: step at t=0 failed after 40 halvings: "
         "step produced a non-finite state\n"
     )
+
+
+def _cli_subprocess(argv):
+    """Run ``python -m coalseek.cli`` on ``argv`` with the package under test
+    importable and Python's default warning filters."""
+    src = str(Path(coalseek.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "coalseek.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+def test_cli_overflowing_stage_warns_nothing(tmp_path, method):
+    # The scenario of the test above, run as a command: the overflow in the
+    # consensus term is a rejected step, and stderr holds the one line only.
+    integrator = {"method": method, "step": 0.1, "horizon": 1.0}
+    if method == "dopri5":
+        integrator["record_dt"] = 0.5
+    doc = _minimal_doc(
+        coalitions=[
+            {
+                "costs": ["(x1_1 - 1)^2 + x1_1*x1_2", "(x1_2 + 1)^2 + x1_1*x1_2"],
+                "communication": [[1, 2, 1e308]],
+            }
+        ],
+        integrator=integrator,
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    proc = _cli_subprocess(["run", str(path), "--out", str(tmp_path / "t.csv")])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"numerical failure: step at t=0 failed after 40 halvings: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_cli_dopri5_counts_domain_rejections(tmp_path, capsys):
+    # Descent on a log barrier: a first trial step of 1 from x1_1 = 0.05
+    # jumps past the wall at 0, and the halved attempts recover.
+    path = _one_agent_file(tmp_path, "x1_1^2 - log(x1_1)", 0.05)
+    doc = json.loads(Path(path).read_text())
+    doc["delta"] = 1.0
+    doc["integrator"] = {"method": "dopri5", "step": 1.0, "horizon": 20.0, "record_dt": 1.0}
+    Path(path).write_text(json.dumps(doc))
+    assert main(["run", path, "--out", str(tmp_path / "t.csv"), "--format", "kv"]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert int(kv["rejected_steps"]) > 0
+    assert int(kv["rhs_evals"]) <= 6 * (int(kv["steps"]) + int(kv["rejected_steps"])) + 1
+    assert abs(float(kv["x1_1"]) - 0.5**0.5) <= 1e-8
+
+
+def test_cli_dopri5_unrecoverable_step_is_one_line(tmp_path, capsys):
+    # Ascent on a log cost reaches the wall at x1_1 = -1 at t = 1/80: the
+    # steps shrink toward it until they no longer advance t.
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "runaway",
+        "coalitions": [{"costs": ["10*log(x1_1 + 1)"], "communication": []}],
+        "integrator": {"method": "dopri5", "step": 1.0, "horizon": 50.0, "record_dt": 1.0},
+        "initial_x": [-0.5],
+        "delta": 1.0,
+    }
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step at t=0.0125 failed: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_run_reports_counters(tmp_path, capsys):
+    # Fixed RK4 with no halvings: four evaluations per step and the first.
+    argv = ["run", "example2", "--horizon", "1", "--format", "kv", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split("=", 1)[0] for line in lines]
+    at = keys.index("steps")
+    assert keys[at : at + 3] == ["steps", "rhs_evals", "rejected_steps"]
+    kv = dict(line.split("=", 1) for line in lines)
+    assert (kv["steps"], kv["rhs_evals"], kv["rejected_steps"]) == ("200", "801", "0")
+
+
+def test_congestion_demo_generator_matches_the_preset():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "build_congestion_demo.py"
+    spec = importlib.util.spec_from_file_location("_build_congestion_demo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    shipped = preset_path("congestion-demo").read_text(encoding="utf-8")
+    assert json.dumps(module.build_document(), indent=2) + "\n" == shipped
 
 
 def _read_three_lines_and_close(argv):
