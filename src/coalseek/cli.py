@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing scenario or an unwritable output path
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ScenarioError as err:

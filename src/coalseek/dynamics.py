@@ -1,5 +1,6 @@
-"""Continuous-time seeking dynamics and their integration: fixed-step RK4 or
-Euler, or error-controlled Dormand–Prince 5(4).
+"""Continuous-time seeking dynamics and their integration by one explicit
+Runge–Kutta step loop: fixed-step RK4 or Euler, or error-controlled
+Dormand–Prince 5(4), each a tableau.
 
 Each agent descends its own estimated gradient component while a consensus
 protocol, run per component over the neighborhood communication graph, drives
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,31 +36,56 @@ __all__ = [
 # Halvings of a step rejected for leaving the domain before the run gives up.
 MAX_HALVINGS = 40
 
-METHODS = ("rk4", "euler", "dopri5")
-
-# dopri5 accepts a step when the RMS over z = [x; w] of its error estimate,
-# each entry scaled by ATOL + RTOL * max(|z|, |z_new|), is at most 1.
+# An error-controlled step is accepted when the RMS over z = [x; w] of its error
+# estimate, each entry scaled by ATOL + RTOL * max(|z|, |z_new|), is at most 1.
 RTOL = 1e-8
 ATOL = 1e-10
 
-# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): row s holds the weights
-# of k1..k(s+1) in stage s + 2; the last row is the fifth-order solution,
-# whose derivative is the seventh stage (first same as last).
-_DP_A = [
-    np.array(row)
-    for row in (
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+
+class _Tableau(NamedTuple):
+    """An explicit Runge–Kutta method (Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.1): ``rows[s]`` weighs k1..k(s+1) into stage s + 2 and
+    ``weights`` every stage into the endpoint, as ``(j, a)`` for a * k(j+1)
+    alone or as ``(None, weights)``; ``error``, if any, weighs the stages and
+    the endpoint's derivative into the local error estimate."""
+
+    rows: tuple
+    weights: tuple
+    error: np.ndarray | None
+
+
+def _tableau(rows, weights, error=None) -> _Tableau:
+    def terms(row):
+        # A lone weight a applied as (h * a) * k[j] keeps the bits of the
+        # matmul form only when a is a power of two.
+        nonzero = [j for j, a in enumerate(row) if a != 0.0]
+        lone = len(nonzero) == 1 and abs(math.frexp(row[nonzero[0]])[0]) == 0.5
+        return (nonzero[0], row[nonzero[0]]) if lone else (None, np.array(row))
+
+    error = None if error is None else np.array(error)
+    return _Tableau(tuple(map(terms, rows)), terms(weights), error)
+
+
+_TABLEAUS = {
+    "rk4": _tableau(((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+    "euler": _tableau((), (1.0,)),
+    # Dormand & Prince, J. Comput. Appl. Math. 6 (1980): the fifth-order
+    # endpoint, whose derivative is the seventh stage (first same as last),
+    # and fifth- minus fourth-order weights as the error estimate.
+    "dopri5": _tableau(
+        (
+            (1 / 5,),
+            (3 / 40, 9 / 40),
+            (44 / 45, -56 / 15, 32 / 9),
+            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        ),
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-]
-# Fifth- minus fourth-order weights of k1..k7: the local error estimate.
-_DP_E = np.array(
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
+        (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+    ),
+}
+METHODS = tuple(_TABLEAUS)
+
 # Step control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): the next
 # step is the last one times the PI factor _SAFETY * err^-_ALPHA *
 # err_prev^_BETA, clamped to [_MIN_FACTOR, _MAX_FACTOR].
@@ -76,8 +102,8 @@ class NumericsError(RuntimeError):
 
 class DomainUnrecoverableError(NumericsError):
     """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings,
-    and the message ends with the cause of the last rejection; or, under
-    dopri5, the step shrank until it no longer advanced the time."""
+    and the message ends with the cause of the last rejection; or the step
+    shrank until it no longer advanced the time."""
 
 
 class NonFiniteStateError(NumericsError):
@@ -97,14 +123,15 @@ class SeekerState:
 @dataclass
 class IntegrateParams:
     """Under "rk4" and "euler" every ``step`` is the same and every
-    ``record_stride``-th one is recorded.  Under "dopri5" ``step`` is the
-    first trial step, the error control picks the rest, and the run is
-    recorded at the times ``k * record_dt`` after the start."""
+    ``record_stride``-th one is recorded (``None``: every 100th).  Under
+    "dopri5" ``step`` is the first trial step, the error control picks the
+    rest, and the run is recorded at the times ``k * record_dt`` after the
+    start.  Every method lands exactly on the horizon."""
 
     method: str = "rk4"  # one of METHODS
     step: float = 1e-3
     horizon: float = 100.0
-    record_stride: int = 100
+    record_stride: int | None = None
     record_dt: float | None = None
     stop_tol: float | None = 1e-8
     record_w: bool = False
@@ -115,15 +142,18 @@ class IntegrateParams:
             raise ValueError("step must be positive and finite")
         if not (0 < self.horizon < math.inf):
             raise ValueError("horizon must be positive and finite")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        if self.method == "dopri5":
+        if _TABLEAUS[self.method].error is not None:
+            if self.record_stride is not None:
+                raise ValueError(f"record_stride is for rk4 and euler, not {self.method}")
             if self.record_dt is None or not (0 < self.record_dt < math.inf):
-                raise ValueError("dopri5 needs a positive, finite record_dt")
-        elif self.record_dt is not None:
+                raise ValueError(f"{self.method} needs a positive, finite record_dt")
+            return
+        if self.record_dt is not None:
             raise ValueError(f"record_dt is for dopri5; {self.method} records every record_stride steps")
+        if self.record_stride is not None and self.record_stride < 1:
+            raise ValueError("record_stride must be at least 1")
 
 
 @dataclass
@@ -180,6 +210,12 @@ class Trajectory:
                 fh.close()
 
 
+def _combine(terms, k, h):
+    """``h`` times the combination ``terms`` of the stages in ``k``."""
+    j, a = terms
+    return (h * a) * k[j] if j is not None else h * (a @ k[: a.size])
+
+
 class Seeker:
     """Dynamics engine bound to one game; reusable across integrations."""
 
@@ -223,18 +259,22 @@ class Seeker:
         self.evaluations += 1
         return self._costs_and_partials(x)[1]
 
-    def _rhs_from_pvec(self, z: np.ndarray, pvec: np.ndarray) -> np.ndarray:
+    def _rhs_from_pvec(
+        self, z: np.ndarray, pvec: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Time derivative of the state ``z = [x; w]`` whose partial vector
-        is ``pvec``, as one array ``[dx; dw]``."""
+        is ``pvec``, as one array ``[dx; dw]``, written to ``out`` if given."""
+        if out is None:
+            out = np.empty_like(z)
         g = z[self._n :] + pvec
-        dx = self._neg_gain * g[self._own]
-        dw = np.bincount(
+        np.multiply(self._neg_gain, g[self._own], out=out[: self._n])
+        out[self._n :] = np.bincount(
             self._head, self._weight * (g[self._tail] - g[self._head]), self.layout.size
         )
-        return np.concatenate((dx, dw))
+        return out
 
-    def _rhs(self, z: np.ndarray) -> np.ndarray:
-        return self._rhs_from_pvec(z, self.partial_vector(z[: self._n]))
+    def _rhs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._rhs_from_pvec(z, self.partial_vector(z[: self._n]), out)
 
     def block_residuals(self, g: np.ndarray) -> np.ndarray:
         """2-norm of the disagreement component (estimates minus their block
@@ -246,79 +286,40 @@ class Seeker:
     # The stage arithmetic runs under ``np.errstate``: a stage that overflows
     # is caught by the finiteness checks and rejected, with no warning.
 
-    def _step(self, z, h, method, pvec):
-        """One fixed step of the state ``z = [x; w]``.  An accepted step needs
-        every stage AND the committed endpoint to stay inside the cost
-        domains; the endpoint's partial vector doubles as the next step's
-        first stage."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = self._rhs_from_pvec(z, pvec)
-            if method == "euler":
-                zn = z + h * k1
-            else:
-                k2 = self._rhs(z + 0.5 * h * k1)
-                k3 = self._rhs(z + 0.5 * h * k2)
-                k4 = self._rhs(z + h * k3)
-                zn = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(zn).all():
-                raise DomainError("step produced a non-finite state")
-        return zn, self.partial_vector(zn[: self._n])
-
-    def _dopri5_step(self, z, h, k1):
-        """One Dormand–Prince attempt from ``z``, whose derivative is ``k1``:
-        the fifth-order endpoint, its partial vector, its derivative (the
-        next attempt's ``k1``) and the scaled RMS error estimate.  A stage or
-        endpoint outside the domain raises ``DomainError``, as in ``_step``."""
-        k = np.empty((7, z.size))
+    def _step(self, z, h, k1, tableau):
+        """One attempt of ``tableau`` from ``z``, whose derivative is ``k1``:
+        the endpoint, its partial vector, its derivative (the next attempt's
+        ``k1``) and the scaled RMS error estimate, 0 without error weights.
+        A stage or endpoint outside the cost domain raises ``DomainError``."""
+        k = np.empty((len(tableau.rows) + 2, z.size))
         k[0] = k1
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(1, 6):
-                k[s] = self._rhs(z + h * (_DP_A[s - 1] @ k[:s]))
-            zn = z + h * (_DP_A[5] @ k[:6])
+            for s, row in enumerate(tableau.rows, 1):
+                self._rhs(z + _combine(row, k, h), k[s])
+            zn = z + _combine(tableau.weights, k, h)
             if not np.isfinite(zn).all():
                 raise DomainError("step produced a non-finite state")
             pvec = self.partial_vector(zn[: self._n])
-            k[6] = self._rhs_from_pvec(zn, pvec)
-            scaled = (h * (_DP_E @ k)) / (ATOL + RTOL * np.maximum(np.abs(z), np.abs(zn)))
+            self._rhs_from_pvec(zn, pvec, k[-1])
+            if tableau.error is None:
+                return zn, pvec, k[-1], 0.0
+            scaled = (h * (tableau.error @ k)) / (ATOL + RTOL * np.maximum(np.abs(z), np.abs(zn)))
             err = math.sqrt(float(scaled @ scaled) / z.size)
         if not math.isfinite(err):
             raise DomainError("step produced a non-finite error estimate")
-        return zn, pvec, k[6], err
+        return zn, pvec, k[-1], err
 
-    def _fixed_steps(self, z, t, pvec, t_end, params, record):
-        """Steps of ``params.step`` from ``(z, t)`` to ``t_end``, each halved
-        while it leaves the domain; every ``record_stride``-th endpoint and
-        the last go to ``record``.  Returns (accepted, rejected, stopped)."""
-        eps = 1e-12 * max(1.0, abs(t_end))
-        steps = rejected = 0
-        while t < t_end - eps:
-            h_try = min(params.step, t_end - t)
-            halvings = 0
-            while True:
-                try:
-                    zn, pvec_n = self._step(z, h_try, params.method, pvec)
-                    break
-                except DomainError as err:
-                    halvings += 1
-                    if halvings > MAX_HALVINGS:
-                        raise DomainUnrecoverableError(
-                            f"step at t={t:.6g} failed after {MAX_HALVINGS} halvings: {err}"
-                        ) from None
-                    h_try *= 0.5
-            rejected += halvings
-            z, t, pvec = zn, t + h_try, pvec_n
-            steps += 1
-            if steps % params.record_stride == 0 or t >= t_end - eps:
-                if record(t, z, pvec):
-                    return steps, rejected, True
-        return steps, rejected, False
-
-    def _adaptive_steps(self, z, t, pvec, t_end, params, record):
-        """Error-controlled Dormand–Prince steps from ``(z, t)`` to
-        ``t_end``.  A step is cut short to land exactly on the next record
-        time ``t + k * record_dt`` (or ``t_end``), where ``record`` is
-        called.  A step leaving the domain is halved, one failing the error
-        test shrunk by the controller.  Returns (accepted, rejected, stopped)."""
+    def _steps(self, z, t, pvec, t_end, params, record):
+        """Steps of ``params.method`` from ``(z, t)`` to ``t_end``.  A step
+        leaving the domain is halved, one failing the error test shrunk by
+        the controller.  A step is cut short or stretched by less than the
+        resolution ``eps`` to land exactly on ``t_end`` and, under an
+        error-controlled method, on the record times ``t + k * record_dt``;
+        ``record`` is called there and, under a fixed-step method, after
+        every ``record_stride``-th step.  Returns (accepted, rejected,
+        stopped)."""
+        tableau = _TABLEAUS[params.method]
+        stride = params.record_stride or 100
         t0 = t
         eps = 1e-12 * max(1.0, abs(t_end))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -329,7 +330,7 @@ class Seeker:
         steps = rejected = halvings = 0
         n_rec = 1
         while True:
-            t_rec = t0 + n_rec * params.record_dt
+            t_rec = t_end if params.record_dt is None else t0 + n_rec * params.record_dt
             if t_rec >= t_end - eps:
                 t_rec = t_end
             land = t + h >= t_rec - eps
@@ -340,7 +341,7 @@ class Seeker:
                     "below the resolution of t"
                 )
             try:
-                zn, pvec_n, k7, err = self._dopri5_step(z, h_try, k1)
+                zn, pvec_n, kn, err = self._step(z, h_try, k1, tableau)
             except DomainError as exc:
                 rejected += 1
                 halvings += 1
@@ -354,19 +355,23 @@ class Seeker:
                 rejected += 1
                 h, grow = h_try * max(_MIN_FACTOR, _SAFETY * err**-_ALPHA), False
                 continue
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_ALPHA * err_prev**_BETA
-            factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR if grow else 1.0)
-            err_prev = max(err, 1e-4)
-            # A step cut short to land on a record time does not shrink the next one.
-            h = max(h_try * factor, h) if land else h_try * factor
-            z, pvec, k1 = zn, pvec_n, k7
+            if tableau.error is None:
+                h = params.step
+            else:
+                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_ALPHA * err_prev**_BETA
+                factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR if grow else 1.0)
+                err_prev = max(err, 1e-4)
+                # A step cut short to land on a record time does not shrink the next one.
+                h = max(h_try * factor, h) if land else h_try * factor
+            z, pvec, k1 = zn, pvec_n, kn
             t = t_rec if land else t + h_try
             steps += 1
             halvings = 0
             grow = True
-            if land:
+            if land or (params.record_dt is None and steps % stride == 0):
                 if record(t, z, pvec):
                     return steps, rejected, True
+            if land:
                 if t == t_end:
                     return steps, rejected, False
                 n_rec += 1
@@ -403,8 +408,7 @@ class Seeker:
 
         t_end = state0.t + params.horizon
         record(state0.t, z, pvec)
-        run = self._adaptive_steps if params.method == "dopri5" else self._fixed_steps
-        steps, rejected, stopped = run(z, state0.t, pvec, t_end, params, record)
+        steps, rejected, stopped = self._steps(z, state0.t, pvec, t_end, params, record)
 
         return Trajectory(
             var_names=self.game.var_names,

@@ -192,21 +192,12 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"$.coalitions: {err}") from None
 
     integ = _expect(doc, "integrator", dict, "$", {})
-    method = _expect(integ, "method", str, "$.integrator", "rk4")
-    # dopri5 records on a time grid and the fixed-step methods every
-    # record_stride steps; neither reads the other's key.
-    if method == "dopri5" and "record_stride" in integ:
-        raise ScenarioError("$.integrator.record_stride: dopri5 records every record_dt instead")
-    if method != "dopri5" and "record_dt" in integ:
-        raise ScenarioError(f"$.integrator.record_dt: {method} records every record_stride steps instead")
     settings = dict(
-        method=method,
+        method=_expect(integ, "method", str, "$.integrator", "rk4"),
         step=_expect(integ, "step", float, "$.integrator", 1e-3),
         horizon=_expect(integ, "horizon", float, "$.integrator", 100.0),
-        record_stride=_expect(integ, "record_stride", int, "$.integrator", 100),
-        record_dt=(
-            _expect(integ, "record_dt", float, "$.integrator") if method == "dopri5" else None
-        ),
+        record_stride=_expect(integ, "record_stride", int, "$.integrator", None),
+        record_dt=_expect(integ, "record_dt", float, "$.integrator", None),
         stop_tol=(
             None
             if integ.get("stop_tol") is None and "stop_tol" in integ
@@ -287,16 +278,18 @@ def preset_path(name: str):
 def load_scenario(source) -> Scenario:
     """Load from a file path, or from a preset name when no such file exists."""
     path = Path(source) if not hasattr(source, "read") else None
-    if path is not None and not path.is_file():
-        handle = preset_path(str(source))
-        text = handle.read_text(encoding="utf-8")
-        fallback = str(source)
-    elif path is not None:
-        text = path.read_text(encoding="utf-8")
-        fallback = path.stem
-    else:
-        text = source.read()
-        fallback = "scenario"
+    try:
+        if path is not None and not path.is_file():
+            text = preset_path(str(source)).read_text(encoding="utf-8")
+            fallback = str(source)
+        elif path is not None:
+            text = path.read_text(encoding="utf-8")
+            fallback = path.stem
+        else:
+            text = source.read()
+            fallback = "scenario"
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"not UTF-8 text: {err}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

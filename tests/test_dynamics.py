@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek.dynamics import (
+    _TABLEAUS,
     DomainUnrecoverableError,
     IntegrateParams,
     NonFiniteStateError,
@@ -396,6 +397,31 @@ def test_fixed_steps_reuse_the_endpoint_partials(example2, monkeypatch, method, 
     assert len(calls) == stages * (traj.steps + traj.rejected_steps) + 1 == traj.rhs_evals
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_tableau_attempt_matches_textbook_formula(example2, method):
+    # The classical formulas, written out, as the reference for one attempt.
+    seeker = Seeker(example2.game)
+    state = example2.initial_state(seeker)
+    rng = np.random.default_rng(3)
+    f = seeker._rhs
+    h = 0.05
+    for _ in range(3):
+        z = np.concatenate((state.x, rng.uniform(-1.0, 1.0, state.w.size)))
+        k1 = f(z)
+        if method == "euler":
+            ref = z + h * k1
+        else:
+            k2 = f(z + h / 2 * k1)
+            k3 = f(z + h / 2 * k2)
+            k4 = f(z + h * k3)
+            ref = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        zn, pvec, kn, err = seeker._step(z, h, k1, _TABLEAUS[method])
+        assert np.all(np.abs(zn - ref) <= 1e-15 * (1 + np.abs(z)))
+        assert np.array_equal(pvec, seeker.partial_vector(zn[: state.x.size]))
+        assert np.array_equal(kn, f(zn))
+        assert err == 0.0
+
+
 # --- error-controlled integration ------------------------------------------------
 
 
@@ -475,6 +501,7 @@ def test_dopri5_domain_exit_is_halved_and_counted():
         (dict(method="dopri5", record_dt=0.0), "record_dt"),
         (dict(method="dopri5", record_dt=float("inf")), "record_dt"),
         (dict(method="rk4", record_dt=1.0), "record_dt is for dopri5"),
+        (dict(method="dopri5", record_dt=1.0, record_stride=10), "record_stride is for rk4"),
     ],
 )
 def test_record_dt_belongs_to_dopri5(kw, message):

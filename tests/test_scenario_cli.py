@@ -222,6 +222,24 @@ def test_cli_malformed_scenario_is_validation_error(tmp_path, capsys, overrides)
     assert err.count("\n") == 1
 
 
+def test_cli_non_utf8_scenario_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_cli_unwritable_output_is_one_line_error(tmp_path, capsys, flag):
+    argv = ["run", "coalition1-fig1", "--out", str(tmp_path / "t.csv"), flag, str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_bad_override_is_usage_error(capsys):
     assert main(["run", "coalition1-fig1", "--step", "-1"]) == 1
     assert main(["solve", "coalition1-fig1", "--delta", "0"]) == 1
@@ -439,6 +457,17 @@ def test_cli_run_reports_counters(tmp_path, capsys):
     assert keys[at : at + 3] == ["steps", "rhs_evals", "rejected_steps"]
     kv = dict(line.split("=", 1) for line in lines)
     assert (kv["steps"], kv["rhs_evals"], kv["rejected_steps"]) == ("200", "801", "0")
+
+
+def test_cli_fixed_step_run_lands_on_the_horizon(tmp_path, capsys):
+    # 1000 steps of 0.05 add up to 49.9999999999993; the last is stretched
+    # by that shortfall, far below the step, to land on 50 itself.
+    out = tmp_path / "t.csv"
+    argv = ["run", "example2", "--step", "0.05", "--horizon", "50", "--format", "kv", "--out", str(out)]
+    assert main(argv) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert (kv["t_end"], kv["steps"], kv["rejected_steps"]) == ("50.0", "1000", "0")
+    assert out.read_text().splitlines()[-1].split(",")[0] == "50.0"
 
 
 def test_congestion_demo_generator_matches_the_preset():
