@@ -40,7 +40,10 @@ def main() -> None:
     traj = seeker.integrate(scenario.initial_state(seeker), params)
     traj.write_csv(args.out)
 
-    print(f"integrated {traj.steps} steps to t={traj.final_time:g} in {traj.wall_time:.1f}s")
+    print(
+        f"integrated {traj.steps} steps ({traj.rejected_steps} rejected, "
+        f"{traj.rhs_evals} rhs_evals) to t={traj.final_time:g} in {traj.wall_time:.2f}s"
+    )
     print(f"|x(T)|_inf            = {np.abs(traj.final_x).max():.3e}")
     print(f"pseudo-gradient inf   = {traj.pg_norm[-1]:.3e}")
     print(f"disagreement norm     = {traj.gbar_norm[-1]:.3e}")

@@ -103,7 +103,8 @@ class NumericsError(RuntimeError):
 class DomainUnrecoverableError(NumericsError):
     """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings,
     and the message ends with the cause of the last rejection; or the step
-    shrank until it no longer advanced the time."""
+    shrank until it no longer advanced the time, and the message ends with
+    the state entry moving fastest at the last accepted state."""
 
 
 class NonFiniteStateError(NumericsError):
@@ -281,6 +282,16 @@ class Seeker:
         mean) of every block with more than one member, in block order."""
         return self.layout.block_spread(g)[1][self._multi_member]
 
+    def _fastest_entry(self, dz: np.ndarray) -> str:
+        """Names the entry of ``z = [x; w]`` with the largest ``|dz/dt|``: an
+        action by its name, an estimate by its ``(i,j,k)``."""
+        pos = int(np.argmax(np.abs(dz)))
+        if pos < self._n:
+            name = self.game.var_names[pos]
+        else:
+            name = "estimate ({},{},{})".format(*list(self.layout.slots)[pos - self._n])
+        return f"{name} moves fastest, at |dz/dt| = {abs(dz[pos]):.3g}"
+
     # -- stepping ---------------------------------------------------------------
     #
     # The stage arithmetic runs under ``np.errstate``: a stage that overflows
@@ -338,7 +349,7 @@ class Seeker:
             if t + h_try == t:
                 raise DomainUnrecoverableError(
                     f"step at t={t:.6g} failed: the step shrank to {h_try:.3g}, "
-                    "below the resolution of t"
+                    f"below the resolution of t; {self._fastest_entry(k1)}"
                 )
             try:
                 zn, pvec_n, kn, err = self._step(z, h_try, k1, tableau)

@@ -429,7 +429,7 @@ def _dopri5(horizon, record_dt, **kw):
     return IntegrateParams(method="dopri5", horizon=horizon, record_dt=record_dt, **kw)
 
 
-@pytest.mark.parametrize("preset", ["congestion_demo", "fig1_demo"])
+@pytest.mark.parametrize("preset", ["example2", "congestion_demo", "fig1_demo"])
 def test_dopri5_matches_fine_rk4_on_presets(request, preset):
     scenario = request.getfixturevalue(preset)
     assert scenario.params.method == "dopri5"
@@ -492,6 +492,17 @@ def test_dopri5_domain_exit_is_halved_and_counted():
     assert traj.rhs_evals <= 6 * (traj.steps + traj.rejected_steps) + 1
     assert np.all((traj.states[:, 0] > -1.0) & (traj.states[:, 0] < 2.0))
     assert abs(traj.final_x[0] - 0.5) <= 1e-8
+
+
+def test_step_collapse_names_an_estimate_by_its_index(example2):
+    # The message names the state entry moving fastest; past the actions,
+    # an entry of z = [x; w] is the estimate stored in that slot.
+    seeker = Seeker(example2.game)
+    dz = np.zeros(example2.game.n_actions + seeker.layout.size)
+    dz[example2.game.n_actions + seeker.layout.slot(3, 2, 6)] = -7.0
+    assert seeker._fastest_entry(dz) == "estimate (3,2,6) moves fastest, at |dz/dt| = 7"
+    dz[1] = 8.0
+    assert seeker._fastest_entry(dz) == "x2_1 moves fastest, at |dz/dt| = 8"
 
 
 @pytest.mark.parametrize(

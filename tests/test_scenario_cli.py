@@ -345,14 +345,44 @@ def test_cli_jacobian_domain_exit_names_entry_and_operation(tmp_path, capsys):
     )
 
 
+def _example2_rk4_file(tmp_path):
+    """example2's document with fixed-step RK4 as its integrator: h = 0.005
+    to t = 200, every 200th step recorded."""
+    doc = json.loads(preset_path("example2").read_text(encoding="utf-8"))
+    doc["integrator"] = {
+        "method": "rk4",
+        "step": 0.005,
+        "horizon": 200.0,
+        "record_stride": 200,
+        "stop_tol": 1e-8,
+    }
+    path = tmp_path / "example2-rk4.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_cli_unrecoverable_step_names_its_cause(tmp_path, capsys):
     # Past the critical gain, example2's run leaves the domain of exp.
-    argv = ["run", "example2", "--delta", "3", "--step", "0.05", "--out", str(tmp_path / "t.csv")]
+    path = _example2_rk4_file(tmp_path)
+    argv = ["run", path, "--delta", "3", "--step", "0.05", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 3
     assert re.fullmatch(
         r"numerical failure: step at t=0\.562564 failed after 40 halvings: "
         r"exp\(\S+\) overflows in the cost of agent \(3,1\)\n",
         capsys.readouterr().err,
+    )
+
+
+def test_cli_dopri5_step_collapse_names_the_fastest_entry(tmp_path, capsys):
+    # The same run on the preset's dopri5 leaves no domain: exp(x3_1) runs
+    # away, and the steps shrink through error rejections alone.
+    argv = ["run", "example2", "--delta", "3", "--step", "0.05", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.search(
+        r"step at t=0\.564597 failed: the step shrank to \S+, below the resolution of t.*x3_1",
+        err,
     )
 
 
@@ -449,7 +479,8 @@ def test_cli_dopri5_unrecoverable_step_is_one_line(tmp_path, capsys):
 
 def test_cli_run_reports_counters(tmp_path, capsys):
     # Fixed RK4 with no halvings: four evaluations per step and the first.
-    argv = ["run", "example2", "--horizon", "1", "--format", "kv", "--out", str(tmp_path / "t.csv")]
+    path = _example2_rk4_file(tmp_path)
+    argv = ["run", path, "--horizon", "1", "--format", "kv", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     keys = [line.split("=", 1)[0] for line in lines]
@@ -463,7 +494,8 @@ def test_cli_fixed_step_run_lands_on_the_horizon(tmp_path, capsys):
     # 1000 steps of 0.05 add up to 49.9999999999993; the last is stretched
     # by that shortfall, far below the step, to land on 50 itself.
     out = tmp_path / "t.csv"
-    argv = ["run", "example2", "--step", "0.05", "--horizon", "50", "--format", "kv", "--out", str(out)]
+    path = _example2_rk4_file(tmp_path)
+    argv = ["run", path, "--step", "0.05", "--horizon", "50", "--format", "kv", "--out", str(out)]
     assert main(argv) == 0
     kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert (kv["t_end"], kv["steps"], kv["rejected_steps"]) == ("50.0", "1000", "0")
@@ -548,6 +580,32 @@ def test_cli_run_example2_final_row_near_origin(tmp_path):
     last = out.read_text().splitlines()[-1].split(",")
     actions = [abs(float(v)) for v in last[1:11]]
     assert max(actions) <= 0.05
+
+
+# example2's endpoint at t = 200 under fixed-step RK4 with h = 0.005.
+_EXAMPLE2_RK4_ENDPOINT = {
+    "x1_1": 1.695228503254854e-05,
+    "x2_1": -3.4678922188796276e-05,
+    "x2_2": 1.2421745128964216e-06,
+    "x2_3": -2.209674203522812e-06,
+    "x3_1": 2.5534489111364166e-05,
+    "x3_2": -0.00015848164732243733,
+    "x3_3": 0.0015826805349250103,
+    "x3_4": 3.866929863827496e-06,
+    "x3_5": 4.971766966196785e-06,
+    "x3_6": 0.0003106929444042465,
+}
+
+
+def test_cli_run_example2_records_every_unit_of_time(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["run", "example2", "--format", "kv", "--out", str(out)]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    times = [row.split(",", 1)[0] for row in out.read_text().splitlines()[1:]]
+    assert times == [repr(float(t)) for t in range(201)]
+    assert int(kv["rhs_evals"]) == 6 * (int(kv["steps"]) + int(kv["rejected_steps"])) + 1
+    for name, value in _EXAMPLE2_RK4_ENDPOINT.items():
+        assert abs(float(kv[name]) - value) <= 1e-11
 
 
 def test_cli_run_csv_deterministic(tmp_path):
