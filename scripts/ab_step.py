@@ -1,0 +1,209 @@
+#!/usr/bin/env python3
+"""Interleaved A/B comparison of the integrator on two source trees.
+
+    python3 scripts/ab_step.py PARENT_TREE CHANGE_TREE [--pairs 10] [--repeats 3] [--seed 5]
+
+Each tree is the root of a coalseek checkout (the directory holding
+``src/coalseek``).  The inputs are the three presets and the ``ring-sparse``
+and ``congestion-net`` documents that ``bench/generators.py`` of this
+checkout writes for ``--seed``.
+
+First, one subprocess per tree runs ``run``, ``solve``, ``check`` and
+``costs`` (``--format kv``) on every input and hashes each trajectory CSV and
+each report, ``wall_time_s`` removed, with SHA-256.  Any digest that differs
+between the trees ends the script with exit code 1.
+
+Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
+(the parent first in even pairs).  Each builds a ``Seeker`` per input, times
+``Seeker.integrate`` ``--repeats`` times (keeping the fastest) and times one
+kernel call as the integrator makes it (``Seeker.partial_vector`` at the
+initial profile).  Per input the script prints the median and IQR of the
+integrate wall time on each side, the change's relative move, how many pairs
+the change won, and the median microseconds per kernel call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = ("example2", "congestion-demo", "coalition1-fig1")
+COMMANDS = ("run", "solve", "check", "costs")
+
+
+def _inputs(docs: Path) -> list[tuple[str, str]]:
+    return [(name, name) for name in PRESETS] + [
+        (label, str(docs / f"{label}.json")) for label in ("ring-sparse", "congestion-net")
+    ]
+
+
+def _worker_env(tree: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _call(tree: Path, *args: str) -> dict:
+    """Run this script as a worker on ``tree``; its last stdout line is JSON."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree), *args],
+        env=_worker_env(tree),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    if done.returncode != 0:
+        sys.exit(f"worker on {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# -- worker side --------------------------------------------------------------
+
+
+def _write_docs(docs: Path, seed: int) -> dict:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import generators
+
+    for label, doc in (
+        ("ring-sparse", generators.ring_game(seed).doc),
+        ("congestion-net", generators.congestion_network(seed)),
+    ):
+        (docs / f"{label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return {}
+
+
+def _digests(docs: Path, seed: int) -> dict:
+    from coalseek import cli
+
+    out = {}
+    for label, source in _inputs(docs):
+        for command in COMMANDS:
+            argv = [command, source, "--format", "kv"]
+            csv = docs / f"{label}.{os.getpid()}.csv"
+            if command == "run":
+                argv += ["--out", str(csv)]
+            elif command == "check":
+                argv += ["--seed", str(seed)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            report = "".join(
+                line for line in stdout.getvalue().splitlines(True)
+                if not line.startswith("wall_time_s=")
+            )
+            out[f"{label} {command} exit"] = str(code)
+            out[f"{label} {command} report"] = hashlib.sha256(report.encode()).hexdigest()
+            if command == "run":
+                out[f"{label} run csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+                csv.unlink()
+    return out
+
+
+def _times(docs: Path, repeats: int) -> dict:
+    import numpy as np
+    from coalseek.dynamics import Seeker
+    from coalseek.scenario import load_scenario
+
+    out = {}
+    for label, source in _inputs(docs):
+        scenario = load_scenario(source)
+        seeker = Seeker(scenario.game)
+        state = scenario.initial_state(seeker)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            trajectory = seeker.integrate(state, scenario.params)
+            best = min(best, time.perf_counter() - start)
+        x = np.array(state.x)
+        calls = max(1, min(2000, trajectory.rhs_evals))
+        start = time.perf_counter()
+        for _ in range(calls):
+            seeker.partial_vector(x)
+        kernel_us = (time.perf_counter() - start) / calls * 1e6
+        out[label] = {"integrate_s": best, "kernel_us": kernel_us, "rhs_evals": trajectory.rhs_evals}
+    return out
+
+
+def _worker(argv: list[str]) -> None:
+    tree, task, docs, number = Path(argv[0]), argv[1], Path(argv[2]), int(argv[3])
+    sys.path.insert(0, str(tree / "src"))
+    import coalseek
+
+    if Path(coalseek.__file__).resolve().parent != (tree / "src" / "coalseek").resolve():
+        sys.exit(f"imported coalseek from {coalseek.__file__}, not from {tree}")
+    tasks = {"docs": _write_docs, "digests": _digests, "times": _times}
+    print(json.dumps(tasks[task](docs, number)))
+
+
+# -- driver side ---------------------------------------------------------------
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q3 - q1
+
+
+def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--worker":
+        _worker(sys.argv[2:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in sides.values():
+        if not (tree / "src" / "coalseek" / "__init__.py").is_file():
+            parser.error(f"no coalseek sources under {tree}")
+
+    with tempfile.TemporaryDirectory(prefix="ab_step_") as tmp:
+        docs = Path(tmp)
+        _call(sides["change"], "docs", str(docs), str(args.seed))
+        digests = {side: _call(tree, "digests", str(docs), str(args.seed)) for side, tree in sides.items()}
+        differ = sorted(k for k in digests["parent"] if digests["parent"][k] != digests["change"].get(k))
+        for key in differ:
+            print(f"DIFFERS: {key}")
+        if differ:
+            return 1
+        print(f"digests: all {len(digests['parent'])} trajectories, reports and exit codes match")
+
+        runs = {side: [] for side in sides}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_call(sides[side], "times", str(docs), str(args.repeats)))
+
+    print(f"{'input':<16} {'parent s (IQR)':>20} {'change s (IQR)':>20} {'move':>7} "
+          f"{'wins':>6} {'kernel us':>16} {'rhs_evals':>9}")
+    for label, _ in _inputs(Path()):
+        parent = [r[label]["integrate_s"] for r in runs["parent"]]
+        change = [r[label]["integrate_s"] for r in runs["change"]]
+        (pm, piqr), (cm, ciqr) = _quartiles(parent), _quartiles(change)
+        wins = sum(c < p for p, c in zip(parent, change))
+        kernel = [statistics.median(r[label]["kernel_us"] for r in runs[side]) for side in sides]
+        evals = {r[label]["rhs_evals"] for side in sides for r in runs[side]}
+        print(f"{label:<16} {f'{pm:.4f} ({piqr:.4f})':>20} {f'{cm:.4f} ({ciqr:.4f})':>20} "
+              f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
+              f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {'/'.join(map(str, sorted(evals))):>9}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expr import DomainError
-from .game import Game, Layout
+from .game import Game, Layout, all_finite, evaluate_in_domain
 
 __all__ = [
     "SeekerState",
@@ -211,10 +211,16 @@ class Trajectory:
                 fh.close()
 
 
-def _combine(terms, k, h):
-    """``h`` times the combination ``terms`` of the stages in ``k``."""
+def _advance(z, terms, k, h, out=None):
+    """``z`` plus ``h`` times the combination ``terms`` of the stages in
+    ``k``, written to ``out`` if given."""
     j, a = terms
-    return (h * a) * k[j] if j is not None else h * (a @ k[: a.size])
+    if j is not None:
+        out = np.multiply(h * a, k[j], out=out)
+    else:
+        out = np.matmul(a, k[: a.size], out=out)
+        np.multiply(h, out, out=out)
+    return np.add(z, out, out=out)
 
 
 class Seeker:
@@ -223,8 +229,8 @@ class Seeker:
     def __init__(self, game: Game):
         self.game = game
         self.layout: Layout = game.layout
-        game.kernel  # compiled here, so building a Seeker includes the compile
-        self._costs_and_partials = game.costs_and_partials
+        self._kernel = game.kernel  # compiled here, so building a Seeker includes the compile
+        self._kernel_args = (game.kernel_exprs, game.var_names, game._kernel_label)
         self._n = game.n_actions
         self._own = self.layout.own_slots
         self._neg_gain = -game.delta * np.array(
@@ -258,7 +264,7 @@ class Seeker:
         evaluates through here, and ``evaluations`` counts the calls;
         ``bench/tracing.py`` times it as ``dynamics.partials``."""
         self.evaluations += 1
-        return self._costs_and_partials(x)[1]
+        return evaluate_in_domain(self._kernel, x, *self._kernel_args)[self._n :]
 
     def _rhs_from_pvec(
         self, z: np.ndarray, pvec: np.ndarray, out: np.ndarray | None = None
@@ -269,9 +275,9 @@ class Seeker:
             out = np.empty_like(z)
         g = z[self._n :] + pvec
         np.multiply(self._neg_gain, g[self._own], out=out[: self._n])
-        out[self._n :] = np.bincount(
-            self._head, self._weight * (g[self._tail] - g[self._head]), self.layout.size
-        )
+        diff = g[self._tail] - g[self._head]
+        diff *= self._weight
+        out[self._n :] = np.bincount(self._head, diff, self.layout.size)
         return out
 
     def _rhs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -294,28 +300,30 @@ class Seeker:
 
     # -- stepping ---------------------------------------------------------------
     #
-    # The stage arithmetic runs under ``np.errstate``: a stage that overflows
-    # is caught by the finiteness checks and rejected, with no warning.
+    # ``integrate`` runs the steps under ``np.errstate``: a stage that
+    # overflows is caught by the finiteness checks and rejected, with no
+    # warning.
 
     def _step(self, z, h, k1, tableau):
         """One attempt of ``tableau`` from ``z``, whose derivative is ``k1``:
         the endpoint, its partial vector, its derivative (the next attempt's
         ``k1``) and the scaled RMS error estimate, 0 without error weights.
-        A stage or endpoint outside the cost domain raises ``DomainError``."""
+        A stage or endpoint outside the cost domain raises ``DomainError``.
+        Every stage state is built in one buffer."""
         k = np.empty((len(tableau.rows) + 2, z.size))
         k[0] = k1
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s, row in enumerate(tableau.rows, 1):
-                self._rhs(z + _combine(row, k, h), k[s])
-            zn = z + _combine(tableau.weights, k, h)
-            if not np.isfinite(zn).all():
-                raise DomainError("step produced a non-finite state")
-            pvec = self.partial_vector(zn[: self._n])
-            self._rhs_from_pvec(zn, pvec, k[-1])
-            if tableau.error is None:
-                return zn, pvec, k[-1], 0.0
-            scaled = (h * (tableau.error @ k)) / (ATOL + RTOL * np.maximum(np.abs(z), np.abs(zn)))
-            err = math.sqrt(float(scaled @ scaled) / z.size)
+        stage = np.empty_like(z)
+        for s, row in enumerate(tableau.rows, 1):
+            self._rhs(_advance(z, row, k, h, stage), k[s])
+        zn = _advance(z, tableau.weights, k, h)
+        if not all_finite(zn):
+            raise DomainError("step produced a non-finite state")
+        pvec = self.partial_vector(zn[: self._n])
+        self._rhs_from_pvec(zn, pvec, k[-1])
+        if tableau.error is None:
+            return zn, pvec, k[-1], 0.0
+        scaled = (h * (tableau.error @ k)) / (ATOL + RTOL * np.maximum(np.abs(z), np.abs(zn)))
+        err = math.sqrt(float(scaled @ scaled) / z.size)
         if not math.isfinite(err):
             raise DomainError("step produced a non-finite error estimate")
         return zn, pvec, k[-1], err
@@ -333,8 +341,7 @@ class Seeker:
         stride = params.record_stride or 100
         t0 = t
         eps = 1e-12 * max(1.0, abs(t_end))
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = self._rhs_from_pvec(z, pvec)
+        k1 = self._rhs_from_pvec(z, pvec)
         h = params.step
         err_prev = 1.0
         grow = True  # no growth right after a rejection
@@ -419,7 +426,8 @@ class Seeker:
 
         t_end = state0.t + params.horizon
         record(state0.t, z, pvec)
-        steps, rejected, stopped = self._steps(z, state0.t, pvec, t_end, params, record)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps, rejected, stopped = self._steps(z, state0.t, pvec, t_end, params, record)
 
         return Trajectory(
             var_names=self.game.var_names,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -140,11 +141,22 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ACTION_RE = re.compile(r"x[1-9]\d*_[1-9]\d*\Z")
 _FUNCTIONS = ("exp", "log")
 
+# The deepest input ``parse`` accepts.  Parsing, differentiation, rendering,
+# evaluation and compilation each recurse once per level of a tree, and
+# Python stops at about 1000 frames, so deeper input is a ParseError.
+# MAX_NESTING bounds the parentheses, function arguments and unary minuses
+# open at once (the parser recurses five frames per parenthesis);
+# MAX_HEIGHT bounds the operations on any path from the root to a leaf, so
+# a chain ``a + b + ...`` of n terms is n - 1 operations high.
+MAX_NESTING = 100
+MAX_HEIGHT = 256
+
 
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def byte_offset(self, pos: int | None = None) -> int:
         pos = self.pos if pos is None else pos
@@ -192,6 +204,25 @@ class _Lexer:
         self.skip_ws()
         return self.pos >= len(self.text)
 
+    def nest(self, parse_inner: Callable[["_Lexer"], tuple[Expression, int]]):
+        """``parse_inner(self)`` one nesting level deeper."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(
+                f"parentheses, functions and minus signs nested more than {MAX_NESTING} deep",
+                self.byte_offset(),
+            )
+        self.nesting += 1
+        inner = parse_inner(self)
+        self.nesting -= 1
+        return inner
+
+    def height_error(self) -> ParseError:
+        return ParseError(f"expression more than {MAX_HEIGHT} operations deep", self.byte_offset())
+
+
+# Each ``_parse_*`` function returns the tree it read and its height, the
+# operations on its longest path from the root to a leaf.
+
 
 def parse(text: str) -> Expression:
     """Parse ``text`` into an expression tree.
@@ -199,9 +230,10 @@ def parse(text: str) -> Expression:
     Variables are free-form identifiers; names that start with ``x<digit>``
     must be well-formed action identifiers ``x<coalition>_<agent>`` with
     1-based indices (anything else of that shape is rejected as malformed).
+    Input nested deeper than ``MAX_NESTING`` or ``MAX_HEIGHT`` is rejected.
     """
     lex = _Lexer(text)
-    tree = _parse_expr(lex)
+    tree, _ = _parse_expr(lex)
     if not lex.at_end():
         raise ParseError(
             f"unexpected trailing input {lex.peek()!r}", lex.byte_offset()
@@ -209,70 +241,89 @@ def parse(text: str) -> Expression:
     return tree
 
 
-def _parse_expr(lex: _Lexer) -> Expression:
-    node = _parse_term(lex)
+def _parse_expr(lex: _Lexer) -> tuple[Expression, int]:
+    node, height = _parse_term(lex)
     while True:
         if lex.take("+"):
-            node = Binary("add", node, _parse_term(lex))
+            op = "add"
         elif lex.take("-"):
-            node = Binary("sub", node, _parse_term(lex))
+            op = "sub"
         else:
-            return node
+            return node, height
+        right, right_height = _parse_term(lex)
+        node = Binary(op, node, right)
+        height = (height if height > right_height else right_height) + 1
+        if height > MAX_HEIGHT:
+            raise lex.height_error()
 
 
-def _parse_term(lex: _Lexer) -> Expression:
-    node = _parse_unary(lex)
+def _parse_term(lex: _Lexer) -> tuple[Expression, int]:
+    node, height = _parse_unary(lex)
     while True:
         if lex.take("*"):
-            node = Binary("mul", node, _parse_unary(lex))
+            op = "mul"
         elif lex.take("/"):
-            node = Binary("div", node, _parse_unary(lex))
+            op = "div"
         else:
-            return node
+            return node, height
+        right, right_height = _parse_unary(lex)
+        node = Binary(op, node, right)
+        height = (height if height > right_height else right_height) + 1
+        if height > MAX_HEIGHT:
+            raise lex.height_error()
 
 
-def _parse_unary(lex: _Lexer) -> Expression:
+def _parse_unary(lex: _Lexer) -> tuple[Expression, int]:
     if lex.take("-"):
-        inner = _parse_unary(lex)
+        inner, height = lex.nest(_parse_unary)
         if isinstance(inner, Const):
-            return Const(-inner.value)
-        return Unary("neg", inner)
+            return Const(-inner.value), height
+        if height == MAX_HEIGHT:
+            raise lex.height_error()
+        return Unary("neg", inner), height + 1
     return _parse_power(lex)
 
 
-def _parse_power(lex: _Lexer) -> Expression:
-    base = _parse_atom(lex)
+def _parse_power(lex: _Lexer) -> tuple[Expression, int]:
+    base, height = _parse_atom(lex)
     if lex.take("^"):
         sign = -1.0 if lex.take("-") else 1.0
-        at = lex.byte_offset()
+        at = lex.pos
         value = lex.number()
         if value is None:
-            raise ParseError("exponent must be a numeric literal", at)
-        return Binary("pow", base, Const(sign * value))
-    return base
+            raise ParseError("exponent must be a numeric literal", lex.byte_offset(at))
+        if height == MAX_HEIGHT:
+            raise lex.height_error()
+        return Binary("pow", base, Const(sign * value)), height + 1
+    return base, height
 
 
-def _parse_atom(lex: _Lexer) -> Expression:
-    at = lex.byte_offset()
+def _parse_atom(lex: _Lexer) -> tuple[Expression, int]:
+    at = lex.pos
     value = lex.number()
     if value is not None:
-        return Const(value)
+        return Const(value), 0
     if lex.take("("):
-        node = _parse_expr(lex)
+        inner = lex.nest(_parse_expr)
         lex.expect(")")
-        return node
+        return inner
     name = lex.name()
     if name is not None:
         if name in _FUNCTIONS:
-            return Unary(name, _parse_atom(lex))
+            arg, height = lex.nest(_parse_atom)
+            if height == MAX_HEIGHT:
+                raise lex.height_error()
+            return Unary(name, arg), height + 1
         if lex.peek() == "(":
-            raise ParseError(f"unknown function name '{name}'", at)
+            raise ParseError(f"unknown function name '{name}'", lex.byte_offset(at))
         if name[0] == "x" and len(name) > 1 and name[1].isdigit():
             if _ACTION_RE.match(name) is None:
-                raise ParseError(f"malformed variable token '{name}'", at)
-        return Var(name)
+                raise ParseError(f"malformed variable token '{name}'", lex.byte_offset(at))
+        return Var(name), 0
     found = lex.peek() or "end of input"
-    raise ParseError(f"expected a number, variable or '(', found {found!r}", at)
+    raise ParseError(
+        f"expected a number, variable or '(', found {found!r}", lex.byte_offset(at)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +501,12 @@ VECTOR_MIN_INSTANCES = 256
 # unshared), and its kernel one of 12k.
 MAX_SOURCE_CHARS = 32768
 
+# Operations one emitted expression nests at most.  CPython refuses source
+# nested 200 brackets deep, and each operation opens at most two: scalar
+# mode binds a deeper node to a temp, and vector mode leaves a deeper shape
+# to scalar mode.
+MAX_INLINE_DEPTH = 48
+
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # Scalar-mode source of each DAG operator, by its operands' sources.
 _SCALAR = {
@@ -462,18 +519,24 @@ _SCALAR = {
 }
 
 
-def _vector_source(e: Expression, lift: Callable[[Expression], str]) -> str | None:
+def _vector_source(
+    e: Expression, lift: Callable[[Expression], str], depth: int = 0
+) -> str | None:
     """Vector-mode source for ``e``, its leaves rendered by ``lift``: the
     operands are numpy arrays and a division checks its denominator; None
-    where vector mode does not cover ``e``."""
+    where vector mode does not cover ``e`` or ``e`` sits ``depth``
+    operations deep, which must stay below ``MAX_INLINE_DEPTH``."""
     if isinstance(e, (Const, Var)):
         return lift(e)
+    depth += 1
+    if depth >= MAX_INLINE_DEPTH:
+        return None
     if isinstance(e, Unary):
         if e.op != "neg":
             return None
-        inner = _vector_source(e.arg, lift)
+        inner = _vector_source(e.arg, lift, depth)
         return None if inner is None else f"(-{inner})"
-    left = _vector_source(e.left, lift)
+    left = _vector_source(e.left, lift, depth)
     if left is None:
         return None
     if e.op == "pow":
@@ -484,7 +547,7 @@ def _vector_source(e: Expression, lift: Callable[[Expression], str]) -> str | No
             return f"({' * '.join([left] * power)})"
         # ``_t`` is read right after it is bound, so nesting cannot clobber it.
         return f"((_t := {left}){' * _t' * (power - 1)})"
-    right = _vector_source(e.right, lift)
+    right = _vector_source(e.right, lift, depth)
     if right is None:
         return None
     if e.op == "div":
@@ -584,25 +647,34 @@ class _Dag:
         self._seen[id(e)] = ref
         return ref
 
-    def source(self, ref: int, piece: "_Piece") -> str:
-        """Source of interior node ``ref`` in ``piece``.  A node used more
-        than once is bound to a temp ``t<k>`` by a line of the piece the
-        first time, and read from it after; every other node is inline."""
+    def source(self, ref: int, piece: "_Piece") -> tuple[str, int]:
+        """Source of interior node ``ref`` in ``piece`` and the operations
+        it nests.  A node used more than once is bound to a temp ``t<k>`` by
+        a line of the piece the first time, and read from it after, and so
+        is a node nesting ``MAX_INLINE_DEPTH`` operations; every other node
+        is inline."""
         if ref in piece.temps:
-            return f"t{ref}"
+            return f"t{ref}", 0
         op, *operands = self.nodes[ref]
-        src = _SCALAR[op].format(
-            *[x if isinstance(x, str) else self.source(x, piece) for x in operands]
-        )
-        if self.uses[ref] < 2:
-            return src
+        texts = []
+        depth = 0
+        for x in operands:
+            if not isinstance(x, str):
+                x, inner = self.source(x, piece)
+                depth = max(depth, inner)
+            texts.append(x)
+        src = _SCALAR[op].format(*texts)
+        if self.uses[ref] < 2 and depth + 1 < MAX_INLINE_DEPTH:
+            return src, depth + 1
         piece.temps[ref] = line = f"t{ref} = {src}"
         piece.length += len(line) + 5
-        return f"t{ref}"
+        return f"t{ref}", 0
 
 
 class _Piece:
-    """One scalar-mode function ``_s<c>``: its temp lines, then its outputs."""
+    """One scalar-mode function ``_s<c>``: its temp lines, then its outputs
+    packed as native doubles, which ``np.frombuffer`` reads without
+    converting each float."""
 
     def __init__(self):
         self.positions: list[int] = []
@@ -611,7 +683,7 @@ class _Piece:
         self.length = 0
 
     def add(self, dag: _Dag, pos: int, ref: _Ref) -> None:
-        src = ref if isinstance(ref, str) else dag.source(ref, self)
+        src = ref if isinstance(ref, str) else dag.source(ref, self)[0]
         self.positions.append(pos)
         self.outputs.append(src)
         self.length += len(src) + 2
@@ -626,7 +698,8 @@ class _Piece:
             values = "x.tolist()" if len(read) == n_names else f"x[_vs{c}].tolist()"
             code.append("".join(f"v{i}, " for i in read) + f"= {values}")
         code += lines
-        code.append(f"return ({', '.join(self.outputs)},)")
+        namespace[f"_pk{c}"] = struct.Struct(f"{len(self.outputs)}d").pack
+        code.append(f"return _pk{c}({', '.join(self.outputs)})")
         return f"def _s{c}(x):\n" + "".join(f"    {line}\n" for line in code)
 
 
@@ -635,9 +708,10 @@ def compile_vector_function(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into one function of the point ``x`` (a float
     array in ``names`` order) that returns their values as one array, in
-    input order.  Leaving the domain (a zero denominator, log of a
-    non-positive value, an overflowing exp or pow) raises ``DomainError``;
-    other non-finite values are returned for the caller to check."""
+    input order, a fresh writable array on every call.  Leaving the domain
+    (a zero denominator, log of a non-positive value, an overflowing exp or
+    pow) raises ``DomainError``; other non-finite values are returned for
+    the caller to check."""
     exprs = list(exprs)
     slot_of = {name: i for i, name in enumerate(names)}
     groups: dict[str | None, list[tuple[int, list[float], list[int]]]] = {}
@@ -652,10 +726,11 @@ def compile_vector_function(
         "_pw": math.pow,
         "_nz": _nonzero,
         "_empty": np.empty,
+        "_frombuffer": np.frombuffer,
         "_errstate": np.errstate,
         "DomainError": DomainError,
     }
-    lines = [f"out = _empty({len(exprs)})"]
+    lines = []
     vector_groups = [
         (shape, members)
         for shape, members in groups.items()
@@ -689,14 +764,19 @@ def compile_vector_function(
         if not pieces or pieces[-1].length > MAX_SOURCE_CHARS:
             pieces.append(_Piece())
         pieces[-1].add(dag, pos, ref)
+    whole = len(pieces) == 1 and not vectorized
     for c, piece in enumerate(pieces):
         code = piece.function_source(c, len(names), namespace)
         exec(compile(code, "<coalseek-compiled>", "exec"), namespace)
-        target = "out[...]"
-        if vectorized or len(pieces) > 1:
+        if whole:
+            # The only piece holds every output in order, so its bytes are
+            # the result, copied into a fresh buffer to make it writable.
+            lines.append("out = _frombuffer(bytearray(_s0(x)))")
+        else:
             namespace[f"_ps{c}"] = np.array(piece.positions, dtype=np.intp)
-            target = f"out[_ps{c}]"
-        lines.append(f"{target} = _s{c}(x)")
+            lines.append(f"out[_ps{c}] = _frombuffer(_s{c}(x))")
+    if not whole:
+        lines.insert(0, f"out = _empty({len(exprs)})")
     source = (
         "def _fn(x):\n    try:\n"
         + "".join(f"        {line}\n" for line in lines)

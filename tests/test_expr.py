@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek.expr import (
+    MAX_HEIGHT,
+    MAX_NESTING,
     Binary,
     Const,
     DomainError,
@@ -74,6 +76,47 @@ def test_parse_error_reports_offset():
     with pytest.raises(ParseError) as err:
         parse("1 + sin(x)")
     assert err.value.offset == 4
+
+
+def _chain(terms):
+    return " + ".join(f"x1_{j % 9 + 1}" for j in range(terms))
+
+
+# Past a limit, the offset is that of the end of the token that crosses it.
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        pytest.param(
+            "(" * (MAX_NESTING + 1) + "x1_1" + ")" * (MAX_NESTING + 1),
+            "nested more than",
+            MAX_NESTING + 1,
+            id="parentheses",
+        ),
+        pytest.param("-" * (MAX_NESTING + 1) + "x1_1", "nested more than", MAX_NESTING + 1, id="minus"),
+        pytest.param(
+            "exp " * (MAX_NESTING + 1) + "x1_1", "nested more than", 4 * MAX_NESTING + 3, id="exp"
+        ),
+        pytest.param(
+            _chain(MAX_HEIGHT + 2), "operations deep", len(_chain(MAX_HEIGHT + 2)), id="chain"
+        ),
+    ],
+)
+def test_parse_rejects_input_past_the_depth_limits(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert message in str(err.value)
+    assert err.value.offset == offset
+
+
+def test_parse_accepts_input_at_the_depth_limits():
+    assert parse("(" * MAX_NESTING + "x1_1" + ")" * MAX_NESTING) == Var("x1_1")
+    tree = parse(_chain(MAX_HEIGHT + 1))  # MAX_HEIGHT additions
+    for _ in range(MAX_HEIGHT):
+        assert isinstance(tree, Binary)
+        tree = tree.left
+    assert tree == Var("x1_1")
+    # Nesting adds no height of its own: a parenthesis is no operation.
+    assert parse("(" * MAX_NESTING + _chain(MAX_HEIGHT + 1) + ")" * MAX_NESTING)
 
 
 def test_differentiate_square():

@@ -17,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek import expr
+from coalseek.dynamics import Seeker
 from coalseek.expr import (
+    MAX_HEIGHT,
+    MAX_INLINE_DEPTH,
     MAX_SOURCE_CHARS,
     VECTOR_MIN_INSTANCES,
     Binary,
@@ -27,6 +30,7 @@ from coalseek.expr import (
     Var,
     _lift,
     compile_vector_function,
+    differentiate,
     evaluate,
     parse,
     render,
@@ -298,3 +302,84 @@ def test_congestion_jacobian_compiles_into_one_piece():
     x = np.full(game.n_actions, 1.5)
     env = dict(zip(game.var_names, x.tolist()))
     assert fn(x).tolist() == [evaluate(e, env) for e in exprs]
+
+
+# --- the kernel's contract ----------------------------------------------------
+
+
+def _one_coalition(*costs):
+    g = Graph.build(range(1, len(costs) + 1))
+    return Game((Coalition(tuple(map(parse, costs)), (1.0,) * len(costs), g, g),))
+
+
+def test_finite_outputs_whose_sum_overflows_are_inside_the_domain():
+    game = _one_coalition("1e308*x1_1", "1e308*x1_2")
+    x = np.array([1.0, 1.0])
+    costs, pvec = game.costs_and_partials(x)
+    assert costs.tolist() == [1e308, 1e308] and pvec.tolist() == [1e308, 1e308]
+    assert Seeker(game).partial_vector(x).tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "cost", ["x1_2*1e308*10", "-(x1_2*1e308*10)", "x1_2*1e308*10 - x1_2*1e308*10"]
+)
+def test_a_non_finite_output_is_a_domain_error_naming_it(cost):
+    # +inf, -inf and NaN from operations that raise nothing themselves.
+    game = _one_coalition("(x1_1 - 1)^2", cost)
+    with pytest.raises(DomainError) as info:
+        game.costs_and_partials(np.array([1.0, 1.0]))
+    assert str(info.value) == "non-finite value in the cost of agent (1,2)"
+    with pytest.raises(DomainError):
+        Seeker(game).partial_vector(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("form", ["single", "pieces", "mixed"])
+def test_every_call_returns_a_fresh_writable_array(monkeypatch, form):
+    exprs = [parse(f"exp(x1_{k % 4 + 1}) - {k}") for k in range(5)]
+    if form == "pieces":
+        monkeypatch.setattr(expr, "MAX_SOURCE_CHARS", 1)
+    if form == "mixed":
+        exprs += [parse(f"{k}*x1_1 + x1_{k % 4 + 1}") for k in range(VECTOR_MIN_INSTANCES)]
+    fn = compile_vector_function(exprs, NAMES)
+    assert ("_s1" in fn.__globals__) == (form == "pieces")
+    assert ("_p0" in fn.__globals__) == (form == "mixed")
+    x = np.array([0.5, -1.0, 2.0, 0.25])
+    env = dict(zip(NAMES, x.tolist()))
+    expected = [evaluate(e, env) for e in exprs]
+    first = fn(x)
+    second = fn(x)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    first[:] = np.nan
+    assert second.tolist() == fn(x).tolist() == expected
+
+
+# --- deep expressions ---------------------------------------------------------
+
+
+def test_a_chain_of_the_greatest_height_compiles_and_matches_evaluate():
+    # One open bracket per operation would pass CPython's 200 long before
+    # MAX_HEIGHT; the emitter binds a temp every MAX_INLINE_DEPTH levels.
+    chain = parse(" + ".join(f"x1_{j % 4 + 1}/{j + 1}" for j in range(MAX_HEIGHT)))
+    product = parse("*".join(f"(1 + x1_{j % 4 + 1}/{j + 1})" for j in range(MAX_HEIGHT - 1)))
+    rng = np.random.default_rng(5)
+    for tree in (chain, product, differentiate(product, "x1_1")):
+        fn = compile_vector_function([tree], NAMES)
+        for _ in range(5):
+            x = rng.uniform(-0.5, 0.5, len(NAMES))
+            assert _bits(fn(x)).tolist() == [_bits(evaluate(tree, dict(zip(NAMES, x.tolist()))))]
+
+
+def test_vector_mode_leaves_a_deep_shape_to_scalar_mode():
+    terms = MAX_INLINE_DEPTH + 2
+    exprs = [
+        parse(" + ".join(f"{(k + j) % 7 + 1}*x1_{j % 4 + 1}" for j in range(terms)))
+        for k in range(VECTOR_MIN_INSTANCES)
+    ]
+    slot_of = {name: i for i, name in enumerate(NAMES)}
+    assert _lift(exprs[0], slot_of)[0] is None
+    fn = compile_vector_function(exprs, NAMES)
+    assert "_p0" not in fn.__globals__
+    x = np.array([0.5, -1.0, 2.0, 0.25])
+    env = dict(zip(NAMES, x.tolist()))
+    assert _bits(fn(x)).tolist() == _bits([evaluate(e, env) for e in exprs]).tolist()

@@ -11,7 +11,7 @@ import pytest
 
 import coalseek
 from coalseek.cli import main
-from coalseek.expr import compile_vector_function
+from coalseek.expr import MAX_HEIGHT, compile_vector_function, evaluate
 from coalseek.scenario import (
     SCHEMA_KEY,
     ScenarioError,
@@ -408,15 +408,22 @@ def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
     )
 
 
-def _cli_subprocess(argv):
-    """Run ``python -m coalseek.cli`` on ``argv`` with the package under test
+def _cli_subprocess(argv, module="coalseek.cli"):
+    """Run ``python -m <module>`` on ``argv`` with the package under test
     importable and Python's default warning filters."""
     src = str(Path(coalseek.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
-        [sys.executable, "-m", "coalseek.cli", *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=120
     )
+
+
+def test_python_dash_m_coalseek_is_the_cli():
+    proc = _cli_subprocess(["presets", "--format", "kv"], module="coalseek")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().split() == list(available_presets())
+    assert _cli_subprocess(["frobnicate"], module="coalseek").returncode == 1
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
@@ -660,3 +667,69 @@ def test_cli_delta_override_changes_run(tmp_path):
 def test_cli_presets_command(capsys):
     assert main(["presets"]) == 0
     assert capsys.readouterr().out.split() == list(available_presets())
+
+
+# --- deep costs -------------------------------------------------------------------
+
+
+def _wide_game_file(tmp_path, cost, followers=250):
+    """Coalition 1: one agent with ``cost``; coalition 2: ``followers``
+    independent agents with costs ``(x2_j - 1)^2``."""
+    doc = _minimal_doc(
+        coalitions=[
+            {"costs": [cost]},
+            {"costs": [f"(x2_{j} - 1)^2" for j in range(1, followers + 1)]},
+        ],
+        delta=0.5,
+        integrator={"method": "dopri5", "step": 0.01, "horizon": 5.0, "record_dt": 1.0},
+        initial_x=[0.5] * (1 + followers),
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_runs_a_cost_with_a_250_term_chain(tmp_path, capsys):
+    # One parenthesis per chained operation used to pass CPython's limit of
+    # 200 nested brackets in the compiled source.
+    chain = " + ".join(f"x2_{j}" for j in range(1, 251))
+    path = _wide_game_file(tmp_path, f"(x1_1 - 1)^2 + 0.001*x1_1*({chain})")
+    for argv in (["run", str(path), "--out", str(tmp_path / "t.csv")], ["solve", str(path)], ["check", str(path)]):
+        assert main(argv + ["--format", "kv"]) == 0
+    game = load_scenario(str(path)).game
+    x = np.random.default_rng(1).uniform(-2.0, 2.0, game.n_actions)
+    env = dict(zip(game.var_names, x.tolist()))
+    reference = np.array([evaluate(e, env) for e in game.kernel_exprs])
+    assert np.array_equal(game.kernel(x).view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        pytest.param("(" * 3000 + "x1_1" + ")" * 3000, "nested more than", id="parentheses"),
+        pytest.param(" + ".join(["x1_1"] * 3000), "operations deep", id="chain"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "solve", "check"])
+def test_cli_too_deep_a_cost_is_one_validation_line(tmp_path, capsys, cost, message, command):
+    argv = [command, _one_agent_file(tmp_path, cost, 0.5), "--format", "kv"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"validation error: \$\.coalitions\[0\]\.costs\[0\]: .*{message}.* \(byte offset \d+\)\n", err
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "check"])
+def test_cli_runs_a_division_chain_of_the_greatest_height(tmp_path, capsys, command):
+    # Every division of the chain depends on x1_1, so each level of the cost
+    # adds levels to its first and second derivatives, which the compiler
+    # and the Newton Jacobian walk recursively.
+    cost = "x1_1" + "".join(f"/({j + 2} + x1_1)" for j in range(MAX_HEIGHT - 1))
+    argv = [command, _one_agent_file(tmp_path, cost, 0.5), "--format", "kv", "--horizon", "1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
