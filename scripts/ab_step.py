@@ -9,9 +9,13 @@ and ``congestion-net`` documents that ``bench/generators.py`` of this
 checkout writes for ``--seed``.
 
 First, one subprocess per tree runs ``run``, ``solve``, ``check`` and
-``costs`` (``--format kv``) on every input and hashes each trajectory CSV and
-each report, ``wall_time_s`` removed, with SHA-256.  Any digest that differs
-between the trees ends the script with exit code 1.
+``costs`` (``--format kv``) on every input, and the commands that fail on
+purpose on two one-agent documents: a start outside the domain (``log(x1_1)``
+at ``x1_1 = -1``) on ``run``, ``solve`` and ``check``, and a Newton Jacobian
+that leaves the domain (``x1_1^1.5 + x1_1`` from 0) on ``solve``.  It hashes
+with SHA-256 each exit code, each report (``wall_time_s`` removed), each
+stderr text and each trajectory CSV, 78 digests in all.  Any digest that
+differs between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -40,6 +44,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("example2", "congestion-demo", "coalition1-fig1")
 COMMANDS = ("run", "solve", "check", "costs")
+# One-agent documents that fail on purpose: (cost, start, commands).
+FAILING = {
+    "domain-start": ("log(x1_1)", -1.0, ("run", "solve", "check")),
+    "jacobian-exit": ("x1_1^1.5 + x1_1", 0.0, ("solve",)),
+}
 
 
 def _inputs(docs: Path) -> list[tuple[str, str]]:
@@ -76,38 +85,54 @@ def _write_docs(docs: Path, seed: int) -> dict:
     sys.path.insert(0, str(ROOT / "bench"))
     import generators
 
-    for label, doc in (
-        ("ring-sparse", generators.ring_game(seed).doc),
-        ("congestion-net", generators.congestion_network(seed)),
-    ):
+    docs_by_label = {
+        "ring-sparse": generators.ring_game(seed).doc,
+        "congestion-net": generators.congestion_network(seed),
+    }
+    for label, (cost, start, _) in FAILING.items():
+        docs_by_label[label] = {
+            "schema": "coalseek/scenario-v1",
+            "name": label,
+            "coalitions": [{"costs": [cost], "communication": []}],
+            "initial_x": [start],
+        }
+    for label, doc in docs_by_label.items():
         (docs / f"{label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return {}
+
+
+def _sha256(text: str | bytes) -> str:
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
 
 
 def _digests(docs: Path, seed: int) -> dict:
     from coalseek import cli
 
+    runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
+    runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in FAILING.items()]
     out = {}
-    for label, source in _inputs(docs):
-        for command in COMMANDS:
+    for label, source, commands in runs:
+        for command in commands:
             argv = [command, source, "--format", "kv"]
             csv = docs / f"{label}.{os.getpid()}.csv"
             if command == "run":
                 argv += ["--out", str(csv)]
             elif command == "check":
                 argv += ["--seed", str(seed)]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             report = "".join(
                 line for line in stdout.getvalue().splitlines(True)
                 if not line.startswith("wall_time_s=")
             )
             out[f"{label} {command} exit"] = str(code)
-            out[f"{label} {command} report"] = hashlib.sha256(report.encode()).hexdigest()
+            out[f"{label} {command} report"] = _sha256(report)
+            out[f"{label} {command} stderr"] = _sha256(stderr.getvalue())
             if command == "run":
-                out[f"{label} run csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
-                csv.unlink()
+                # A run that fails writes no trajectory.
+                out[f"{label} run csv"] = _sha256(csv.read_bytes()) if csv.exists() else "absent"
+                csv.unlink(missing_ok=True)
     return out
 
 
@@ -182,7 +207,7 @@ def main() -> int:
             print(f"DIFFERS: {key}")
         if differ:
             return 1
-        print(f"digests: all {len(digests['parent'])} trajectories, reports and exit codes match")
+        print(f"digests: all {len(digests['parent'])} trajectories, reports, stderr texts and exit codes match")
 
         runs = {side: [] for side in sides}
         for pair in range(args.pairs):

@@ -70,11 +70,9 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> np.ndarr
     return p
 
 
-def build_block_transforms(
-    game: Game, q: np.ndarray | None = None
-) -> dict[tuple[int, int], BlockTransform]:
-    """One transform per estimation block; ``q`` defaults to the identity of
-    each block's reduced dimension."""
+def build_block_transforms(game: Game) -> dict[tuple[int, int], BlockTransform]:
+    """One transform per estimation block, its Lyapunov matrix solved against
+    the identity of the block's reduced dimension."""
     out = {}
     for b in game.layout.blocks:
         basis = orthonormal_complement(b.size)
@@ -82,8 +80,7 @@ def build_block_transforms(
         reduced = basis.T @ lap @ basis
         reduced = 0.5 * (reduced + reduced.T)
         dim = b.size - 1
-        q_block = np.eye(dim) if q is None else np.asarray(q, dtype=float)[:dim, :dim]
-        p_block = solve_lyapunov(reduced, q_block) if dim > 0 else np.zeros((0, 0))
+        p_block = solve_lyapunov(reduced, np.eye(dim)) if dim > 0 else np.zeros((0, 0))
         out[(b.coalition, b.k)] = BlockTransform(basis, reduced, p_block)
     return out
 

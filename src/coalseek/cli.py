@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument(
             "--format",
-            choices=("text", "kv", "csv"),
+            choices=("text", "kv"),
             default=None,
             help="report format (default: text; trajectories are always csv)",
         )
@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     common(check)
 
     presets = sub.add_parser("presets", help="list shipped presets")
-    presets.add_argument("--format", choices=("text", "kv", "csv"), default=None)
+    presets.add_argument("--format", choices=("text", "kv"), default=None)
     return parser
 
 

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expr import DomainError
-from .game import Game, Layout, all_finite, evaluate_in_domain
+from .expr import DomainError, all_finite
+from .game import Game, Layout
 
 __all__ = [
     "SeekerState",
@@ -230,7 +230,6 @@ class Seeker:
         self.game = game
         self.layout: Layout = game.layout
         self._kernel = game.kernel  # compiled here, so building a Seeker includes the compile
-        self._kernel_args = (game.kernel_exprs, game.var_names, game._kernel_label)
         self._n = game.n_actions
         self._own = self.layout.own_slots
         self._neg_gain = -game.delta * np.array(
@@ -260,11 +259,11 @@ class Seeker:
 
     def partial_vector(self, x: np.ndarray) -> np.ndarray:
         """Flat cost-partial vector at ``x``, which must lie in the game's
-        domain (see ``Game.costs_and_partials``).  Every integration stage
-        evaluates through here, and ``evaluations`` counts the calls;
+        domain (see ``Game.kernel``).  Every integration stage evaluates
+        through here, and ``evaluations`` counts the calls;
         ``bench/tracing.py`` times it as ``dynamics.partials``."""
         self.evaluations += 1
-        return evaluate_in_domain(self._kernel, x, *self._kernel_args)[self._n :]
+        return self._kernel(x)[self._n :]
 
     def _rhs_from_pvec(
         self, z: np.ndarray, pvec: np.ndarray, out: np.ndarray | None = None

@@ -3,9 +3,11 @@ symbolic differentiation.
 
 Cost functions are plain expression trees over named real variables.  Trees are
 immutable, so they are safe to share between threads and to cache derivatives of.
-``compile_vector_function`` is the evaluator every consumer uses; the
-tree-walking ``evaluate`` is its reference, and names the failing operation
-when a point is outside a game's domain.
+``compile_vector_function`` is the evaluator every consumer uses, and the one
+place the domain rule lives: a point is inside when every compiled output is
+finite, and a compiled function returns only such values or raises
+``DomainError``.  The tree-walking ``evaluate`` is its reference, and names
+the failing operation and output when a point is outside.
 """
 
 from __future__ import annotations
@@ -466,6 +468,37 @@ def _value(e: Expression, assignment: Mapping[str, float]) -> float:
     return _pow_value(left, right)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  One exact test that raises
+    no floating-point warning (``a @ zeros`` is NaN exactly when an entry is
+    not finite too, but warns on inf), in half the time of
+    ``np.isfinite(a).all()``."""
+    return b"\0" not in np.isfinite(a).tobytes()
+
+
+class _OutsideDomain(DomainError):
+    """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
+    message names the failed operation and ``label(pos)`` of the first output
+    that the reference ``evaluate`` rejects; it applies the compiled domain
+    rule, so that is the first output outside the domain.  The message is
+    worked out only when read: the callers that catch this and retry (step
+    halving, sampling probes) pay nothing for it."""
+
+    def __init__(self, exprs, var_names, x, label):
+        super().__init__()
+        self._exprs, self._var_names, self._label = exprs, var_names, label
+        self._x = np.array(x, dtype=float)
+
+    def __str__(self) -> str:
+        env = dict(zip(self._var_names, self._x.tolist()))
+        for pos, e in enumerate(self._exprs):
+            try:
+                evaluate(e, env)
+            except DomainError as err:
+                return f"{err} in {self._label(pos)}"
+        return "non-finite output"
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 #
@@ -703,15 +736,22 @@ class _Piece:
         return f"def _s{c}(x):\n" + "".join(f"    {line}\n" for line in code)
 
 
+def _output_label(pos: int) -> str:
+    return f"output {pos}"
+
+
 def compile_vector_function(
-    exprs: Iterable[Expression], names: tuple[str, ...]
+    exprs: Iterable[Expression],
+    names: tuple[str, ...],
+    label: Callable[[int], str] = _output_label,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into one function of the point ``x`` (a float
     array in ``names`` order) that returns their values as one array, in
-    input order, a fresh writable array on every call.  Leaving the domain
-    (a zero denominator, log of a non-positive value, an overflowing exp or
-    pow) raises ``DomainError``; other non-finite values are returned for
-    the caller to check."""
+    input order, a fresh writable array on every call.  The domain is where
+    every output is finite.  Outside it (a zero denominator, log of a
+    non-positive value, an overflowing exp or pow, or a non-finite output)
+    the function raises ``DomainError``, whose message ``label(pos)`` of the
+    first output outside completes."""
     exprs = list(exprs)
     slot_of = {name: i for i, name in enumerate(names)}
     groups: dict[str | None, list[tuple[int, list[float], list[int]]]] = {}
@@ -728,7 +768,8 @@ def compile_vector_function(
         "_empty": np.empty,
         "_frombuffer": np.frombuffer,
         "_errstate": np.errstate,
-        "DomainError": DomainError,
+        "_finite": all_finite,
+        "_outside": lambda x: _OutsideDomain(exprs, names, x, label),
     }
     lines = []
     vector_groups = [
@@ -780,9 +821,9 @@ def compile_vector_function(
     source = (
         "def _fn(x):\n    try:\n"
         + "".join(f"        {line}\n" for line in lines)
-        + "    except (ValueError, ZeroDivisionError, OverflowError) as err:\n"
-        + "        raise DomainError(str(err)) from err\n"
-        + "    return out\n"
+        + "    except (ArithmeticError, ValueError):\n        pass\n"
+        + "    else:\n        if _finite(out):\n            return out\n"
+        + "    raise _outside(x)\n"
     )
     exec(compile(source, "<coalseek-compiled>", "exec"), namespace)
     return namespace["_fn"]

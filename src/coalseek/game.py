@@ -4,7 +4,9 @@ A game is a tuple of coalitions; each coalition carries one scalar cost per
 agent, per-agent gains, a communication graph and an interference graph.  The
 interference graph must cover the actual same-coalition dependencies of the
 costs, which is validated at construction.  All evaluation helpers work on a
-flat action profile ordered coalition-major: (1,1), (1,2), ..., (N, m_N).
+flat action profile ordered coalition-major: (1,1), (1,2), ..., (N, m_N),
+through one compiled kernel, ``Game.kernel``, which raises ``DomainError``
+outside the game's domain under the compiler's rule.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ import numpy as np
 from .expr import (
     Binary,
     Const,
-    DomainError,
     Expression,
     Unary,
     Var,
     compile_vector_function,
     differentiate,
-    evaluate,
     free_variables,
 )
 from .graphs import Graph, laplacian
@@ -200,16 +200,15 @@ class Game:
 
     @cached_property
     def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The game's compiled evaluator of ``kernel_exprs`` at a profile."""
-        return compile_vector_function(self.kernel_exprs, self.var_names)
+        """The game's compiled evaluator of ``kernel_exprs`` at a profile.
+        The game's domain is where every cost and every partial is finite;
+        outside it this raises DomainError naming the first that is not."""
+        return compile_vector_function(self.kernel_exprs, self.var_names, self._kernel_label)
 
     def costs_and_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent costs (profile order) and the flat partial vector (slot
-        order) at the profile ``x``.  The game's domain is where every cost
-        and every partial is finite; outside it this raises DomainError."""
-        vals = evaluate_in_domain(
-            self.kernel, x, self.kernel_exprs, self.var_names, self._kernel_label
-        )
+        order) at the profile ``x``, which must lie in the game's domain."""
+        vals = self.kernel(x)
         n = self.n_actions
         return vals[:n], vals[n:]
 
@@ -220,51 +219,6 @@ class Game:
             return f"the cost of agent ({i},{j})"
         i, j, k = list(self.layout.slots)[pos - n]
         return f"the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
-
-
-def evaluate_in_domain(fn, x, exprs, var_names, label: Callable[[int], str]) -> np.ndarray:
-    """``fn(x)`` for ``fn`` compiled from ``exprs`` over ``var_names``.  Its
-    domain is where every output is finite; outside it this raises
-    ``_OutsideDomain``, whose message ``label(pos)`` completes."""
-    try:
-        vals = fn(x)
-    except DomainError:
-        pass
-    else:
-        if all_finite(vals):
-            return vals
-    raise _OutsideDomain(exprs, var_names, x, label)
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.  One exact test that raises
-    no floating-point warning (``a @ zeros`` is NaN exactly when an entry is
-    not finite too, but warns on inf), in half the time of
-    ``np.isfinite(a).all()``."""
-    return b"\0" not in np.isfinite(a).tobytes()
-
-
-class _OutsideDomain(DomainError):
-    """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
-    message names the failed operation and ``label(pos)`` of the first output
-    that the reference ``expr.evaluate`` rejects; it applies the kernel's
-    domain rule, so that is the first output outside the domain.  The
-    message is worked out only when read: the callers that catch this and
-    retry (step halving, sampling probes) pay nothing for it."""
-
-    def __init__(self, exprs, var_names, x, label):
-        super().__init__()
-        self._exprs, self._var_names, self._label = exprs, var_names, label
-        self._x = np.array(x, dtype=float)
-
-    def __str__(self) -> str:
-        env = dict(zip(self._var_names, self._x.tolist()))
-        for pos, e in enumerate(self._exprs):
-            try:
-                evaluate(e, env)
-            except DomainError as err:
-                return f"{err} in {self._label(pos)}"
-        return "non-finite output"
 
 
 class Layout:

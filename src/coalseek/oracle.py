@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, compile_vector_function, differentiate, free_variables
-from .game import Game, coalition_cost, evaluate_in_domain, pseudo_gradient
+from .game import Game, coalition_cost, pseudo_gradient
 
 __all__ = [
     "StationaryReport",
@@ -55,8 +55,7 @@ def _jacobian_function(game: Game):
     returning the dense ``n x n`` matrix; raises DomainError, naming the
     entry and the operation, where an entry is not finite."""
     exprs = _jacobian_exprs(game)
-    entries, names = list(exprs.values()), game.var_names
-    second = compile_vector_function(entries, names)
+    names = game.var_names
     rows = np.array([row for row, _ in exprs], dtype=np.intp)
     cols = np.array([col for _, col in exprs], dtype=np.intp)
     n = game.n_actions
@@ -64,9 +63,11 @@ def _jacobian_function(game: Game):
     def label(pos: int) -> str:
         return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
 
+    second = compile_vector_function(exprs.values(), names, label)
+
     def jacobian(x: np.ndarray) -> np.ndarray:
         jac = np.zeros((n, n))
-        jac[rows, cols] = evaluate_in_domain(second, x, entries, names, label)
+        jac[rows, cols] = second(x)
         return jac
 
     return jacobian

@@ -109,13 +109,14 @@ def _instances(tree):
 
 
 def _run(fn, x):
-    """Kernel values at ``x`` under the seeker's rule: a non-finite value
-    is a domain exit."""
+    """Kernel values at ``x``, None outside the domain; a compiled function
+    returns only finite values."""
     try:
         vals = fn(x)
     except DomainError:
         return None
-    return vals if np.isfinite(vals).all() else None
+    assert np.isfinite(vals).all()
+    return vals
 
 
 def _bits(values):
@@ -244,13 +245,11 @@ def test_shared_subtrees_match_evaluate(outputs, point):
             # The kernel leaves the domain only where the reference does.
             assert any(reason is not None for reason in reasons)
             return
-    for value, ref, reason in zip(values.tolist(), refs, reasons):
-        if reason is None:
-            assert _bits(value) == _bits(ref)
-        else:
-            # The kernel raised nothing, so the reference rejects only a
-            # non-finite value, which the kernel leaves to the caller's check.
-            assert not math.isfinite(value)
+    # The kernel raised nothing: every value it returns is finite, and the
+    # reference accepts every output with the same bits.
+    assert all(math.isfinite(value) for value in values.tolist())
+    assert reasons == [None] * len(outputs)
+    assert _bits(values).tolist() == _bits(refs).tolist()
 
 
 def test_reference_follows_the_kernel_domain_rule():
@@ -331,6 +330,52 @@ def test_a_non_finite_output_is_a_domain_error_naming_it(cost):
     assert str(info.value) == "non-finite value in the cost of agent (1,2)"
     with pytest.raises(DomainError):
         Seeker(game).partial_vector(np.array([1.0, 1.0]))
+
+
+def _entry(pos):
+    return f"entry {pos}"
+
+
+@pytest.mark.parametrize("form", ["single", "pieces", "mixed"])
+@pytest.mark.parametrize(
+    "failing", ["x1_2*1e308*10", "-(x1_2*1e308*10)", "x1_2*1e308*10 - x1_2*1e308*10"]
+)
+def test_a_compiled_non_finite_output_raises_naming_its_label(monkeypatch, form, failing):
+    # +inf, -inf and NaN from operations that raise nothing themselves; the
+    # second failing output is not the one named.
+    exprs = [parse(f"exp(x1_{k % 4 + 1}) - {k}") for k in range(5)]
+    exprs[3:3] = [parse(failing)]
+    exprs.append(parse(failing))
+    first = 3
+    if form == "pieces":
+        monkeypatch.setattr(expr, "MAX_SOURCE_CHARS", 1)
+    if form == "mixed":
+        exprs[:0] = [parse(f"{k}*x1_1 + x1_{k % 4 + 1}") for k in range(VECTOR_MIN_INSTANCES)]
+        first += VECTOR_MIN_INSTANCES
+    fn = compile_vector_function(exprs, NAMES, _entry)
+    assert ("_s1" in fn.__globals__) == (form == "pieces")
+    assert ("_p0" in fn.__globals__) == (form == "mixed")
+    with pytest.raises(DomainError) as info:
+        fn(np.array([0.5, 1.0, 2.0, 0.25]))
+    assert str(info.value) == f"non-finite value in entry {first}"
+
+
+def test_a_zero_divisor_in_a_vector_group_raises_naming_its_label():
+    # Only the instances dividing by x1_2 - 1 fail; the first sits at 2.
+    exprs = [parse("log(x1_3)")]
+    exprs += [parse(f"{k + 1}/(x1_{k % 4 + 1} - 1)") for k in range(VECTOR_MIN_INSTANCES)]
+    fn = compile_vector_function(exprs, NAMES, _entry)
+    assert "_p0" in fn.__globals__
+    with pytest.raises(DomainError) as info:
+        fn(np.array([0.5, 1.0, 2.0, 0.25]))
+    assert str(info.value) == "division by zero in entry 2"
+
+
+def test_an_unlabelled_function_names_the_output_position():
+    fn = compile_vector_function([parse("x1_1"), parse("log(x1_2)")], NAMES)
+    with pytest.raises(DomainError) as info:
+        fn(np.array([1.0, -1.0, 0.0, 0.0]))
+    assert str(info.value) == "log of non-positive value -1.0 in output 1"
 
 
 @pytest.mark.parametrize("form", ["single", "pieces", "mixed"])

@@ -160,6 +160,16 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "solve", "graphs", "costs", "check", "presets"])
+def test_cli_csv_report_format_is_a_usage_error(capsys, command):
+    # Reports render as text or kv; only trajectories are CSV.
+    argv = [command] + ([] if command == "presets" else ["coalition1-fig1"])
+    assert main(argv + ["--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_missing_scenario_exit_code(capsys):
     assert main(["solve", "no-such-preset"]) == 1
 
@@ -324,9 +334,9 @@ def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
 
     compiled = []
 
-    def counting(exprs, names):
+    def counting(exprs, names, *label):
         compiled.append(names)
-        return compile_vector_function(exprs, names)
+        return compile_vector_function(exprs, names, *label)
 
     monkeypatch.setattr(coalseek.game, "compile_vector_function", counting)
     monkeypatch.setattr(coalseek.oracle, "compile_vector_function", counting)

@@ -16,7 +16,7 @@ from coalseek.graphs import Graph
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Hooks known not to resolve: nothing under ``coalseek`` binds these names
-# any more.
+# any more.  The list is exact, so a stale entry fails too.
 KNOWN_MISSING = {
     "coalseek.game.evaluate",
     "coalseek.oracle.evaluate",
@@ -44,7 +44,7 @@ def test_every_trace_hook_resolves():
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         if not (callable(found) or isinstance(found, cached_property)):
             missing.add(f"{owner_path}.{attr}")
-    assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+    assert missing == KNOWN_MISSING, sorted(missing ^ KNOWN_MISSING)
 
 
 def test_tracer_sees_every_dopri5_attempt():
