@@ -10,12 +10,16 @@ checkout writes for ``--seed``.
 
 First, one subprocess per tree runs ``run``, ``solve``, ``check`` and
 ``costs`` (``--format kv``) on every input, and the commands that fail on
-purpose on two one-agent documents: a start outside the domain (``log(x1_1)``
-at ``x1_1 = -1``) on ``run``, ``solve`` and ``check``, and a Newton Jacobian
-that leaves the domain (``x1_1^1.5 + x1_1`` from 0) on ``solve``.  It hashes
-with SHA-256 each exit code, each report (``wall_time_s`` removed), each
-stderr text and each trajectory CSV, 78 digests in all.  Any digest that
-differs between the trees ends the script with exit code 1.
+purpose on four documents of one-agent coalitions: a start outside the
+domain (``log(x1_1)`` at ``x1_1 = -1``) on ``run``, ``solve`` and ``check``; a
+Newton Jacobian that leaves the domain (``x1_1^1.5 + x1_1`` from 0) on
+``solve``; and, on ``run``, ``solve`` and ``check``, two games whose domain
+only a guard of the partials kernel sees, since the ``log(x2_1)`` in the
+cost of agent (1,1) has no partial: from ``x2_1 = -1`` it fails at the
+start, and from ``x2_1 = 0.5`` the dynamics and Newton descend into it.
+It hashes with SHA-256 each exit code, each report (``wall_time_s``
+removed), each stderr text and each trajectory CSV, 98 digests in all.  Any
+digest that differs between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -44,10 +48,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("example2", "congestion-demo", "coalition1-fig1")
 COMMANDS = ("run", "solve", "check", "costs")
-# One-agent documents that fail on purpose: (cost, start, commands).
+# Documents that fail on purpose, each coalition one agent with no
+# communication: (the cost of each coalition, the start, commands).
 FAILING = {
-    "domain-start": ("log(x1_1)", -1.0, ("run", "solve", "check")),
-    "jacobian-exit": ("x1_1^1.5 + x1_1", 0.0, ("solve",)),
+    "domain-start": (("log(x1_1)",), [-1.0], ("run", "solve", "check")),
+    "jacobian-exit": (("x1_1^1.5 + x1_1",), [0.0], ("solve",)),
+    "guard-start": (("(x1_1 - 1)^2 + log(x2_1)", "(x2_1 - 2)^2"), [0.5, -1.0], ("run", "solve", "check")),
+    "guard-wall": (("(x1_1 - 1)^2 + log(x2_1)", "(x2_1 + 1)^2"), [0.5, 0.5], ("run", "solve", "check")),
 }
 
 
@@ -89,12 +96,12 @@ def _write_docs(docs: Path, seed: int) -> dict:
         "ring-sparse": generators.ring_game(seed).doc,
         "congestion-net": generators.congestion_network(seed),
     }
-    for label, (cost, start, _) in FAILING.items():
+    for label, (costs, start, _) in FAILING.items():
         docs_by_label[label] = {
             "schema": "coalseek/scenario-v1",
             "name": label,
-            "coalitions": [{"costs": [cost], "communication": []}],
-            "initial_x": [start],
+            "coalitions": [{"costs": [cost], "communication": []} for cost in costs],
+            "initial_x": start,
         }
     for label, doc in docs_by_label.items():
         (docs / f"{label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

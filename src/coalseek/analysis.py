@@ -92,7 +92,7 @@ def build_block_transforms(game: Game) -> dict[tuple[int, int], BlockTransform]:
 
 def _estimates(game: Game, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
     """The estimates ``g = w + cost partials`` and the partials, in slot order."""
-    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
+    pvec = game.kernel(game.as_profile(state.x))
     return state.w + pvec, pvec
 
 

@@ -215,10 +215,12 @@ def _cmd_check(args) -> int:
     rng = np.random.default_rng(scenario.seed)
     n = game.n_actions
     base = np.array(scenario.initial_x)
-    # A start outside the game's domain fails, as on run and solve; samples
-    # around it that leave the domain are skipped and counted, and a figure
-    # with no sample left is nan.
-    game.costs_and_partials(game.as_profile(base))
+    # A start outside the game's domain fails, as on run and solve, and so
+    # does one where a cost is not finite; samples around it that leave the
+    # domain are skipped and counted, and a figure with no sample left is nan.
+    start = game.as_profile(base)
+    game.cost_kernel(start)
+    game.kernel(start)
     skipped = 0
 
     grad_errors = []

@@ -263,7 +263,7 @@ class Seeker:
         through here, and ``evaluations`` counts the calls;
         ``bench/tracing.py`` times it as ``dynamics.partials``."""
         self.evaluations += 1
-        return self._kernel(x)[self._n :]
+        return self._kernel(x)
 
     def _rhs_from_pvec(
         self, z: np.ndarray, pvec: np.ndarray, out: np.ndarray | None = None

@@ -6,8 +6,11 @@ immutable, so they are safe to share between threads and to cache derivatives of
 ``compile_vector_function`` is the evaluator every consumer uses, and the one
 place the domain rule lives: a point is inside when every compiled output is
 finite, and a compiled function returns only such values or raises
-``DomainError``.  The tree-walking ``evaluate`` is its reference, and names
-the failing operation and output when a point is outside.
+``DomainError``.  It can also guard expressions it does not return, such as
+a game's costs behind its partials: each of their operations that can fail,
+and that the outputs do not evaluate already, costs one comparison or one
+call.  The tree-walking ``evaluate`` is its reference, and names the failing
+operation and output when a point is outside.
 """
 
 from __future__ import annotations
@@ -478,11 +481,11 @@ def all_finite(a: np.ndarray) -> bool:
 
 class _OutsideDomain(DomainError):
     """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
-    message names the failed operation and ``label(pos)`` of the first output
-    that the reference ``evaluate`` rejects; it applies the compiled domain
-    rule, so that is the first output outside the domain.  The message is
-    worked out only when read: the callers that catch this and retry (step
-    halving, sampling probes) pay nothing for it."""
+    message names the failed operation and ``label(pos)`` of the first
+    expression that the reference ``evaluate`` rejects; it applies the
+    compiled domain rule, so that is the first one outside the domain.  The
+    message is worked out only when read: the callers that catch this and
+    retry (step halving, sampling probes) pay nothing for it."""
 
     def __init__(self, exprs, var_names, x, label):
         super().__init__()
@@ -550,6 +553,11 @@ _SCALAR = {
     "ipow": "({})**{}",
     "pow": "_pw({}, {})",
 }
+# Scalar-mode condition, by its operand's source, under which a guarded
+# operation succeeds: ``math.log(u)`` is finite exactly when u lies in
+# (0, inf), and a division raises exactly when its denominator is zero.
+# ``1e999`` is the literal +inf.
+_GUARDS = {"log": "0.0 < {} < 1e999", "div": "{} != 0.0"}
 
 
 def _vector_source(
@@ -640,6 +648,46 @@ class _Dag:
             self.uses[ref] += 1
         return ref
 
+    def guards(self, trees: Iterable[Expression]) -> list[tuple[str, _Ref]]:
+        """Guards for the operations of ``trees`` that can fail and that no
+        node of the DAG evaluates already, in tree order: ``("log", u)`` for
+        ``log(u)``, ``("div", d)`` for a denominator ``d``, and ``("call",
+        e)`` for an exp or a power ``e`` other than a product, evaluated as
+        itself.  Each operand joins the DAG as a use."""
+        absent: set[int] = set()
+        pending: list[tuple[str, Expression]] = []
+        stack = list(trees)[::-1]
+        while stack:
+            e = stack.pop()
+            # A failing operation in the DAG is evaluated there, and so is
+            # every operation under it: the DAG holds a node's operands.
+            if isinstance(e, Unary):
+                if e.op == "neg":
+                    stack.append(e.arg)
+                elif self._ref(e, absent) is None:
+                    pending.append(("log", e.arg) if e.op == "log" else ("call", e))
+            elif isinstance(e, Binary):
+                if e.op == "div":
+                    if self._ref(e, absent) is None:
+                        pending.append(("div", e.right))
+                        stack.append(e.left)
+                elif e.op == "pow" and product_power(e) is None:
+                    if self._ref(e, absent) is None:
+                        pending.append(("call", e))
+                else:
+                    if e.op != "pow":
+                        stack.append(e.right)
+                    stack.append(e.left)
+        # An operand joins the DAG only now, after every lookup.
+        found: dict[tuple[str, _Ref], None] = {}
+        for kind, e in pending:
+            ref = self._ref(e)
+            if (kind, ref) not in found:
+                found[(kind, ref)] = None
+                if isinstance(ref, int):
+                    self.uses[ref] += 1
+        return list(found)
+
     def _node(self, key: tuple) -> int:
         ref = self._number.get(key)
         if ref is None:
@@ -651,7 +699,10 @@ class _Dag:
                     self.uses[operand] += 1
         return ref
 
-    def _ref(self, e: Expression) -> _Ref:
+    def _ref(self, e: Expression, absent: set[int] | None = None) -> _Ref | None:
+        """The value number of ``e``, adding its nodes.  Given ``absent``,
+        the ids of subtrees known not to be in the DAG, only a lookup: None
+        where ``e`` is not in the DAG, and ``e`` joins ``absent``."""
         if isinstance(e, Const):
             return repr(e.value)  # the shortest round trip keeps every bit, -0.0 too
         if isinstance(e, Var):
@@ -659,15 +710,25 @@ class _Dag:
         ref = self._seen.get(id(e))
         if ref is not None:
             return ref
-        if isinstance(e, Unary):
-            ref = self._node((e.op, self._ref(e.arg)))
+        if absent is None:
+            node = self._node
+        elif id(e) in absent:
+            return None
         else:
-            left = self._ref(e.left)
+            node = self._number.get
+        if isinstance(e, Unary):
+            arg = self._ref(e.arg, absent)
+            ref = None if arg is None else node((e.op, arg))
+        else:
+            left = self._ref(e.left, absent)
             power = product_power(e) if e.op == "pow" else None
-            if power == 2:  # u*u and u*u*u, as every evaluator computes them
+            if left is None:
+                key = None
+            elif power == 2:  # u*u and u*u*u, as every evaluator computes them
                 key = ("mul", left, left)
             elif power == 3:
-                key = ("mul", self._node(("mul", left, left)), left)
+                square = node(("mul", left, left))
+                key = None if square is None else ("mul", square, left)
             elif (
                 e.op == "pow"
                 and isinstance(e.right, Const)
@@ -675,9 +736,13 @@ class _Dag:
             ):
                 key = ("ipow", left, str(int(e.right.value)))
             else:
-                key = (e.op, left, self._ref(e.right))
-            ref = self._node(key)
-        self._seen[id(e)] = ref
+                right = self._ref(e.right, absent)
+                key = None if right is None else (e.op, left, right)
+            ref = None if key is None else node(key)
+        if ref is None:
+            absent.add(id(e))
+        else:
+            self._seen[id(e)] = ref
         return ref
 
     def source(self, ref: int, piece: "_Piece") -> tuple[str, int]:
@@ -699,21 +764,26 @@ class _Dag:
         src = _SCALAR[op].format(*texts)
         if self.uses[ref] < 2 and depth + 1 < MAX_INLINE_DEPTH:
             return src, depth + 1
-        piece.temps[ref] = line = f"t{ref} = {src}"
-        piece.length += len(line) + 5
+        piece.temps.add(ref)
+        piece.line(f"t{ref} = {src}")
         return f"t{ref}", 0
 
 
 class _Piece:
-    """One scalar-mode function ``_s<c>``: its temp lines, then its outputs
-    packed as native doubles, which ``np.frombuffer`` reads without
-    converting each float."""
+    """One scalar-mode function ``_s<c>``: its temp and guard lines, then
+    its outputs, if any, packed as native doubles, which ``np.frombuffer``
+    reads without converting each float."""
 
     def __init__(self):
         self.positions: list[int] = []
         self.outputs: list[str] = []
-        self.temps: dict[int, str] = {}  # node -> the line binding t<node>, in order
+        self.lines: list[str] = []
+        self.temps: set[int] = set()  # the nodes bound to a temp t<node>
         self.length = 0
+
+    def line(self, line: str) -> None:
+        self.lines.append(line)
+        self.length += len(line) + 5
 
     def add(self, dag: _Dag, pos: int, ref: _Ref) -> None:
         src = ref if isinstance(ref, str) else dag.source(ref, self)[0]
@@ -721,18 +791,25 @@ class _Piece:
         self.outputs.append(src)
         self.length += len(src) + 2
 
+    def guard(self, dag: _Dag, kind: str, ref: _Ref) -> None:
+        src = ref if isinstance(ref, str) else dag.source(ref, self)[0]
+        if kind != "call":
+            self.line(f"if not {_GUARDS[kind].format(src)}: raise _fail")
+        elif ref not in self.temps:  # a temp's line has evaluated the call
+            self.line(src)
+
     def function_source(self, c: int, n_names: int, namespace: dict) -> str:
-        lines = list(self.temps.values())
-        body = "\n".join(lines + self.outputs)
+        body = "\n".join(self.lines + self.outputs)
         read = sorted({int(i) for i in re.findall(r"\bv(\d+)\b", body)})
         code = []
         if read:
             namespace[f"_vs{c}"] = np.array(read, dtype=np.intp)
             values = "x.tolist()" if len(read) == n_names else f"x[_vs{c}].tolist()"
             code.append("".join(f"v{i}, " for i in read) + f"= {values}")
-        code += lines
-        namespace[f"_pk{c}"] = struct.Struct(f"{len(self.outputs)}d").pack
-        code.append(f"return _pk{c}({', '.join(self.outputs)})")
+        code += self.lines
+        if self.outputs:
+            namespace[f"_pk{c}"] = struct.Struct(f"{len(self.outputs)}d").pack
+            code.append(f"return _pk{c}({', '.join(self.outputs)})")
         return f"def _s{c}(x):\n" + "".join(f"    {line}\n" for line in code)
 
 
@@ -744,6 +821,7 @@ def compile_vector_function(
     exprs: Iterable[Expression],
     names: tuple[str, ...],
     label: Callable[[int], str] = _output_label,
+    guarded: Iterable[Expression] = (),
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into one function of the point ``x`` (a float
     array in ``names`` order) that returns their values as one array, in
@@ -751,8 +829,17 @@ def compile_vector_function(
     every output is finite.  Outside it (a zero denominator, log of a
     non-positive value, an overflowing exp or pow, or a non-finite output)
     the function raises ``DomainError``, whose message ``label(pos)`` of the
-    first output outside completes."""
+    first output outside completes.
+
+    The ``guarded`` expressions are not returned, but the function also
+    raises where one of their operations fails: a zero denominator, a log
+    whose operand is not in (0, inf), an exp or a power that raises.  Only
+    the operations that the scalar-mode code of the outputs does not
+    evaluate already get a guard, so where a guarded expression computes a
+    non-finite value without a failing operation, the function may return.
+    The message positions count the guarded expressions first."""
     exprs = list(exprs)
+    guarded = list(guarded)
     slot_of = {name: i for i, name in enumerate(names)}
     groups: dict[str | None, list[tuple[int, list[float], list[int]]]] = {}
     if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode
@@ -769,7 +856,8 @@ def compile_vector_function(
         "_frombuffer": np.frombuffer,
         "_errstate": np.errstate,
         "_finite": all_finite,
-        "_outside": lambda x: _OutsideDomain(exprs, names, x, label),
+        "_fail": DomainError,
+        "_outside": lambda x: _OutsideDomain(guarded + exprs, names, x, label),
     }
     lines = []
     vector_groups = [
@@ -795,21 +883,31 @@ def compile_vector_function(
         vectorized.update(positions.tolist())
 
     # Scalar mode: one DAG, emitted in pieces that each end with the output
-    # that takes them past MAX_SOURCE_CHARS characters, and compiled each on
-    # its own as a function ``_s<c>``.  A temp is local to its piece, so
-    # sharing stops at a piece boundary.
+    # or guard that takes them past MAX_SOURCE_CHARS characters, and
+    # compiled each on its own as a function ``_s<c>``.  The guards follow
+    # the outputs.  A temp is local to its piece, so sharing stops at a
+    # piece boundary.
     dag = _Dag(slot_of)
     scalar = [(pos, dag.output(e)) for pos, e in enumerate(exprs) if pos not in vectorized]
+    guards = dag.guards(guarded)
     pieces: list[_Piece] = []
-    for pos, ref in scalar:
+
+    def tail() -> _Piece:
         if not pieces or pieces[-1].length > MAX_SOURCE_CHARS:
             pieces.append(_Piece())
-        pieces[-1].add(dag, pos, ref)
-    whole = len(pieces) == 1 and not vectorized
+        return pieces[-1]
+
+    for pos, ref in scalar:
+        tail().add(dag, pos, ref)
+    for kind, ref in guards:
+        tail().guard(dag, kind, ref)
+    whole = len(pieces) == 1 and len(scalar) == len(exprs) > 0
     for c, piece in enumerate(pieces):
         code = piece.function_source(c, len(names), namespace)
         exec(compile(code, "<coalseek-compiled>", "exec"), namespace)
-        if whole:
+        if not piece.outputs:
+            lines.append(f"_s{c}(x)")
+        elif whole:
             # The only piece holds every output in order, so its bytes are
             # the result, copied into a fresh buffer to make it writable.
             lines.append("out = _frombuffer(bytearray(_s0(x)))")

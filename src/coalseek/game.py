@@ -5,12 +5,16 @@ agent, per-agent gains, a communication graph and an interference graph.  The
 interference graph must cover the actual same-coalition dependencies of the
 costs, which is validated at construction.  All evaluation helpers work on a
 flat action profile ordered coalition-major: (1,1), (1,2), ..., (N, m_N),
-through one compiled kernel, ``Game.kernel``, which raises ``DomainError``
-outside the game's domain under the compiler's rule.
+through two compiled kernels.  ``Game.kernel`` computes the cost partials,
+which the dynamics, the pseudo-gradient and the diagnostics read, and
+guards the costs' operations that can fail; ``Game.cost_kernel`` computes
+the costs, and is compiled only when something reads a cost.  Both raise
+``DomainError`` outside the game's domain under the compiler's rule.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,8 +109,8 @@ class Game:
     def __post_init__(self):
         if not self.coalitions:
             raise GameError("a game needs at least one coalition")
-        if not (self.delta > 0):
-            raise GameError("delta must be positive")
+        if not (0 < self.delta < math.inf):
+            raise GameError("delta must be positive and finite")
         valid_names = set()
         for i, c in enumerate(self.coalitions, start=1):
             m = c.m
@@ -194,25 +198,32 @@ class Game:
         return Layout(self)
 
     @cached_property
-    def kernel_exprs(self) -> list[Expression]:
-        """Every cost in profile order, then every partial in slot order."""
-        return [f for c in self.coalitions for f in c.costs] + self.layout.partial_exprs()
+    def costs(self) -> tuple[Expression, ...]:
+        """Every cost, in profile order."""
+        return tuple(f for c in self.coalitions for f in c.costs)
 
     @cached_property
     def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The game's compiled evaluator of ``kernel_exprs`` at a profile.
-        The game's domain is where every cost and every partial is finite;
-        outside it this raises DomainError naming the first that is not."""
-        return compile_vector_function(self.kernel_exprs, self.var_names, self._kernel_label)
+        """The game's compiled partials: the flat partial vector (slot
+        order) at a profile.  The game's domain is where every cost and
+        every partial is finite.  This raises DomainError, naming the first
+        cost or partial that fails, where a partial is not finite or an
+        operation of a cost fails; it may return where a cost computes a
+        non-finite value with no failing operation (see
+        ``compile_vector_function``)."""
+        return compile_vector_function(
+            self.layout.partial_exprs(), self.var_names, self._kernel_label, guarded=self.costs
+        )
 
-    def costs_and_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-agent costs (profile order) and the flat partial vector (slot
-        order) at the profile ``x``, which must lie in the game's domain."""
-        vals = self.kernel(x)
-        n = self.n_actions
-        return vals[:n], vals[n:]
+    @cached_property
+    def cost_kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The game's compiled costs: every agent's cost (profile order) at
+        a profile, with DomainError where one is not finite.  Compiled on
+        first use, so integrating or solving never builds it."""
+        return compile_vector_function(self.costs, self.var_names, self._kernel_label)
 
     def _kernel_label(self, pos: int) -> str:
+        """Names position ``pos`` of the costs followed by the partials."""
         n = self.n_actions
         if pos < n:
             i, j = split_action_name(self.var_names[pos])
@@ -347,14 +358,14 @@ def infer_interference_graph(costs: Sequence[Expression], coalition: int) -> Gra
 def pseudo_gradient(game: Game, x) -> np.ndarray:
     """Stacked gradient of each coalition's cost in its own action block,
     entry (i, k) summed over the closed interference neighborhood of k."""
-    pvec = game.costs_and_partials(game.as_profile(x))[1]
+    pvec = game.kernel(game.as_profile(x))
     return np.add.reduceat(pvec, game.layout.block_starts)
 
 
 def coalition_cost(game: Game, i: int, x) -> float:
     if not 1 <= i <= game.n_coalitions:
         raise GameError(f"no coalition {i}")
-    costs = game.costs_and_partials(game.as_profile(x))[0]
+    costs = game.cost_kernel(game.as_profile(x))
     start = sum(game.sizes[: i - 1])
     return sum(costs[start : start + game.sizes[i - 1]].tolist())
 

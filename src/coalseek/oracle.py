@@ -270,7 +270,7 @@ def gradient_check(game: Game, x, h: float = 1e-6) -> float:
     """Max over all stored partials of the relative gap between the symbolic
     derivative and a central finite difference of the per-agent cost."""
     x = game.as_profile(x)
-    sym = game.costs_and_partials(x)[1]
+    sym = game.kernel(x)
     worst = 0.0
     # Block ``col`` holds the partials d f_ij / d x_col over its members j.
     for col, b in enumerate(game.layout.blocks):
@@ -278,8 +278,8 @@ def gradient_check(game: Game, x, h: float = 1e-6) -> float:
         xp, xm = x.copy(), x.copy()
         xp[col] += h
         xm[col] -= h
-        up = game.costs_and_partials(xp)[0][agents]
-        down = game.costs_and_partials(xm)[0][agents]
+        up = game.cost_kernel(xp)[agents]
+        down = game.cost_kernel(xm)[agents]
         fd = (up - down) / (2.0 * h)
         s = sym[b.start : b.stop]
         worst = max(worst, float((np.abs(s - fd) / np.maximum(1.0, np.abs(s))).max()))

@@ -170,7 +170,7 @@ def test_deviation_bound_on_random_states(example2_game):
 def _dense_records(game, state):
     """Reference: the consensus and deviation records from a dense
     Householder basis of each block's disagreement subspace."""
-    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
+    pvec = game.kernel(game.as_profile(state.x))
     consensus, deviation = {}, {}
     for b in game.layout.blocks:
         seg = slice(b.start, b.stop)
@@ -187,7 +187,7 @@ def _dense_records(game, state):
 
 def _check_against_dense(game, state):
     consensus, deviation = _dense_records(game, state)
-    pvec = game.costs_and_partials(game.as_profile(state.x))[1]
+    pvec = game.kernel(game.as_profile(state.x))
     scale = 1.0 + float(np.abs(state.w + pvec).max())
     got = consensus_residual(game, state)
     assert list(got) == list(consensus)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek import expr
+from coalseek.corpus import random_quadratic_game
 from coalseek.dynamics import Seeker
 from coalseek.expr import (
     MAX_HEIGHT,
@@ -35,7 +36,7 @@ from coalseek.expr import (
     parse,
     render,
 )
-from coalseek.game import Coalition, FlowAgent, Game, build_congestion_game
+from coalseek.game import Coalition, FlowAgent, Game, build_congestion_game, pseudo_gradient
 from coalseek.graphs import Graph
 from coalseek.oracle import _jacobian_exprs
 
@@ -50,15 +51,15 @@ _consts = st.one_of(
 _ops = st.sampled_from(["add", "sub", "mul", "div"])
 
 
-def _trees(depth=4, pool=()):
+def _trees(depth=4, pool=(), names=NAMES):
     """Random trees; with a ``pool``, most leaves are whole pool trees."""
-    leaves = [_consts, st.sampled_from(NAMES).map(Var)]
+    leaves = [_consts, st.sampled_from(names).map(Var)]
     if pool:
         leaves += [st.sampled_from(pool)] * 3
     leaf = st.one_of(*leaves)
     if depth == 0:
         return leaf
-    sub = _trees(depth - 1, pool)
+    sub = _trees(depth - 1, pool, names)
     return st.one_of(
         leaf,
         st.tuples(_ops, sub, sub).map(
@@ -264,9 +265,10 @@ def test_reference_follows_the_kernel_domain_rule():
     g = Graph.build([1, 2], [(1, 2)])
     costs = (parse("exp(-(x1_1*1e308*10)) + x1_2"), parse("x1_1 + log(x1_2)"))
     game = Game((Coalition(costs, (1.0, 1.0), g, g),))
-    with pytest.raises(DomainError) as info:
-        game.costs_and_partials(np.array([1.0, -1.0]))
-    assert str(info.value) == "log of non-positive value -1.0 in the cost of agent (1,2)"
+    for kernel in (game.kernel, game.cost_kernel):
+        with pytest.raises(DomainError) as info:
+            kernel(np.array([1.0, -1.0]))
+        assert str(info.value) == "log of non-positive value -1.0 in the cost of agent (1,2)"
 
 
 def test_signed_zero_constants_stay_distinct():
@@ -314,8 +316,8 @@ def _one_coalition(*costs):
 def test_finite_outputs_whose_sum_overflows_are_inside_the_domain():
     game = _one_coalition("1e308*x1_1", "1e308*x1_2")
     x = np.array([1.0, 1.0])
-    costs, pvec = game.costs_and_partials(x)
-    assert costs.tolist() == [1e308, 1e308] and pvec.tolist() == [1e308, 1e308]
+    assert game.cost_kernel(x).tolist() == [1e308, 1e308]
+    assert game.kernel(x).tolist() == [1e308, 1e308]
     assert Seeker(game).partial_vector(x).tolist() == [1e308, 1e308]
 
 
@@ -326,7 +328,7 @@ def test_a_non_finite_output_is_a_domain_error_naming_it(cost):
     # +inf, -inf and NaN from operations that raise nothing themselves.
     game = _one_coalition("(x1_1 - 1)^2", cost)
     with pytest.raises(DomainError) as info:
-        game.costs_and_partials(np.array([1.0, 1.0]))
+        game.cost_kernel(np.array([1.0, 1.0]))
     assert str(info.value) == "non-finite value in the cost of agent (1,2)"
     with pytest.raises(DomainError):
         Seeker(game).partial_vector(np.array([1.0, 1.0]))
@@ -428,3 +430,158 @@ def test_vector_mode_leaves_a_deep_shape_to_scalar_mode():
     x = np.array([0.5, -1.0, 2.0, 0.25])
     env = dict(zip(NAMES, x.tolist()))
     assert _bits(fn(x)).tolist() == _bits([evaluate(e, env) for e in exprs]).tolist()
+
+
+# --- the partials kernel and its guards ---------------------------------------
+#
+# ``Game.kernel`` returns only the partials; the cost operations that can fail
+# and that the partials do not evaluate are guarded.  The reference verdict is
+# ``expr.evaluate`` over every cost and every partial.  The two may differ
+# only where a cost computes a non-finite value with no failing operation.
+
+
+def _quietly_non_finite(cost, env):
+    """Whether ``cost`` computes a non-finite value at ``env``, as the result
+    or on the way to it, with no operation that raises."""
+    try:
+        return not all(math.isfinite(expr._value(node, env)) for node in expr._walk(cost))
+    except DomainError:
+        return False
+
+
+def _check_guarded_kernel(game, x):
+    env = dict(zip(game.var_names, x.tolist()))
+    costs_rejected = False
+    for f in game.costs:
+        try:
+            evaluate(f, env)
+        except DomainError:
+            costs_rejected = True
+    try:
+        partials = [evaluate(e, env) for e in game.layout.partial_exprs()]
+    except DomainError:
+        partials = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = game.kernel(x)
+        except DomainError:
+            values = None
+    if (values is None) != (costs_rejected or partials is None):
+        assert values is not None and partials is not None
+        assert any(_quietly_non_finite(f, env) for f in game.costs)
+    if values is not None:
+        assert _bits(values).tolist() == _bits(partials).tolist()
+
+
+GAME_NAMES = ("x1_1", "x1_2", "x2_1", "x2_2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees(names=GAME_NAMES), min_size=4, max_size=4), _points)
+def test_guarded_kernel_matches_the_reference_verdict(costs, point):
+    # Two coalitions of two agents, so each cost also reads the other
+    # coalition's actions, whose operations only a guard can check.
+    g = Graph.build([1, 2], [(1, 2)])
+    game = Game(tuple(Coalition(tuple(costs[i : i + 2]), (1.0, 1.0), g, g) for i in (0, 2)))
+    _check_guarded_kernel(game, np.array(point))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([1.0, 1e100, 1e160, 1e200]),
+)
+def test_guarded_kernel_matches_the_reference_on_quadratic_games(seed, scale):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    _check_guarded_kernel(game, scale * rng.uniform(-1.0, 1.0, game.n_actions))
+
+
+def _overflowing_game():
+    g = Graph.build([1, 2], [(1, 2)])
+    return Game((Coalition((parse("1e308*x1_1 + 1e308*x1_2"), parse("(x1_2 - 1)^2")), (1.0, 1.0), g, g),))
+
+
+def test_a_cost_that_overflows_quietly_is_inside_for_the_partials_only():
+    # The cost of agent (1,1) is inf at (1, 1) with no failing operation,
+    # and its partials are finite: the integrator and Newton read partials
+    # only, the commands that read costs reject the point.
+    game = _overflowing_game()
+    x = np.array([1.0, 1.0])
+    assert Seeker(game).partial_vector(x).tolist() == [1e308, 0.0, 1e308, 0.0]
+    assert pseudo_gradient(game, x).tolist() == [1e308, 1e308]
+    with pytest.raises(DomainError) as info:
+        game.cost_kernel(x)
+    assert str(info.value) == "non-finite value in the cost of agent (1,1)"
+
+
+def _calls_fail(fn):
+    """Whether the only scalar-mode piece of ``fn`` has a guard line."""
+    return "_fail" in fn.__globals__["_s0"].__code__.co_names
+
+
+@pytest.mark.parametrize("form", ["single", "pieces", "vector"])
+def test_a_failing_guard_names_the_first_guarded_output(monkeypatch, form):
+    exprs = [parse(f"exp(x1_{k % 4 + 1}) - {k}") for k in range(5)]
+    if form == "pieces":
+        monkeypatch.setattr(expr, "MAX_SOURCE_CHARS", 1)
+    if form == "vector":
+        exprs = [parse(f"{k}*x1_1 + x1_{k % 4 + 1}") for k in range(VECTOR_MIN_INSTANCES)]
+    guarded = [parse("log(x1_3) + 1/(x1_4 - 1)"), parse("exp(x1_2) + x1_1^-1")]
+    fn = compile_vector_function(exprs, NAMES, _entry, guarded=guarded)
+    assert ("_s1" in fn.__globals__) == (form == "pieces")
+    assert ("_p0" in fn.__globals__) == (form == "vector")
+    x = np.array([0.5, 1.0, 2.0, 0.25])
+    env = dict(zip(NAMES, x.tolist()))
+    assert _bits(fn(x)).tolist() == _bits([evaluate(e, env) for e in exprs]).tolist()
+    for point, message in (
+        ([0.5, 1.0, -1.0, 0.25], "log of non-positive value -1.0 in entry 0"),
+        ([0.5, 1.0, 2.0, 1.0], "division by zero in entry 0"),
+        ([0.5, 1000.0, 2.0, 0.25], "exp(1000.0) overflows in entry 1"),
+        ([0.0, 1.0, 2.0, 0.25], "pow(0.0, -1.0) left the real domain in entry 1"),
+    ):
+        with pytest.raises(DomainError) as info:
+            fn(np.array(point))
+        assert str(info.value) == message
+    if form != "vector":
+        # Output 3 is named after the two guarded expressions.
+        with pytest.raises(DomainError) as info:
+            fn(np.array([0.5, 1.0, 2.0, 1e300]))
+        assert str(info.value) == "exp(1e+300) overflows in entry 5"
+
+
+def test_an_operation_the_outputs_evaluate_gets_no_guard():
+    # The outputs compute log(x1_1), 1/(x1_2 - 1) and exp(x1_3) themselves.
+    outputs = [parse("2*log(x1_1)"), parse("1/(x1_2 - 1) + exp(x1_3)")]
+    covered = [parse("log(x1_1) + 1/(x1_2 - 1)"), parse("exp(x1_3)*x1_4")]
+    assert not _calls_fail(compile_vector_function(outputs, NAMES, guarded=covered))
+    # The outputs compute log's operand but not the log: one guard.
+    fn = compile_vector_function([parse("1/(x1_1 + 1)")], NAMES, guarded=[parse("log(x1_1 + 1)")])
+    assert _calls_fail(fn)
+    assert fn(np.array([0.0, 0.0, 0.0, 0.0])).tolist() == [1.0]
+    with pytest.raises(DomainError):
+        fn(np.array([-1.5, 0.0, 0.0, 0.0]))  # 1/(x1_1 + 1) alone is -2.0
+
+
+def test_congestion_guards_compare_values_the_partials_compute():
+    game = _congestion_network()
+    dag = expr._Dag({name: i for i, name in enumerate(game.var_names)})
+    for e in game.layout.partial_exprs():
+        dag.output(e)
+    nodes = len(dag.nodes)
+    guards = dag.guards(game.costs)
+    # One guard per flow's log(own + 1) and per link's kappa/(capacity -
+    # load); every operand is a node of the partials, so no node is added.
+    assert len(dag.nodes) == nodes
+    assert sorted({kind for kind, _ in guards}) == ["div", "log"]
+    assert sum(kind == "log" for kind, _ in guards) == game.n_actions
+    assert "_s1" not in game.kernel.__globals__
+    x = np.full(game.n_actions, 1.5)
+    env = dict(zip(game.var_names, x.tolist()))
+    reference = [evaluate(e, env) for e in game.layout.partial_exprs()]
+    assert _bits(game.kernel(x)).tolist() == _bits(reference).tolist()
+    x[0] = -1.0
+    with pytest.raises(DomainError) as info:
+        game.kernel(x)
+    assert str(info.value) == "log of non-positive value 0.0 in the cost of agent (1,1)"

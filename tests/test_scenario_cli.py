@@ -257,6 +257,19 @@ def test_cli_bad_override_is_usage_error(capsys):
     assert capsys.readouterr().err.count("usage error") == 3
 
 
+@pytest.mark.parametrize("command", ["run", "solve", "check"])
+@pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+def test_cli_non_finite_delta_is_usage_error(tmp_path, capsys, command, delta):
+    argv = [command, "example2", f"--delta={delta}"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: delta must be positive and finite\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     doc = {
         "schema": SCHEMA_KEY,
@@ -328,20 +341,45 @@ def test_cli_check_skips_samples_outside_the_domain(tmp_path, capsys):
     assert kv["monotone_on_sample"] == "true"
 
 
-def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
+def _count_compiles(monkeypatch):
+    """Patches the compiler where ``game`` and ``oracle`` bind it; the list
+    returned collects, per compile, the number of outputs and of guarded
+    expressions."""
     import coalseek.game
     import coalseek.oracle
 
     compiled = []
 
-    def counting(exprs, names, *label):
-        compiled.append(names)
-        return compile_vector_function(exprs, names, *label)
+    def counting(exprs, names, *label, guarded=()):
+        exprs, guarded = list(exprs), list(guarded)
+        compiled.append((len(exprs), len(guarded)))
+        return compile_vector_function(exprs, names, *label, guarded=guarded)
 
     monkeypatch.setattr(coalseek.game, "compile_vector_function", counting)
     monkeypatch.setattr(coalseek.oracle, "compile_vector_function", counting)
+    return compiled
+
+
+def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
+    # Once over the partials, guarded by the costs, and once over the costs.
+    compiled = _count_compiles(monkeypatch)
     assert main(["check", "congestion-demo"]) == 0
-    assert len(compiled) == 1
+    game = load_scenario("congestion-demo").game
+    n, size = game.n_actions, game.layout.size
+    assert sorted(compiled) == sorted([(size, n), (n, 0)])
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_cli_run_and_solve_never_compile_the_cost_kernel(tmp_path, monkeypatch, capsys, command):
+    compiled = _count_compiles(monkeypatch)
+    argv = [command, "congestion-demo"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    game = load_scenario("congestion-demo").game
+    n = game.n_actions
+    assert (game.layout.size, n) in compiled
+    assert (n, 0) not in compiled
 
 
 def test_cli_jacobian_domain_exit_names_entry_and_operation(tmp_path, capsys):
@@ -709,8 +747,9 @@ def test_cli_runs_a_cost_with_a_250_term_chain(tmp_path, capsys):
     game = load_scenario(str(path)).game
     x = np.random.default_rng(1).uniform(-2.0, 2.0, game.n_actions)
     env = dict(zip(game.var_names, x.tolist()))
-    reference = np.array([evaluate(e, env) for e in game.kernel_exprs])
-    assert np.array_equal(game.kernel(x).view(np.int64), reference.view(np.int64))
+    for kernel, exprs in ((game.kernel, game.layout.partial_exprs()), (game.cost_kernel, game.costs)):
+        reference = np.array([evaluate(e, env) for e in exprs])
+        assert np.array_equal(kernel(x).view(np.int64), reference.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -743,3 +782,16 @@ def test_cli_runs_a_division_chain_of_the_greatest_height(tmp_path, capsys, comm
         argv += ["--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_check_rejects_a_start_whose_cost_overflows_quietly(tmp_path, capsys):
+    # The cost of agent (1,1) is inf at (1, 1) with no failing operation;
+    # its partials are finite, and check reads costs.
+    doc = _minimal_doc(initial_x=[1.0, 1.0])
+    doc["coalitions"][0]["costs"] = ["1e308*x1_1 + 1e308*x1_2", "(x1_2 - 1)^2"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite value in the cost of agent (1,1)\n"
