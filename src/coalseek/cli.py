@@ -218,9 +218,7 @@ def _cmd_check(args) -> int:
     # A start outside the game's domain fails, as on run and solve, and so
     # does one where a cost is not finite; samples around it that leave the
     # domain are skipped and counted, and a figure with no sample left is nan.
-    start = game.as_profile(base)
-    game.cost_kernel(start)
-    game.kernel(start)
+    game.cost_kernel(game.as_profile(base))
     skipped = 0
 
     grad_errors = []

@@ -7,9 +7,9 @@ immutable, so they are safe to share between threads and to cache derivatives of
 place the domain rule lives: a point is inside when every compiled output is
 finite, and a compiled function returns only such values or raises
 ``DomainError``.  It can also guard expressions it does not return, such as
-a game's costs behind its partials: each of their operations that can fail,
-and that the outputs do not evaluate already, costs one comparison or one
-call.  The tree-walking ``evaluate`` is its reference, and names the failing
+a game's costs behind its partials: each of their operations that can fail
+costs one comparison, or one call where the outputs do not evaluate it
+already.  The tree-walking ``evaluate`` is its reference, and names the failing
 operation and output when a point is outside.
 """
 
@@ -649,38 +649,34 @@ class _Dag:
         return ref
 
     def guards(self, trees: Iterable[Expression]) -> list[tuple[str, _Ref]]:
-        """Guards for the operations of ``trees`` that can fail and that no
-        node of the DAG evaluates already, in tree order: ``("log", u)`` for
-        ``log(u)``, ``("div", d)`` for a denominator ``d``, and ``("call",
-        e)`` for an exp or a power ``e`` other than a product, evaluated as
-        itself.  Each operand joins the DAG as a use."""
-        absent: set[int] = set()
-        pending: list[tuple[str, Expression]] = []
+        """Guards for the operations of ``trees`` that can fail, in tree
+        order: ``("log", u)`` for ``log(u)``, ``("div", d)`` for a
+        denominator ``d``, and ``("call", e)`` for an exp or a power ``e``
+        other than a product, evaluated as itself.  Each operand joins the
+        DAG as a use, so an exp or a power the DAG evaluates already is its
+        temp, and its guard emits nothing."""
+        found: dict[tuple[str, _Ref], None] = {}
         stack = list(trees)[::-1]
         while stack:
             e = stack.pop()
-            # A failing operation in the DAG is evaluated there, and so is
-            # every operation under it: the DAG holds a node's operands.
+            # The guard's operand is evaluated, with every operation under it.
             if isinstance(e, Unary):
                 if e.op == "neg":
                     stack.append(e.arg)
-                elif self._ref(e, absent) is None:
-                    pending.append(("log", e.arg) if e.op == "log" else ("call", e))
+                    continue
+                kind, e = ("log", e.arg) if e.op == "log" else ("call", e)
+            elif isinstance(e, Binary) and e.op == "div":
+                stack.append(e.left)
+                kind, e = "div", e.right
+            elif isinstance(e, Binary) and e.op == "pow" and product_power(e) is None:
+                kind = "call"
             elif isinstance(e, Binary):
-                if e.op == "div":
-                    if self._ref(e, absent) is None:
-                        pending.append(("div", e.right))
-                        stack.append(e.left)
-                elif e.op == "pow" and product_power(e) is None:
-                    if self._ref(e, absent) is None:
-                        pending.append(("call", e))
-                else:
-                    if e.op != "pow":
-                        stack.append(e.right)
-                    stack.append(e.left)
-        # An operand joins the DAG only now, after every lookup.
-        found: dict[tuple[str, _Ref], None] = {}
-        for kind, e in pending:
+                if e.op != "pow":
+                    stack.append(e.right)
+                stack.append(e.left)
+                continue
+            else:
+                continue
             ref = self._ref(e)
             if (kind, ref) not in found:
                 found[(kind, ref)] = None
@@ -699,10 +695,7 @@ class _Dag:
                     self.uses[operand] += 1
         return ref
 
-    def _ref(self, e: Expression, absent: set[int] | None = None) -> _Ref | None:
-        """The value number of ``e``, adding its nodes.  Given ``absent``,
-        the ids of subtrees known not to be in the DAG, only a lookup: None
-        where ``e`` is not in the DAG, and ``e`` joins ``absent``."""
+    def _ref(self, e: Expression) -> _Ref:
         if isinstance(e, Const):
             return repr(e.value)  # the shortest round trip keeps every bit, -0.0 too
         if isinstance(e, Var):
@@ -710,25 +703,15 @@ class _Dag:
         ref = self._seen.get(id(e))
         if ref is not None:
             return ref
-        if absent is None:
-            node = self._node
-        elif id(e) in absent:
-            return None
-        else:
-            node = self._number.get
         if isinstance(e, Unary):
-            arg = self._ref(e.arg, absent)
-            ref = None if arg is None else node((e.op, arg))
+            ref = self._node((e.op, self._ref(e.arg)))
         else:
-            left = self._ref(e.left, absent)
+            left = self._ref(e.left)
             power = product_power(e) if e.op == "pow" else None
-            if left is None:
-                key = None
-            elif power == 2:  # u*u and u*u*u, as every evaluator computes them
+            if power == 2:  # u*u and u*u*u, as every evaluator computes them
                 key = ("mul", left, left)
             elif power == 3:
-                square = node(("mul", left, left))
-                key = None if square is None else ("mul", square, left)
+                key = ("mul", self._node(("mul", left, left)), left)
             elif (
                 e.op == "pow"
                 and isinstance(e.right, Const)
@@ -736,13 +719,9 @@ class _Dag:
             ):
                 key = ("ipow", left, str(int(e.right.value)))
             else:
-                right = self._ref(e.right, absent)
-                key = None if right is None else (e.op, left, right)
-            ref = None if key is None else node(key)
-        if ref is None:
-            absent.add(id(e))
-        else:
-            self._seen[id(e)] = ref
+                key = (e.op, left, self._ref(e.right))
+            ref = self._node(key)
+        self._seen[id(e)] = ref
         return ref
 
     def source(self, ref: int, piece: "_Piece") -> tuple[str, int]:
@@ -833,11 +812,12 @@ def compile_vector_function(
 
     The ``guarded`` expressions are not returned, but the function also
     raises where one of their operations fails: a zero denominator, a log
-    whose operand is not in (0, inf), an exp or a power that raises.  Only
-    the operations that the scalar-mode code of the outputs does not
-    evaluate already get a guard, so where a guarded expression computes a
-    non-finite value without a failing operation, the function may return.
-    The message positions count the guarded expressions first."""
+    whose operand is not in (0, inf), an exp or a power that raises.  A log
+    or a division costs one comparison, and an exp or a power one call
+    unless the scalar-mode code of the outputs evaluates it already.
+    Where a guarded expression computes a non-finite value without a
+    failing operation, the function may return.  The message positions
+    count the guarded expressions first."""
     exprs = list(exprs)
     guarded = list(guarded)
     slot_of = {name: i for i, name in enumerate(names)}

@@ -218,9 +218,18 @@ class Game:
     @cached_property
     def cost_kernel(self) -> Callable[[np.ndarray], np.ndarray]:
         """The game's compiled costs: every agent's cost (profile order) at
-        a profile, with DomainError where one is not finite.  Compiled on
-        first use, so integrating or solving never builds it."""
-        return compile_vector_function(self.costs, self.var_names, self._kernel_label)
+        a profile, with DomainError where a cost or a partial is outside
+        the game's domain, named as ``kernel`` names it.  Compiled on first
+        use, so integrating or solving never builds it."""
+        costs = compile_vector_function(self.costs, self.var_names, self._kernel_label)
+        partials = self.kernel
+
+        def cost_kernel(x: np.ndarray) -> np.ndarray:
+            out = costs(x)
+            partials(x)
+            return out
+
+        return cost_kernel
 
     def _kernel_label(self, pos: int) -> str:
         """Names position ``pos`` of the costs followed by the partials."""

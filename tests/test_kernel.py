@@ -435,9 +435,9 @@ def test_vector_mode_leaves_a_deep_shape_to_scalar_mode():
 # --- the partials kernel and its guards ---------------------------------------
 #
 # ``Game.kernel`` returns only the partials; the cost operations that can fail
-# and that the partials do not evaluate are guarded.  The reference verdict is
-# ``expr.evaluate`` over every cost and every partial.  The two may differ
-# only where a cost computes a non-finite value with no failing operation.
+# are guarded.  The reference verdict is ``expr.evaluate`` over every cost and
+# every partial.  The two may differ only where a cost computes a non-finite
+# value with no failing operation.
 
 
 def _quietly_non_finite(cost, env):
@@ -552,10 +552,19 @@ def test_a_failing_guard_names_the_first_guarded_output(monkeypatch, form):
 
 
 def test_an_operation_the_outputs_evaluate_gets_no_guard():
-    # The outputs compute log(x1_1), 1/(x1_2 - 1) and exp(x1_3) themselves.
-    outputs = [parse("2*log(x1_1)"), parse("1/(x1_2 - 1) + exp(x1_3)")]
-    covered = [parse("log(x1_1) + 1/(x1_2 - 1)"), parse("exp(x1_3)*x1_4")]
-    assert not _calls_fail(compile_vector_function(outputs, NAMES, guarded=covered))
+    # The outputs compute exp(x1_3) and x1_4^0.5 themselves: the guards read
+    # their temps, so each is called once a call.
+    outputs = [parse("1/(x1_2 - 1) + exp(x1_3)"), parse("x1_4^0.5 + x1_1")]
+    covered = [parse("exp(x1_3)*x1_4"), parse("x1_1 - x1_4^0.5")]
+    fn = compile_vector_function(outputs, NAMES, guarded=covered)
+    assert not _calls_fail(fn)
+    calls = []
+    for name in ("_exp", "_pw"):
+        op = fn.__globals__[name]
+        fn.__globals__[name] = lambda *args, op=op: calls.append(op) or op(*args)
+    x = np.array([1.0, 0.0, 0.5, 4.0])
+    assert fn(x).tolist() == [-1.0 + math.exp(0.5), 3.0]
+    assert calls == [math.exp, math.pow] or calls == [math.pow, math.exp]
     # The outputs compute log's operand but not the log: one guard.
     fn = compile_vector_function([parse("1/(x1_1 + 1)")], NAMES, guarded=[parse("log(x1_1 + 1)")])
     assert _calls_fail(fn)
