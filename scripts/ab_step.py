@@ -17,8 +17,11 @@ Newton Jacobian that leaves the domain (``x1_1^1.5 + x1_1`` from 0) on
 only a guard of the partials kernel sees, since the ``log(x2_1)`` in the
 cost of agent (1,1) has no partial: from ``x2_1 = -1`` it fails at the
 start, and from ``x2_1 = 0.5`` the dynamics and Newton descend into it.
-It hashes with SHA-256 each exit code, each report (``wall_time_s``
-removed), each stderr text and each trajectory CSV, 98 digests in all.  Any
+It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
+whose costs raise their actions to the integer powers 4, -1 and -2, which
+the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
+code, each report (``wall_time_s`` removed), each stderr text and each
+trajectory CSV, 108 digests in all.  Any
 digest that differs between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
@@ -48,13 +51,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("example2", "congestion-demo", "coalition1-fig1")
 COMMANDS = ("run", "solve", "check", "costs")
-# Documents that fail on purpose, each coalition one agent with no
-# communication: (the cost of each coalition, the start, commands).
-FAILING = {
+# Documents whose coalitions are one agent each, with no communication:
+# (the cost of each coalition, the start, commands).  All but the last fail
+# on purpose.
+ONE_AGENT = {
     "domain-start": (("log(x1_1)",), [-1.0], ("run", "solve", "check")),
     "jacobian-exit": (("x1_1^1.5 + x1_1",), [0.0], ("solve",)),
     "guard-start": (("(x1_1 - 1)^2 + log(x2_1)", "(x2_1 - 2)^2"), [0.5, -1.0], ("run", "solve", "check")),
     "guard-wall": (("(x1_1 - 1)^2 + log(x2_1)", "(x2_1 + 1)^2"), [0.5, 0.5], ("run", "solve", "check")),
+    "integer-powers": (
+        ("(x1_1 - 1)^4 + 0.5*x1_1^-1 + 0.1*x1_1*x2_1", "(x2_1 - 2)^4 + x2_1^-2 - 0.1*x2_1*x1_1"),
+        [1.5, 2.5],
+        ("run", "solve", "check"),
+    ),
 }
 
 
@@ -96,7 +105,7 @@ def _write_docs(docs: Path, seed: int) -> dict:
         "ring-sparse": generators.ring_game(seed).doc,
         "congestion-net": generators.congestion_network(seed),
     }
-    for label, (costs, start, _) in FAILING.items():
+    for label, (costs, start, _) in ONE_AGENT.items():
         docs_by_label[label] = {
             "schema": "coalseek/scenario-v1",
             "name": label,
@@ -116,7 +125,7 @@ def _digests(docs: Path, seed: int) -> dict:
     from coalseek import cli
 
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
-    runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in FAILING.items()]
+    runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
     out = {}
     for label, source, commands in runs:
         for command in commands:

@@ -550,7 +550,6 @@ _SCALAR = {
     "neg": "(-{})",
     "exp": "_exp({})",
     "log": "_log({})",
-    "ipow": "({})**{}",
     "pow": "_pw({}, {})",
 }
 # Scalar-mode condition, by its operand's source, under which a guarded
@@ -584,8 +583,6 @@ def _vector_source(
         power = product_power(e)
         if power is None:
             return None
-        if isinstance(e.left, (Const, Var)):
-            return f"({' * '.join([left] * power)})"
         # ``_t`` is read right after it is bound, so nesting cannot clobber it.
         return f"((_t := {left}){' * _t' * (power - 1)})"
     right = _vector_source(e.right, lift, depth)
@@ -628,9 +625,9 @@ _Ref = Union[str, int]
 
 class _Dag:
     """Scalar-mode expressions, value-numbered: structurally equal subtrees
-    are one node.  ``nodes[k]`` is ``(op, *operands)``; an operand is a
-    ``_Ref``, or the text of a literal integer exponent.  ``uses[k]`` counts
-    the operand slots that read node ``k`` plus the outputs it is."""
+    are one node.  ``nodes[k]`` is ``(op, *operands)``, each operand a
+    ``_Ref``.  ``uses[k]`` counts the operand slots that read node ``k``
+    plus the outputs it is."""
 
     def __init__(self, slot_of: dict[str, int]):
         self._var_ref = {name: f"v{slot}" for name, slot in slot_of.items()}
@@ -712,12 +709,6 @@ class _Dag:
                 key = ("mul", left, left)
             elif power == 3:
                 key = ("mul", self._node(("mul", left, left)), left)
-            elif (
-                e.op == "pow"
-                and isinstance(e.right, Const)
-                and e.right.value == int(e.right.value)
-            ):
-                key = ("ipow", left, str(int(e.right.value)))
             else:
                 key = (e.op, left, self._ref(e.right))
             ref = self._node(key)

@@ -8,8 +8,9 @@ flat action profile ordered coalition-major: (1,1), (1,2), ..., (N, m_N),
 through two compiled kernels.  ``Game.kernel`` computes the cost partials,
 which the dynamics, the pseudo-gradient and the diagnostics read, and
 guards the costs' operations that can fail; ``Game.cost_kernel`` computes
-the costs, and is compiled only when something reads a cost.  Both raise
-``DomainError`` outside the game's domain under the compiler's rule.
+the costs followed by the partials, and is compiled only when something
+reads a cost.  Both raise ``DomainError`` outside the game's domain under
+the compiler's rule.
 """
 
 from __future__ import annotations
@@ -217,19 +218,14 @@ class Game:
 
     @cached_property
     def cost_kernel(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The game's compiled costs: every agent's cost (profile order) at
-        a profile, with DomainError where a cost or a partial is outside
-        the game's domain, named as ``kernel`` names it.  Compiled on first
-        use, so integrating or solving never builds it."""
-        costs = compile_vector_function(self.costs, self.var_names, self._kernel_label)
-        partials = self.kernel
-
-        def cost_kernel(x: np.ndarray) -> np.ndarray:
-            out = costs(x)
-            partials(x)
-            return out
-
-        return cost_kernel
+        """The game's compiled costs and partials: every agent's cost
+        (profile order), then the flat partial vector (slot order), at a
+        profile, with DomainError, named as ``kernel`` names it, where a
+        cost or a partial is not finite.  Compiled on first use, so
+        integrating or solving never builds it."""
+        return compile_vector_function(
+            self.costs + tuple(self.layout.partial_exprs()), self.var_names, self._kernel_label
+        )
 
     def _kernel_label(self, pos: int) -> str:
         """Names position ``pos`` of the costs followed by the partials."""

@@ -112,7 +112,7 @@ def _edge_list(raw, m: int, path: str) -> Graph:
         if not isinstance(spec, list) or len(spec) not in (2, 3):
             raise ScenarioError(f"{where}: expected [j, l] or [j, l, weight]")
         j, l = spec[0], spec[1]
-        if not isinstance(j, int) or not isinstance(l, int):
+        if type(j) is not int or type(l) is not int:
             raise ScenarioError(f"{where}: endpoints must be integers")
         if not (1 <= j <= m and 1 <= l <= m):
             raise ScenarioError(f"{where}: endpoints must lie in 1..{m}")
@@ -292,6 +292,8 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError(f"not UTF-8 text: {err}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    # A ValueError that is no JSONDecodeError is an integer literal past the
+    # interpreter's digit limit; RecursionError is nesting past its depth.
+    except (ValueError, RecursionError) as err:
         raise ScenarioError(f"invalid JSON: {err}") from None
     return parse_scenario(doc, fallback)

@@ -316,7 +316,7 @@ def _one_coalition(*costs):
 def test_finite_outputs_whose_sum_overflows_are_inside_the_domain():
     game = _one_coalition("1e308*x1_1", "1e308*x1_2")
     x = np.array([1.0, 1.0])
-    assert game.cost_kernel(x).tolist() == [1e308, 1e308]
+    assert game.cost_kernel(x).tolist() == [1e308, 1e308, 1e308, 1e308]
     assert game.kernel(x).tolist() == [1e308, 1e308]
     assert Seeker(game).partial_vector(x).tolist() == [1e308, 1e308]
 

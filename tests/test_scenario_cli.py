@@ -216,6 +216,14 @@ _COALITION = _minimal_doc()["coalitions"][0]
             {"coalitions": [dict(_COALITION, communication=[[1, 2, float("inf")]])]},
             id="weight-inf",
         ),
+        pytest.param(
+            {"coalitions": [dict(_COALITION, communication=[[True, 2]])]},
+            id="communication-endpoint-bool",
+        ),
+        pytest.param(
+            {"coalitions": [dict(_COALITION, interference=[[True, 2]])]},
+            id="interference-endpoint-bool",
+        ),
         pytest.param({"seed": -1}, id="seed"),
         pytest.param(
             {"coalitions": [dict(_COALITION, costs=["1e999*x1_1^2", _COALITION["costs"][1]])]},
@@ -238,6 +246,28 @@ def test_cli_non_utf8_scenario_is_validation_error(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 200000, id="nested-past-recursion-limit"),
+        pytest.param(
+            json.dumps(_minimal_doc(seed="N")).replace('"N"', "9" * 5000), id="seed-5000-digits"
+        ),
+        pytest.param(
+            json.dumps(_minimal_doc(initial_x=[0, "N"])).replace('"N"', "1" * 5000),
+            id="initial_x-5000-digits",
+        ),
+    ],
+)
+def test_cli_json_past_interpreter_limits_is_validation_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: invalid JSON: ")
     assert err.count("\n") == 1
 
 
@@ -361,12 +391,13 @@ def _count_compiles(monkeypatch):
 
 
 def test_cli_check_compiles_the_kernel_once(monkeypatch, capsys):
-    # Once over the partials, guarded by the costs, and once over the costs.
+    # Once over the partials, guarded by the costs, and once over the costs
+    # followed by the partials.
     compiled = _count_compiles(monkeypatch)
     assert main(["check", "congestion-demo"]) == 0
     game = load_scenario("congestion-demo").game
     n, size = game.n_actions, game.layout.size
-    assert sorted(compiled) == sorted([(size, n), (n, 0)])
+    assert sorted(compiled) == sorted([(size, n), (n + size, 0)])
 
 
 @pytest.mark.parametrize("command", ["run", "solve"])
@@ -747,7 +778,8 @@ def test_cli_runs_a_cost_with_a_250_term_chain(tmp_path, capsys):
     game = load_scenario(str(path)).game
     x = np.random.default_rng(1).uniform(-2.0, 2.0, game.n_actions)
     env = dict(zip(game.var_names, x.tolist()))
-    for kernel, exprs in ((game.kernel, game.layout.partial_exprs()), (game.cost_kernel, game.costs)):
+    partials = game.layout.partial_exprs()
+    for kernel, exprs in ((game.kernel, partials), (game.cost_kernel, [*game.costs, *partials])):
         reference = np.array([evaluate(e, env) for e in exprs])
         assert np.array_equal(kernel(x).view(np.int64), reference.view(np.int64))
 
