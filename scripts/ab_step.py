@@ -28,9 +28,12 @@ Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
 ``Seeker.integrate`` ``--repeats`` times (keeping the fastest) and times one
 kernel call as the integrator makes it (``Seeker.partial_vector`` at the
-initial profile).  Per input the script prints the median and IQR of the
-integrate wall time on each side, the change's relative move, how many pairs
-the change won, and the median microseconds per kernel call.
+initial profile, the best of 25 batches of up to 200 calls) and one
+``oracle.gradient_check`` at the initial profile (the best of 5 batches of
+up to 20 audits, each batch sized to run about 50 ms).  Per input the script
+prints the median and IQR of the integrate wall time on each side, the
+change's relative move, how many pairs the change won, the median
+microseconds per kernel call and the median milliseconds per audit.
 """
 
 from __future__ import annotations
@@ -152,9 +155,22 @@ def _digests(docs: Path, seed: int) -> dict:
     return out
 
 
+def _best_per_call(call, calls: int, batches: int) -> float:
+    """Seconds per call of ``call()``: the best of ``batches`` batches of
+    ``calls`` calls."""
+    best = float("inf")
+    for _ in range(batches):
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        best = min(best, time.perf_counter() - start)
+    return best / calls
+
+
 def _times(docs: Path, repeats: int) -> dict:
     import numpy as np
     from coalseek.dynamics import Seeker
+    from coalseek.oracle import gradient_check
     from coalseek.scenario import load_scenario
 
     out = {}
@@ -168,12 +184,18 @@ def _times(docs: Path, repeats: int) -> dict:
             trajectory = seeker.integrate(state, scenario.params)
             best = min(best, time.perf_counter() - start)
         x = np.array(state.x)
-        calls = max(1, min(2000, trajectory.rhs_evals))
+        calls = max(1, min(200, trajectory.rhs_evals))
+        kernel_us = _best_per_call(lambda: seeker.partial_vector(x), calls, 25) * 1e6
         start = time.perf_counter()
-        for _ in range(calls):
-            seeker.partial_vector(x)
-        kernel_us = (time.perf_counter() - start) / calls * 1e6
-        out[label] = {"integrate_s": best, "kernel_us": kernel_us, "rhs_evals": trajectory.rhs_evals}
+        gradient_check(scenario.game, x)  # the first audit builds its plan
+        audits = max(1, min(20, int(0.05 / (time.perf_counter() - start))))
+        audit_ms = _best_per_call(lambda: gradient_check(scenario.game, x), audits, 5) * 1e3
+        out[label] = {
+            "integrate_s": best,
+            "kernel_us": kernel_us,
+            "audit_ms": audit_ms,
+            "rhs_evals": trajectory.rhs_evals,
+        }
     return out
 
 
@@ -232,17 +254,19 @@ def main() -> int:
                 runs[side].append(_call(sides[side], "times", str(docs), str(args.repeats)))
 
     print(f"{'input':<16} {'parent s (IQR)':>20} {'change s (IQR)':>20} {'move':>7} "
-          f"{'wins':>6} {'kernel us':>16} {'rhs_evals':>9}")
+          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'rhs_evals':>9}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["integrate_s"] for r in runs["parent"]]
         change = [r[label]["integrate_s"] for r in runs["change"]]
         (pm, piqr), (cm, ciqr) = _quartiles(parent), _quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
         kernel = [statistics.median(r[label]["kernel_us"] for r in runs[side]) for side in sides]
+        audit = [statistics.median(r[label]["audit_ms"] for r in runs[side]) for side in sides]
         evals = {r[label]["rhs_evals"] for side in sides for r in runs[side]}
         print(f"{label:<16} {f'{pm:.4f} ({piqr:.4f})':>20} {f'{cm:.4f} ({ciqr:.4f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
-              f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {'/'.join(map(str, sorted(evals))):>9}")
+              f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {f'{audit[0]:.2f} -> {audit[1]:.2f}':>16} "
+              f"{'/'.join(map(str, sorted(evals))):>9}")
     return 0
 
 

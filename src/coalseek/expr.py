@@ -651,7 +651,9 @@ class _Dag:
         denominator ``d``, and ``("call", e)`` for an exp or a power ``e``
         other than a product, evaluated as itself.  Each operand joins the
         DAG as a use, so an exp or a power the DAG evaluates already is its
-        temp, and its guard emits nothing."""
+        temp, and its guard emits nothing.  No ``("div", d)`` guard is
+        returned where the DAG divides by ``d`` or by ``d*d``: that division
+        raises already wherever ``d`` is zero."""
         found: dict[tuple[str, _Ref], None] = {}
         stack = list(trees)[::-1]
         while stack:
@@ -674,12 +676,21 @@ class _Dag:
                 continue
             else:
                 continue
-            ref = self._ref(e)
-            if (kind, ref) not in found:
-                found[(kind, ref)] = None
-                if isinstance(ref, int):
-                    self.uses[ref] += 1
-        return list(found)
+            found.setdefault((kind, self._ref(e)))
+        divided = set()
+        for op, *operands in self.nodes:
+            if op == "div":
+                den = operands[1]
+                divided.add(den)
+                if isinstance(den, int) and self.nodes[den][0] == "mul":
+                    _, left, right = self.nodes[den]
+                    if left == right:  # d*d is zero wherever d is
+                        divided.add(left)
+        kept = [(kind, ref) for kind, ref in found if kind != "div" or ref not in divided]
+        for _, ref in kept:
+            if isinstance(ref, int):
+                self.uses[ref] += 1
+        return kept
 
     def _node(self, key: tuple) -> int:
         ref = self._number.get(key)

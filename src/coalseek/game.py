@@ -227,6 +227,15 @@ class Game:
             self.costs + tuple(self.layout.partial_exprs()), self.var_names, self._kernel_label
         )
 
+    @cached_property
+    def audit_plan(self):
+        """The gradient audit's coloring of the action columns
+        (``oracle.AuditPlan``), built on the first audit, so integrating,
+        solving and counting costs never build it."""
+        from .oracle import AuditPlan
+
+        return AuditPlan(self)
+
     def _kernel_label(self, pos: int) -> str:
         """Names position ``pos`` of the costs followed by the partials."""
         n = self.n_actions

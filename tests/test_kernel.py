@@ -580,11 +580,12 @@ def test_congestion_guards_compare_values_the_partials_compute():
         dag.output(e)
     nodes = len(dag.nodes)
     guards = dag.guards(game.costs)
-    # One guard per flow's log(own + 1) and per link's kappa/(capacity -
-    # load); every operand is a node of the partials, so no node is added.
+    # One guard per flow's log(own + 1); every operand is a node of the
+    # partials, so no node is added.  A link's kappa/(capacity - load) gets
+    # none (it had one, 104 guards in all): the partials divide by
+    # (capacity - load)^2.
     assert len(dag.nodes) == nodes
-    assert sorted({kind for kind, _ in guards}) == ["div", "log"]
-    assert sum(kind == "log" for kind, _ in guards) == game.n_actions
+    assert [kind for kind, _ in guards] == ["log"] * game.n_actions
     assert "_s1" not in game.kernel.__globals__
     x = np.full(game.n_actions, 1.5)
     env = dict(zip(game.var_names, x.tolist()))
@@ -594,3 +595,44 @@ def test_congestion_guards_compare_values_the_partials_compute():
     with pytest.raises(DomainError) as info:
         game.kernel(x)
     assert str(info.value) == "log of non-positive value 0.0 in the cost of agent (1,1)"
+
+
+def test_a_division_the_outputs_compute_gets_no_guard():
+    # The outputs divide by x1_2 - 1 and by (x1_3 + x1_4)^2: the guarded
+    # 2/(x1_2 - 1) and 3/(x1_3 + x1_4) fail only where they do.  The
+    # denominator of 1/(x1_1 + 2) is divided by nowhere, so it keeps its
+    # guard.
+    outputs = [parse("1/(x1_2 - 1)"), parse("x1_1/(x1_3 + x1_4)^2")]
+    guarded = [parse("2/(x1_2 - 1) + 3/(x1_3 + x1_4)"), parse("1/(x1_1 + 2)")]
+    dag = expr._Dag({name: i for i, name in enumerate(NAMES)})
+    for e in outputs:
+        dag.output(e)
+    assert [kind for kind, _ in dag.guards(guarded)] == ["div"]
+    fn = compile_vector_function(outputs, NAMES, _entry, guarded=guarded)
+    assert fn(np.array([0.5, 2.0, 1.0, 1.0])).tolist() == [1.0, 0.125]
+    for point, message in (
+        ([0.5, 1.0, 1.0, 1.0], "division by zero in entry 0"),
+        ([0.5, 2.0, 1.0, -1.0], "division by zero in entry 0"),
+        ([-2.0, 2.0, 1.0, 1.0], "division by zero in entry 1"),
+    ):
+        with pytest.raises(DomainError) as info:
+            fn(np.array(point))
+        assert str(info.value) == message
+
+
+def test_a_link_at_capacity_fails_with_the_message_of_the_reference():
+    # The division guards of the congestion costs were dropped (see
+    # test_congestion_guards_compare_values_the_partials_compute): at a
+    # link's capacity the partials' division by its squared capacity - load
+    # raises, with the message of the reference walk of the costs.
+    game = _congestion_network()
+    x = np.full(game.n_actions, 1.5)
+    x[game.action_index(1, 1)] = 38.5  # link c1_1 carries flows (1,1) and (1,2)
+    env = dict(zip(game.var_names, x.tolist()))
+    with pytest.raises(DomainError) as reference:
+        evaluate(game.costs[0], env)
+    for kernel in (game.kernel, game.cost_kernel):
+        with pytest.raises(DomainError) as info:
+            kernel(x)
+        assert str(info.value) == f"{reference.value} in the cost of agent (1,1)"
+        assert str(info.value) == "division by zero in the cost of agent (1,1)"

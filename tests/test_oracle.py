@@ -1,7 +1,18 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coalseek.expr import parse
-from coalseek.game import Coalition, Game, pseudo_gradient
+from coalseek.corpus import random_quadratic_game
+from coalseek.expr import DomainError, free_variables, parse
+from coalseek.game import (
+    Coalition,
+    FlowAgent,
+    Game,
+    build_congestion_game,
+    infer_interference_graph,
+    pseudo_gradient,
+)
 from coalseek.graphs import Graph
 from coalseek.oracle import (
     _jacobian_function,
@@ -10,6 +21,7 @@ from coalseek.oracle import (
     solve_stationary,
     verify_nash,
 )
+from coalseek.scenario import load_scenario
 from conftest import STATIONARY_SECOND
 
 
@@ -188,3 +200,235 @@ def test_gradient_check_near_capacity(congestion_demo):
     err = gradient_check(game, x)
     assert np.isfinite(err)
     assert err <= 1e-3
+
+
+# --- the colored audit against the column-by-column one ----------------------------------
+
+
+def _column_audit(game, x, h=1e-6):
+    """The gradient audit column by column, two cost-kernel calls per action
+    column: the reference the colored audit must equal."""
+    x = game.as_profile(x)
+    sym = game.kernel(x)
+    worst = 0.0
+    # Block ``col`` holds the partials d f_ij / d x_col over its members j.
+    for col, b in enumerate(game.layout.blocks):
+        agents = [game.action_index(b.coalition, j) for j in b.members]
+        xp, xm = x.copy(), x.copy()
+        xp[col] += h
+        xm[col] -= h
+        up = game.cost_kernel(xp)[agents]
+        down = game.cost_kernel(xm)[agents]
+        fd = (up - down) / (2.0 * h)
+        s = sym[b.start : b.stop]
+        worst = max(worst, float((np.abs(s - fd) / np.maximum(1.0, np.abs(s))).max()))
+    return worst
+
+
+def _outcome(audit, game, x):
+    """The audit's bits, or the message of the DomainError it raises."""
+    try:
+        return audit(game, x).hex()
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+def _assert_same_audit(game, points):
+    """Equal bits or the same DomainError at every point; the number of
+    points outside the domain."""
+    outside = 0
+    for x in points:
+        expected = _outcome(_column_audit, game, x)
+        assert _outcome(gradient_check, game, x) == expected, x
+        outside += expected.startswith("DomainError")
+    return outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([1.0, 10.0, 1e100, 1e160]),
+)
+def test_colored_audit_matches_columns_on_quadratic_games(seed, scale):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    _assert_same_audit(game, [scale * rng.uniform(-1.0, 1.0, game.n_actions) for _ in range(3)])
+
+
+@pytest.mark.parametrize("fixture", ["example2", "congestion_demo", "fig1_demo"])
+def test_colored_audit_matches_columns_on_presets(fixture, request):
+    scenario = request.getfixturevalue(fixture)
+    game = scenario.game
+    rng = np.random.default_rng(31)
+    base = np.array(scenario.initial_x)
+    points = [base + rng.uniform(-0.5, 0.5, game.n_actions) for _ in range(10)]
+    if fixture == "congestion_demo":
+        # One flow a step from its log wall at -1: the column calls that
+        # cross it fail, the others do not.
+        for t in range(6):
+            x = base + rng.uniform(0.0, 0.5, game.n_actions)
+            x[t] = -1.0 + (t - 2) * 4e-7
+            points.append(x)
+    outside = _assert_same_audit(game, points)
+    assert outside == (5 if fixture == "congestion_demo" else 0)
+
+
+def test_colored_audit_matches_columns_on_a_congestion_network():
+    paths = {(i, j): (f"c{i}_{j // 2}", f"s{j}", f"s{j % 6 + 1}") for i in (1, 2, 3) for j in range(1, 7)}
+    agents = [FlowAgent(i, path, 2.0) for (i, _), path in paths.items()]
+    links = {name: 20.0 for a in agents for name in a.path}
+    game = build_congestion_game(links, agents, kappa=5.0)
+    rng = np.random.default_rng(8)
+    points = [rng.uniform(-0.5, 3.0, game.n_actions) for _ in range(10)]
+    # Link c1_1 carries flows (1,2) and (1,3).  At a load of exactly its
+    # capacity every kernel fails; a step below it, the column call that
+    # moves flow (1,2) up to it fails; half a step above, no call meets it.
+    for load in (20.0, 20.0 - 1e-6, 20.0 + 5e-7):
+        x = np.full(game.n_actions, 0.5)
+        x[game.action_index(1, 2)] = load - 0.5
+        points.append(x)
+    assert _assert_same_audit(game, points) == 2
+
+
+def _one_agent_coalitions(*costs):
+    trivial = Graph.build([1])
+    return Game(tuple(Coalition((parse(cost),), (1.0,), trivial, trivial) for cost in costs))
+
+
+def test_colored_audit_matches_columns_at_a_guard_wall():
+    # log(x2_1) in the cost of agent (1,1) has no partial: only a guard of
+    # the partials kernel and the cost kernel see its wall at 0.
+    game = _one_agent_coalitions("(x1_1 - 1)^2 + log(x2_1)", "(x2_1 + 1)^2")
+    rng = np.random.default_rng(5)
+    points = [0.5 + rng.uniform(-0.5, 0.5, 2) for _ in range(20)]
+    points += [np.array([0.5, k * 5e-7]) for k in range(-1, 5)]
+    assert _assert_same_audit(game, points) == 4
+
+
+def test_colored_audit_matches_columns_where_one_cost_reads_every_column():
+    g = Graph.build([1, 2, 3], [(1, 2), (2, 3)])
+    complete = Graph.build([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+    costs = [
+        "(x1_1 - 1)^2 + x1_1*x1_2*x2_1 + x2_2*x2_3 + log(x1_3 + 2)",
+        "(x1_2 + 1)^2 + x1_1*x1_2 + x1_2*x1_3",
+        "x1_3^4 + x1_2*x1_3",
+    ]
+    other = ["(x2_1 - 0.5)^2 + x2_1*x2_2", "exp(x2_2) + x2_2*x2_3", "(x2_3 - 2)^2 + x2_2*x2_3"]
+    game = Game(
+        (
+            Coalition(tuple(map(parse, costs)), (1.0,) * 3, complete, complete),
+            Coalition(tuple(map(parse, other)), (1.0,) * 3, g, g),
+        )
+    )
+    assert len(game.audit_plan.classes) == game.n_actions
+    rng = np.random.default_rng(2)
+    points = [rng.uniform(-1.0, 1.0, game.n_actions) for _ in range(10)]
+    points.append(np.array([0.0, 0.0, -2.0 + 5e-7, 0.0, 0.0, 0.0]))
+    assert _assert_same_audit(game, points) == 1
+
+
+def test_colored_audit_matches_columns_on_an_interference_edge_no_cost_reads():
+    # The partial of the cost of (1,1) in x1_2 is stored and zero.  Its
+    # cost reads x1_1, so x1_1 and x1_2 must not share a class, though no
+    # cost reads both.
+    g = Graph.build([1, 2], [(1, 2)])
+    game = Game(
+        (
+            Coalition((parse("x1_1^3 + x2_1^2"), parse("x1_2^2")), (1.0, 1.0), g, g),
+            Coalition((parse("(x2_1 - 1)^2"),), (1.0,), Graph.build([1]), Graph.build([1])),
+        )
+    )
+    assert game.audit_plan.colors.tolist() == [0, 1, 2]
+    rng = np.random.default_rng(4)
+    _assert_same_audit(game, [rng.uniform(-2.0, 2.0, 3) for _ in range(5)])
+
+
+def test_colored_audit_matches_columns_where_a_cost_fails_only_at_the_start():
+    # The cost of agent (1,1) overflows quietly to inf at x1_1 = 1 and is
+    # finite, with finite partials, a step off it, so the partials kernel
+    # returns there.  Alone, both column calls return: the cost kernel at
+    # the start fails, and the audit reruns column by column to return too.
+    # With x2_1 in its class, the column call that moves only x2_1 fails,
+    # and only the call at the start sees that.
+    cost = "1.7976931348623157e308*(1 + 1e-10*(1 - 2e12*(x1_1 - 1)^2))"
+    alone = _one_agent_coalitions(cost)
+    x = np.array([1.0])
+    with pytest.raises(DomainError):
+        alone.cost_kernel(x)
+    assert _assert_same_audit(alone, [x, x + 1e-3]) == 0
+    paired = _one_agent_coalitions(cost, "(x2_1 - 1)^2")
+    assert paired.audit_plan.colors.tolist() == [0, 0]
+    assert _assert_same_audit(paired, [np.array([1.0, 0.5]), np.array([1.001, 0.5])]) == 1
+
+
+# --- the audit's coloring -------------------------------------------------------------
+
+
+def _ring_game(agents=40, coalitions=4):
+    """Rings of the benchmark generator's form: agent (i, j) reads its ring
+    neighbors and agent j of the next coalition."""
+    m = agents // coalitions
+    out = []
+    for i in range(1, coalitions + 1):
+        nxt = i % coalitions + 1
+        costs = []
+        for j in range(1, m + 1):
+            prev, succ = (j - 2) % m + 1, j % m + 1
+            costs.append(parse(
+                f"5*x{i}_{j}^2 + 0.5*x{i}_{j} + 0.2*x{i}_{j}*(x{i}_{prev} + x{i}_{succ})"
+                f" + 0.03*x{i}_{j}*x{nxt}_{j}"
+            ))
+        ring = infer_interference_graph(costs, i)
+        out.append(Coalition(tuple(costs), (1.0,) * m, ring, ring))
+    return Game(tuple(out))
+
+
+def _assert_plan_partitions(game):
+    plan = game.audit_plan
+    n, size = game.n_actions, game.layout.size
+    cols = np.concatenate([c for c, _, _ in plan.classes])
+    slots = np.concatenate([s for _, s, _ in plan.classes])
+    assert sorted(cols.tolist()) == list(range(n))
+    assert sorted(slots.tolist()) == list(range(size))
+    for f in game.costs:
+        reads = [game.var_index[name] for name in free_variables(f)]
+        assert len(set(plan.colors[reads].tolist())) == len(reads)
+    for c, (cols, slots, costs) in enumerate(plan.classes):
+        assert (plan.colors[cols] == c).all()
+        for slot, cost in zip(slots.tolist(), costs.tolist()):
+            i, j, k = list(game.layout.slots)[slot]
+            assert plan.colors[game.action_index(i, k)] == c
+            assert cost == game.action_index(i, j)
+
+
+@pytest.mark.parametrize("preset, classes", [("example2", 10), ("congestion-demo", 6), ("coalition1-fig1", 4)])
+def test_audit_plan_colors_presets(preset, classes):
+    game = load_scenario(preset).game
+    _assert_plan_partitions(game)
+    assert len(game.audit_plan.classes) == classes
+
+
+def test_audit_plan_colors_a_ring_with_six_classes():
+    game = _ring_game()
+    _assert_plan_partitions(game)
+    assert len(game.audit_plan.classes) == 6
+    assert _assert_same_audit(game, [np.random.default_rng(3).uniform(-1.0, 1.0, 40)]) == 0
+
+
+def test_audit_plan_partitions_quadratic_games(quadratic_corpus):
+    for sample in quadratic_corpus:
+        _assert_plan_partitions(sample.game)
+
+
+def test_an_audit_in_the_domain_makes_one_call_per_class_and_sign_and_one_at_x():
+    game = load_scenario("congestion-demo").game
+    kernel = game.cost_kernel
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return kernel(x)
+
+    game.__dict__["cost_kernel"] = counting
+    gradient_check(game, np.full(game.n_actions, 0.3))
+    assert len(calls) == 1 + 2 * len(game.audit_plan.classes) == 13

@@ -413,6 +413,45 @@ def test_cli_run_and_solve_never_compile_the_cost_kernel(tmp_path, monkeypatch, 
     assert (n, 0) not in compiled
 
 
+@pytest.mark.parametrize("command", ["run", "solve", "costs", "check"])
+def test_cli_only_check_builds_the_audit_plan(tmp_path, monkeypatch, capsys, command):
+    import coalseek.oracle
+
+    built = []
+
+    class CountingPlan(coalseek.oracle.AuditPlan):
+        def __init__(self, game):
+            built.append(game.n_actions)
+            super().__init__(game)
+
+    monkeypatch.setattr(coalseek.oracle, "AuditPlan", CountingPlan)
+    argv = [command, "congestion-demo"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    assert built == ([10] if command == "check" else [])
+
+
+def test_cli_check_counts_the_samples_a_guard_wall_rejects(tmp_path, capsys):
+    # log(x2_1) in the cost of agent (1,1) has no partial; samples around
+    # x2_1 = 0.5 reach past its wall at 0.
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "guard-wall",
+        "coalitions": [
+            {"costs": ["(x1_1 - 1)^2 + log(x2_1)"], "communication": []},
+            {"costs": ["(x2_1 + 1)^2"], "communication": []},
+        ],
+        "initial_x": [0.5, 0.5],
+    }
+    path = tmp_path / "guard-wall.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--format", "kv", "--seed", "5"]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert kv["domain_skipped"] == "11"
+    assert float(kv["gradient_max_rel_err"]) <= 1e-6
+
+
 def test_cli_jacobian_domain_exit_names_entry_and_operation(tmp_path, capsys):
     # d2/dx1_1^2 of x1_1^1.5 is 0.75 * x1_1^-0.5, which has no value at 0.
     path = _one_agent_file(tmp_path, "x1_1^1.5 + x1_1", 0.0)
