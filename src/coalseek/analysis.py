@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SeekerState
-from .game import Game, action_name
-from .graphs import orthonormal_complement
+from .game import Game
+from .graphs import is_connected, orthonormal_complement
 
 __all__ = [
     "BlockTransform",
@@ -72,9 +72,15 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> np.ndarr
 
 def build_block_transforms(game: Game) -> dict[tuple[int, int], BlockTransform]:
     """One transform per estimation block, its Lyapunov matrix solved against
-    the identity of the block's reduced dimension."""
+    the identity of the block's reduced dimension.  Raises ValueError, naming
+    the block, where a block's communication graph is disconnected."""
     out = {}
     for b in game.layout.blocks:
+        if not is_connected(game.coalitions[b.coalition - 1].comm.induced(b.members)):
+            raise ValueError(
+                "the energy value needs the communication graph of block "
+                f"({b.coalition},{b.k}) connected"
+            )
         basis = orthonormal_complement(b.size)
         lap = game.layout.block_laplacians[(b.coalition, b.k)]
         reduced = basis.T @ lap @ basis
@@ -134,7 +140,7 @@ def deviation_bounds(game: Game, state: SeekerState) -> dict[tuple[int, int, int
     bound = np.repeat(np.sqrt(1.0 - 1.0 / sizes) * norms, sizes)
     return {
         key: DeviationRecord(deviation=dev, bound=bnd)
-        for key, dev, bnd in zip(layout.slots, deviation.tolist(), bound.tolist())
+        for key, dev, bnd in zip(layout.keys, deviation.tolist(), bound.tolist())
     }
 
 
@@ -230,17 +236,16 @@ def cost_accounting(game: Game) -> CostReport:
     in its closed interference neighborhood (one per slot it holds) and
     sends each estimate to its communication neighbors inside that
     component's neighborhood graph (one per block edge it heads).
-    Baseline: a pair per component of the whole coalition, with both values
-    sent to every communication neighbor.
+    Baseline: the same scheme on complete interference graphs, the strategy
+    the reduced one is measured against: a pair per component of the whole
+    coalition, and each estimate sent to every communication neighbor.
     """
     layout = game.layout
-    # Profile index of the agent (i, j) holding each slot (i, j, k).
-    owner = np.array([game.var_index[action_name(i, j)] for i, j, _ in layout.slots], dtype=np.intp)
-    held = np.bincount(owner, minlength=game.n_actions).tolist()
-    sent = np.bincount(owner[layout.edges[0]], minlength=game.n_actions).tolist()
+    held = np.bincount(layout.owner, minlength=game.n_actions).tolist()
+    sent = np.bincount(layout.owner[layout.edges[0]], minlength=game.n_actions).tolist()
     # estimated[a, k]: agent a (profile order) estimates component k.
     estimated = np.zeros((game.n_actions, max(game.sizes) + 1), dtype=bool)
-    estimated[owner, [k for _, _, k in layout.slots]] = True
+    estimated[layout.owner, [k for _, _, k in layout.keys]] = True
     agents = []
     for i, c in enumerate(game.coalitions, start=1):
         for j in range(1, c.m + 1):
@@ -252,7 +257,7 @@ def cost_accounting(game: Game) -> CostReport:
                     aux_proposed=2 * held[a],
                     aux_baseline=2 * c.m,
                     tx_proposed=sent[a],
-                    tx_baseline=2 * c.m * c.comm.degree(j),
+                    tx_baseline=c.m * c.comm.degree(j),
                     dropped=tuple((np.flatnonzero(~estimated[a, 1 : c.m + 1]) + 1).tolist()),
                 )
             )

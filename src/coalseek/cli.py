@@ -116,7 +116,10 @@ def _cmd_run(args) -> int:
     seeker = Seeker(scenario.game)
     params = scenario.params
     if scenario.x_star is not None:
-        transforms = analysis.build_block_transforms(scenario.game)
+        try:
+            transforms = analysis.build_block_transforms(scenario.game)
+        except ValueError as err:
+            raise ScenarioError(f"$.x_star: {err}") from None
         x_star = np.array(scenario.x_star)
         params = dataclasses.replace(
             params,

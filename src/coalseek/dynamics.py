@@ -294,14 +294,14 @@ class Seeker:
         if pos < self._n:
             name = self.game.var_names[pos]
         else:
-            name = "estimate ({},{},{})".format(*list(self.layout.slots)[pos - self._n])
+            name = "estimate ({},{},{})".format(*self.layout.keys[pos - self._n])
         return f"{name} moves fastest, at |dz/dt| = {abs(dz[pos]):.3g}"
 
     # -- stepping ---------------------------------------------------------------
     #
-    # ``integrate`` runs the steps under ``np.errstate``: a stage that
-    # overflows is caught by the finiteness checks and rejected, with no
-    # warning.
+    # ``integrate`` runs the steps and the records under ``np.errstate``: a
+    # stage that overflows is caught by the finiteness checks and rejected,
+    # and a recorded norm that overflows reads inf, with no warning.
 
     def _step(self, z, h, k1, tableau):
         """One attempt of ``tableau`` from ``z``, whose derivative is ``k1``:
@@ -424,8 +424,8 @@ class Seeker:
             return tol is not None and p_inf <= tol and max_resid <= tol
 
         t_end = state0.t + params.horizon
-        record(state0.t, z, pvec)
         with np.errstate(over="ignore", invalid="ignore"):
+            record(state0.t, z, pvec)
             steps, rejected, stopped = self._steps(z, state0.t, pvec, t_end, params, record)
 
         return Trajectory(

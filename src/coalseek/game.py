@@ -112,7 +112,6 @@ class Game:
             raise GameError("a game needs at least one coalition")
         if not (0 < self.delta < math.inf):
             raise GameError("delta must be positive and finite")
-        valid_names = set()
         for i, c in enumerate(self.coalitions, start=1):
             m = c.m
             if m < 1:
@@ -127,21 +126,7 @@ class Game:
                     raise GameError(
                         f"coalition {i}: {label} graph must be on vertices 1..{m}"
                     )
-            valid_names.update(action_name(i, j) for j in range(1, m + 1))
-        for i, c in enumerate(self.coalitions, start=1):
-            for j, f in enumerate(c.costs, start=1):
-                for name in free_variables(f):
-                    idx = split_action_name(name)
-                    if idx is None or name not in valid_names:
-                        raise GameError(
-                            f"cost of agent ({i},{j}) references unknown action '{name}'"
-                        )
-                    ci, ck = idx
-                    if ci == i and ck != j and not c.interference.has_edge(j, ck):
-                        raise GameError(
-                            f"cost of agent ({i},{j}) depends on x{i}_{ck} but the "
-                            f"interference graph of coalition {i} has no edge ({j},{ck})"
-                        )
+        self.supports  # validates every cost's reads
 
     # -- indexing ----------------------------------------------------------
 
@@ -183,20 +168,42 @@ class Game:
     # -- derivative cache and block layout ----------------------------------
 
     @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """For each cost, in profile order, the ascending profile indices of
+        the actions it reads.  Raises GameError at the first name, in sorted
+        order, that is no action or that the interference graph excludes."""
+        out = []
+        for i, c in enumerate(self.coalitions, start=1):
+            for j, f in enumerate(c.costs, start=1):
+                cols = []
+                for name in sorted(free_variables(f)):
+                    col = self.var_index.get(name)
+                    if col is None:
+                        raise GameError(
+                            f"cost of agent ({i},{j}) references unknown action '{name}'"
+                        )
+                    ci, ck = split_action_name(name)
+                    if ci == i and ck != j and not c.interference.has_edge(j, ck):
+                        raise GameError(
+                            f"cost of agent ({i},{j}) depends on x{i}_{ck} but the "
+                            f"interference graph of coalition {i} has no edge ({j},{ck})"
+                        )
+                    cols.append(col)
+                out.append(tuple(sorted(cols)))
+        return tuple(out)
+
+    @cached_property
     def partials(self) -> dict[tuple[int, int, int], Expression]:
         """Symbolic d f_ij / d x_ik for every stored estimate index (i, j, k),
-        k running over the closed interference neighborhood of agent j."""
-        table = {}
-        for i, c in enumerate(self.coalitions, start=1):
-            for j in range(1, c.m + 1):
-                f = c.costs[j - 1]
-                for k in sorted(set(c.interference.neighbors(j)) | {j}):
-                    table[(i, j, k)] = differentiate(f, action_name(i, k))
-        return table
+        in slot order (``Layout.keys``)."""
+        return {
+            (i, j, k): differentiate(self.coalitions[i - 1].costs[j - 1], action_name(i, k))
+            for i, j, k in self.layout.keys
+        }
 
     @cached_property
     def layout(self) -> "Layout":
-        return Layout(self)
+        return Layout(self.coalitions)
 
     @cached_property
     def costs(self) -> tuple[Expression, ...]:
@@ -213,7 +220,7 @@ class Game:
         non-finite value with no failing operation (see
         ``compile_vector_function``)."""
         return compile_vector_function(
-            self.layout.partial_exprs(), self.var_names, self._kernel_label, guarded=self.costs
+            tuple(self.partials.values()), self.var_names, self._kernel_label, guarded=self.costs
         )
 
     @cached_property
@@ -224,7 +231,7 @@ class Game:
         cost or a partial is not finite.  Compiled on first use, so
         integrating or solving never builds it."""
         return compile_vector_function(
-            self.costs + tuple(self.layout.partial_exprs()), self.var_names, self._kernel_label
+            self.costs + tuple(self.partials.values()), self.var_names, self._kernel_label
         )
 
     @cached_property
@@ -242,7 +249,7 @@ class Game:
         if pos < n:
             i, j = split_action_name(self.var_names[pos])
             return f"the cost of agent ({i},{j})"
-        i, j, k = list(self.layout.slots)[pos - n]
+        i, j, k = self.layout.keys[pos - n]
         return f"the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
 
 
@@ -250,26 +257,31 @@ class Layout:
     """Flat storage layout of the per-block auxiliary/estimate vectors.
 
     Entries are ordered block-major: coalitions in order, components k in
-    order, members j sorted within the block.  Membership is symmetric, so the
-    index set equals the (i, j, k) triples of ``Game.partials``.
+    order, members j of k's closed interference neighborhood sorted within
+    the block.  Slot ``s`` is agent j's estimate ``keys[s] = (i, j, k)``;
+    ``owner[s]`` is the profile index of the cost (i, j) and ``column[s]``
+    that of the action (i, k) it is differentiated in.
     """
 
-    def __init__(self, game: Game):
-        blocks = []
-        slots: dict[tuple[int, int, int], int] = {}
-        offset = 0
-        for i, c in enumerate(game.coalitions, start=1):
+    def __init__(self, coalitions: Sequence[Coalition]):
+        blocks, keys, owner, column = [], [], [], []
+        first = 0  # profile index of agent (i, 1)
+        for i, c in enumerate(coalitions, start=1):
             for k in range(1, c.m + 1):
                 members = tuple(sorted(set(c.interference.neighbors(k)) | {k}))
-                block = Block(coalition=i, k=k, members=members, start=offset)
-                blocks.append(block)
+                blocks.append(Block(coalition=i, k=k, members=members, start=len(keys)))
                 for j in members:
-                    slots[(i, j, k)] = offset
-                    offset += 1
-        self.game = game
+                    keys.append((i, j, k))
+                    owner.append(first + j - 1)
+                    column.append(first + k - 1)
+            first += c.m
+        self.coalitions = tuple(coalitions)
         self.blocks: tuple[Block, ...] = tuple(blocks)
-        self.slots = slots
-        self.size = offset
+        self.keys = tuple(keys)
+        self.owner = np.array(owner, dtype=np.intp)
+        self.column = np.array(column, dtype=np.intp)
+        self.slots = {key: slot for slot, key in enumerate(keys)}
+        self.size = len(keys)
 
     def slot(self, i: int, j: int, k: int) -> int:
         return self.slots[(i, j, k)]
@@ -278,7 +290,7 @@ class Layout:
     def block_laplacians(self) -> dict[tuple[int, int], np.ndarray]:
         out = {}
         for b in self.blocks:
-            comm = self.game.coalitions[b.coalition - 1].comm
+            comm = self.coalitions[b.coalition - 1].comm
             out[(b.coalition, b.k)] = laplacian(comm.induced(b.members))
         return out
 
@@ -296,7 +308,7 @@ class Layout:
         tail: list[int] = []
         weight: list[float] = []
         for b in self.blocks:
-            comm = self.game.coalitions[b.coalition - 1].comm
+            comm = self.coalitions[b.coalition - 1].comm
             slot_of = {j: b.start + pos for pos, j in enumerate(b.members)}
             for j in b.members:
                 for l in comm.neighbors(j):
@@ -333,22 +345,7 @@ class Layout:
     @cached_property
     def own_slots(self) -> np.ndarray:
         """Slot of (i, j, j) for each action, in profile order."""
-        return np.array(
-            [
-                self.slots[(i, j, j)]
-                for i, c in enumerate(self.game.coalitions, start=1)
-                for j in range(1, c.m + 1)
-            ],
-            dtype=int,
-        )
-
-    def partial_exprs(self) -> list[Expression]:
-        """Cached partial derivatives in slot order."""
-        table = self.game.partials
-        out: list[Expression] = [Const(0.0)] * self.size
-        for key, slot in self.slots.items():
-            out[slot] = table[key]
-        return out
+        return np.flatnonzero(self.owner == self.column)
 
 
 # ---------------------------------------------------------------------------

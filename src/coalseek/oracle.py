@@ -36,19 +36,14 @@ class StationaryReport:
 
 def _jacobian_exprs(game: Game):
     """Second-derivative expressions of each pseudo-gradient component, keyed
-    (row index, column index); absent keys are identically zero."""
+    (row index, column index); absent keys are identically zero.  Rows sum
+    their partials in slot order, each partial's columns in ascending order."""
     out = {}
-    for b in game.layout.blocks:
-        row = game.action_index(b.coalition, b.k)
-        for j in b.members:
-            first = game.partials[(b.coalition, j, b.k)]
-            for name in free_variables(first):
-                col = game.var_index.get(name)
-                if col is None:
-                    continue
-                key = (row, col)
-                second = differentiate(first, name)
-                out[key] = second if key not in out else out[key] + second
+    for row, first in zip(game.layout.column.tolist(), game.partials.values()):
+        for col, name in sorted((game.var_index[name], name) for name in free_variables(first)):
+            key = (row, col)
+            second = differentiate(first, name)
+            out[key] = second if key not in out else out[key] + second
     return out
 
 
@@ -284,12 +279,9 @@ class AuditPlan:
 
     def __init__(self, game: Game):
         n = game.n_actions
-        slot_col = np.empty(game.layout.size, dtype=np.intp)
-        slot_cost = np.empty(game.layout.size, dtype=np.intp)
-        support = [{game.var_index[name] for name in free_variables(f)} for f in game.costs]
-        for (i, j, k), slot in game.layout.slots.items():
-            col, cost = game.action_index(i, k), game.action_index(i, j)
-            slot_col[slot], slot_cost[slot] = col, cost
+        layout = game.layout
+        support = [set(cols) for cols in game.supports]
+        for col, cost in zip(layout.column.tolist(), layout.owner.tolist()):
             support[cost].add(col)
         readers: list[list[int]] = [[] for _ in range(n)]
         for cost, cols in enumerate(support):
@@ -300,7 +292,7 @@ class AuditPlan:
             taken = {color[c] for cost in readers[col] for c in support[cost] if c < col}
             color.append(next(c for c in range(len(taken) + 1) if c not in taken))
         self.colors = np.array(color, dtype=np.intp)
-        self._slot_col, self._slot_cost = slot_col, slot_cost
+        self._slot_col, self._slot_cost = layout.column, layout.owner
         self.classes = self._partition(self.colors)
 
     @cached_property

@@ -48,7 +48,7 @@ def assignment(game, x):
 def tree_walk_partials(game, x):
     """Flat partial vector in slot order, evaluated by walking each tree."""
     env = assignment(game, x)
-    return np.array([evaluate(e, env) for e in game.layout.partial_exprs()])
+    return np.array([evaluate(e, env) for e in game.partials.values()])
 
 
 def tree_walk_pseudo_gradient(game, x):

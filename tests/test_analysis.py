@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,9 @@ from coalseek.analysis import (
 from coalseek.corpus import random_quadratic_game
 from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
 from coalseek.expr import parse
-from coalseek.game import Coalition, Game
+from coalseek.game import Coalition, Game, Layout
 from coalseek.graphs import Graph, orthonormal_complement
-from coalseek.scenario import load_scenario
+from coalseek.scenario import available_presets, load_scenario
 from conftest import tree_walk_partials
 
 
@@ -345,8 +348,28 @@ def test_costs_complete_interference_halves_traffic():
     report = cost_accounting(game)
     for a in report.agents:
         assert a.aux_proposed == a.aux_baseline
-        assert a.tx_proposed * 2 == a.tx_baseline
+        assert a.tx_proposed == a.tx_baseline
         assert a.dropped == ()
+
+
+def test_costs_baseline_is_the_complete_interference_layout(quadratic_corpus):
+    # The baseline is the same game with every interference graph complete:
+    # per agent, a pair per slot it holds and one estimate per block edge it
+    # heads in that game's layout.
+    games = [load_scenario(name).game for name in available_presets()]
+    for game in games + [sample.game for sample in quadratic_corpus]:
+        coalitions = []
+        for c in game.coalitions:
+            every_pair = itertools.combinations(c.comm.vertices, 2)
+            coalitions.append(
+                dataclasses.replace(c, interference=Graph.build(c.comm.vertices, every_pair))
+            )
+        complete = Layout(tuple(coalitions))
+        held = np.bincount(complete.owner, minlength=game.n_actions)
+        sent = np.bincount(complete.owner[complete.edges[0]], minlength=game.n_actions)
+        report = cost_accounting(game)
+        assert [a.aux_baseline for a in report.agents] == (2 * held).tolist()
+        assert [a.tx_baseline for a in report.agents] == sent.tolist()
 
 
 def test_costs_never_exceed_baseline(quadratic_corpus):

@@ -167,7 +167,7 @@ def _arrays(obj, depth=0, seen=None):
 
 def test_thousand_agent_ring_holds_no_dense_operator():
     game = _ring_game(1000)
-    game.layout.partial_exprs()  # the symbolic partials belong to the game
+    game.partials  # the symbolic partials belong to the game
     tracemalloc.start()
     try:
         seeker = Seeker(game)

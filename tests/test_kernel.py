@@ -458,7 +458,7 @@ def _check_guarded_kernel(game, x):
         except DomainError:
             costs_rejected = True
     try:
-        partials = [evaluate(e, env) for e in game.layout.partial_exprs()]
+        partials = [evaluate(e, env) for e in game.partials.values()]
     except DomainError:
         partials = None
     with warnings.catch_warnings():
@@ -576,7 +576,7 @@ def test_an_operation_the_outputs_evaluate_gets_no_guard():
 def test_congestion_guards_compare_values_the_partials_compute():
     game = _congestion_network()
     dag = expr._Dag({name: i for i, name in enumerate(game.var_names)})
-    for e in game.layout.partial_exprs():
+    for e in game.partials.values():
         dag.output(e)
     nodes = len(dag.nodes)
     guards = dag.guards(game.costs)
@@ -589,7 +589,7 @@ def test_congestion_guards_compare_values_the_partials_compute():
     assert "_s1" not in game.kernel.__globals__
     x = np.full(game.n_actions, 1.5)
     env = dict(zip(game.var_names, x.tolist()))
-    reference = [evaluate(e, env) for e in game.layout.partial_exprs()]
+    reference = [evaluate(e, env) for e in game.partials.values()]
     assert _bits(game.kernel(x)).tolist() == _bits(reference).tolist()
     x[0] = -1.0
     with pytest.raises(DomainError) as info:

@@ -526,11 +526,13 @@ def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
     )
 
 
-def _cli_subprocess(argv, module="coalseek.cli"):
+def _cli_subprocess(argv, module="coalseek.cli", **environ):
     """Run ``python -m <module>`` on ``argv`` with the package under test
-    importable and Python's default warning filters."""
+    importable, Python's default warning filters and ``environ`` set."""
     src = str(Path(coalseek.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **environ
+    )
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=120
@@ -542,6 +544,43 @@ def test_python_dash_m_coalseek_is_the_cli():
     assert proc.returncode == 0
     assert proc.stdout.decode().split() == list(available_presets())
     assert _cli_subprocess(["frobnicate"], module="coalseek").returncode == 1
+
+
+def test_cli_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each message names the first of several failing names: a Jacobian
+    # entry of component x1_1 (d/dx1_1 and d/dx2_1 both raise pow(0, -0.5)),
+    # and an unknown action of three.
+    jacobian = tmp_path / "jacobian.json"
+    jacobian.write_text(json.dumps(_minimal_doc(
+        coalitions=[{"costs": ["x1_1^1.5 + x1_1*x2_1^0.5"]}, {"costs": ["x2_1^2 + x2_1"]}],
+        initial_x=[0, 0],
+    )))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(
+        json.dumps(_minimal_doc(coalitions=[{"costs": ["x1_1^2 + x5_1 + x6_1 + x7_1"]}]))
+    )
+    for argv, expected in (
+        (["solve", str(jacobian), "--format", "kv"], b"entry d/dx1_1 of component x1_1"),
+        (["graphs", str(unknown)], b"unknown action 'x5_1'"),
+    ):
+        runs = [_cli_subprocess(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        first, second = ((r.returncode, r.stdout, r.stderr) for r in runs)
+        assert first == second
+        assert expected in first[1] + first[2]
+
+
+def test_cli_run_names_the_disconnected_block_the_energy_value_needs(tmp_path, capsys):
+    doc = json.loads(preset_path("example2").read_text(encoding="utf-8"))
+    doc["coalitions"][2]["communication"].remove([2, 4])
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "validation error: $.x_star: the energy value needs the communication graph of "
+        "block (3,4) connected"
+    )
+    # Only the energy value needs it.
+    assert main(["solve", str(path)]) == 0
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
@@ -817,7 +856,7 @@ def test_cli_runs_a_cost_with_a_250_term_chain(tmp_path, capsys):
     game = load_scenario(str(path)).game
     x = np.random.default_rng(1).uniform(-2.0, 2.0, game.n_actions)
     env = dict(zip(game.var_names, x.tolist()))
-    partials = game.layout.partial_exprs()
+    partials = list(game.partials.values())
     for kernel, exprs in ((game.kernel, partials), (game.cost_kernel, [*game.costs, *partials])):
         reference = np.array([evaluate(e, env) for e in exprs])
         assert np.array_equal(kernel(x).view(np.int64), reference.view(np.int64))
