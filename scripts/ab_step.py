@@ -30,10 +30,12 @@ Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 kernel call as the integrator makes it (``Seeker.partial_vector`` at the
 initial profile, the best of 25 batches of up to 200 calls) and one
 ``oracle.gradient_check`` at the initial profile (the best of 5 batches of
-up to 20 audits, each batch sized to run about 50 ms).  Per input the script
-prints the median and IQR of the integrate wall time on each side, the
-change's relative move, how many pairs the change won, the median
-microseconds per kernel call and the median milliseconds per audit.
+up to 20 audits, each batch sized to run about 50 ms) and one
+``oracle.solve_stationary`` from the input's start, Jacobian compile
+included (batched the same way).  Per input the script prints the median
+and IQR of the integrate wall time on each side, the change's relative
+move, how many pairs the change won, the median microseconds per kernel
+call and the median milliseconds per audit and per solve.
 """
 
 from __future__ import annotations
@@ -167,10 +169,19 @@ def _best_per_call(call, calls: int, batches: int) -> float:
     return best / calls
 
 
+def _best_batch_ms(call) -> float:
+    """Milliseconds per call of ``call()``: the best of 5 batches of up to
+    20 calls, each batch sized by a first call to run about 50 ms."""
+    start = time.perf_counter()
+    call()
+    calls = max(1, min(20, int(0.05 / (time.perf_counter() - start))))
+    return _best_per_call(call, calls, 5) * 1e3
+
+
 def _times(docs: Path, repeats: int) -> dict:
     import numpy as np
     from coalseek.dynamics import Seeker
-    from coalseek.oracle import gradient_check
+    from coalseek.oracle import gradient_check, solve_stationary
     from coalseek.scenario import load_scenario
 
     out = {}
@@ -186,14 +197,12 @@ def _times(docs: Path, repeats: int) -> dict:
         x = np.array(state.x)
         calls = max(1, min(200, trajectory.rhs_evals))
         kernel_us = _best_per_call(lambda: seeker.partial_vector(x), calls, 25) * 1e6
-        start = time.perf_counter()
-        gradient_check(scenario.game, x)  # the first audit builds its plan
-        audits = max(1, min(20, int(0.05 / (time.perf_counter() - start))))
-        audit_ms = _best_per_call(lambda: gradient_check(scenario.game, x), audits, 5) * 1e3
         out[label] = {
             "integrate_s": best,
             "kernel_us": kernel_us,
-            "audit_ms": audit_ms,
+            # The first audit builds its plan.
+            "audit_ms": _best_batch_ms(lambda: gradient_check(scenario.game, x)),
+            "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
             "rhs_evals": trajectory.rhs_evals,
         }
     return out
@@ -254,7 +263,7 @@ def main() -> int:
                 runs[side].append(_call(sides[side], "times", str(docs), str(args.repeats)))
 
     print(f"{'input':<16} {'parent s (IQR)':>20} {'change s (IQR)':>20} {'move':>7} "
-          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'rhs_evals':>9}")
+          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'solve ms':>18} {'rhs_evals':>9}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["integrate_s"] for r in runs["parent"]]
         change = [r[label]["integrate_s"] for r in runs["change"]]
@@ -262,10 +271,12 @@ def main() -> int:
         wins = sum(c < p for p, c in zip(parent, change))
         kernel = [statistics.median(r[label]["kernel_us"] for r in runs[side]) for side in sides]
         audit = [statistics.median(r[label]["audit_ms"] for r in runs[side]) for side in sides]
+        solve = [statistics.median(r[label]["solve_ms"] for r in runs[side]) for side in sides]
         evals = {r[label]["rhs_evals"] for side in sides for r in runs[side]}
         print(f"{label:<16} {f'{pm:.4f} ({piqr:.4f})':>20} {f'{cm:.4f} ({ciqr:.4f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
               f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {f'{audit[0]:.2f} -> {audit[1]:.2f}':>16} "
+              f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
     return 0
 

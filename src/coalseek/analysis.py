@@ -19,7 +19,6 @@ __all__ = [
     "solve_lyapunov",
     "ConsensusRecord",
     "consensus_residual",
-    "DeviationRecord",
     "deviation_bounds",
     "lyapunov_value",
     "AgentCost",
@@ -121,27 +120,19 @@ def consensus_residual(game: Game, state: SeekerState) -> dict[tuple[int, int], 
     }
 
 
-@dataclass(frozen=True)
-class DeviationRecord:
-    deviation: float  # |g_ijk - block average of the cost partials|
-    bound: float  # row-norm constant times the disagreement norm
-
-
-def deviation_bounds(game: Game, state: SeekerState) -> dict[tuple[int, int, int], DeviationRecord]:
-    """Per-estimate deviation from the block-average partial, with the tight
-    per-agent bound: the norm of the agent's row of a disagreement basis,
-    ``sqrt(1 - 1/size)`` for every row of every orthonormal one, times the
-    block disagreement norm."""
+def deviation_bounds(game: Game, state: SeekerState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-estimate deviation from the block-average partial, and the tight
+    per-agent bound on it: the norm of the agent's row of a disagreement
+    basis, ``sqrt(1 - 1/size)`` for every row of every orthonormal one,
+    times the block disagreement norm.  Both arrays are in slot order
+    (``Layout.keys``)."""
     layout = game.layout
     sizes = layout.block_sizes
     g, pvec = _estimates(game, state)
     norms = layout.block_spread(g)[1]
     deviation = np.abs(g - np.repeat(layout.block_spread(pvec)[0], sizes))
     bound = np.repeat(np.sqrt(1.0 - 1.0 / sizes) * norms, sizes)
-    return {
-        key: DeviationRecord(deviation=dev, bound=bnd)
-        for key, dev, bnd in zip(layout.keys, deviation.tolist(), bound.tolist())
-    }
+    return deviation, bound
 
 
 def lyapunov_value(

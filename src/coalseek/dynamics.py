@@ -31,10 +31,17 @@ __all__ = [
     "NumericsError",
     "DomainUnrecoverableError",
     "NonFiniteStateError",
+    "StepLimitError",
 ]
 
 # Halvings of a step rejected for leaving the domain before the run gives up.
 MAX_HALVINGS = 40
+
+# The most step attempts, accepted and rejected, of one run, like NMAX in
+# Hairer's DOPRI5.  Validation turns away a run that asks for more: more
+# fixed steps (``horizon / step``), or more dopri5 record times
+# (``horizon / record_dt``), each of which ends a step.
+MAX_STEPS = 1_000_000
 
 # An error-controlled step is accepted when the RMS over z = [x; w] of its error
 # estimate, each entry scaled by ATOL + RTOL * max(|z|, |z_new|), is at most 1.
@@ -111,6 +118,10 @@ class NonFiniteStateError(NumericsError):
     pass
 
 
+class StepLimitError(NumericsError):
+    """The run made ``MAX_STEPS`` step attempts short of its horizon."""
+
+
 @dataclass
 class SeekerState:
     """Full dynamical state: actions ``x``, flat auxiliary vector ``w``
@@ -150,11 +161,15 @@ class IntegrateParams:
                 raise ValueError(f"record_stride is for rk4 and euler, not {self.method}")
             if self.record_dt is None or not (0 < self.record_dt < math.inf):
                 raise ValueError(f"{self.method} needs a positive, finite record_dt")
+            if self.horizon / self.record_dt > MAX_STEPS:
+                raise ValueError(f"record_dt asks for more than {MAX_STEPS} records, each a step")
             return
         if self.record_dt is not None:
             raise ValueError(f"record_dt is for dopri5; {self.method} records every record_stride steps")
         if self.record_stride is not None and self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+        if self.horizon / self.step > MAX_STEPS:
+            raise ValueError(f"step asks for more than {MAX_STEPS} steps")
 
 
 @dataclass
@@ -335,7 +350,7 @@ class Seeker:
         error-controlled method, on the record times ``t + k * record_dt``;
         ``record`` is called there and, under a fixed-step method, after
         every ``record_stride``-th step.  Returns (accepted, rejected,
-        stopped)."""
+        stopped); raises StepLimitError at ``MAX_STEPS`` attempts."""
         tableau = _TABLEAUS[params.method]
         stride = params.record_stride or 100
         t0 = t
@@ -352,14 +367,23 @@ class Seeker:
                 t_rec = t_end
             land = t + h >= t_rec - eps
             h_try = t_rec - t if land else h
-            if t + h_try == t:
+            if steps + rejected == MAX_STEPS:
+                raise StepLimitError(f"the run made {MAX_STEPS} step attempts and stopped at t={t:.6g}")
+            # A shrunk step is measured at the horizon, not at t: near t = 0
+            # any positive step advances t, however far it has shrunk.
+            if h_try < params.step and t_end + h_try == t_end:
+                if halvings:
+                    cause = f", after leaving the domain: {domain_exit}"
+                else:
+                    cause = f"; {self._fastest_entry(k1)}"
                 raise DomainUnrecoverableError(
                     f"step at t={t:.6g} failed: the step shrank to {h_try:.3g}, "
-                    f"below the resolution of t; {self._fastest_entry(k1)}"
+                    f"below the resolution of t at the horizon {t_end:.6g}{cause}"
                 )
             try:
                 zn, pvec_n, kn, err = self._step(z, h_try, k1, tableau)
             except DomainError as exc:
+                domain_exit = exc
                 rejected += 1
                 halvings += 1
                 if halvings > MAX_HALVINGS:

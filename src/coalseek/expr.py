@@ -19,7 +19,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "compile_vector_function",
     "product_power",
     "differentiate",
+    "gradient",
     "free_variables",
 ]
 
@@ -917,12 +918,17 @@ def compile_vector_function(
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+_TWO = Const(2.0)
+
+
 def _is(e: Expression, value: float) -> bool:
-    return isinstance(e, Const) and e.value == value
+    return type(e) is Const and e.value == value
 
 
 def _neg(a: Expression) -> Expression:
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.value)
     return Unary("neg", a)
 
@@ -945,7 +951,7 @@ def _sub(a: Expression, b: Expression) -> Expression:
 
 def _mul(a: Expression, b: Expression) -> Expression:
     if _is(a, 0.0) or _is(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is(a, 1.0):
         return b
     if _is(b, 1.0):
@@ -955,7 +961,7 @@ def _mul(a: Expression, b: Expression) -> Expression:
 
 def _div(a: Expression, b: Expression) -> Expression:
     if _is(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is(b, 1.0):
         return a
     return Binary("div", a, b)
@@ -965,43 +971,61 @@ def _pow(a: Expression, b: Expression) -> Expression:
     if _is(b, 1.0):
         return a
     if _is(b, 0.0):
-        return Const(1.0)
+        return _ONE
     return Binary("pow", a, b)
+
+
+def gradient(e: Expression, names: Container[str]) -> tuple[dict[str, Expression], Expression]:
+    """Exact symbolic derivatives of ``e`` in one walk: a dict from each
+    name of ``names`` that ``e`` reads to the derivative in it, and the
+    derivative in any other name.  That one is a constant zero, its sign
+    set by the tree alone, so it is the same for every absent name."""
+    kind = type(e)
+    if kind is Const:
+        return {}, _ZERO
+    if kind is Var:
+        return ({e.name: _ONE} if e.name in names else {}), _ZERO
+    if kind is Unary:
+        da, za = gradient(e.arg, names)
+        if e.op == "neg":
+            rule = _neg
+        elif e.op == "exp":
+            rule = lambda d: _mul(e, d)
+        else:
+            arg = e.arg
+            rule = lambda d: _div(d, arg)
+        return {name: rule(d) for name, d in da.items()}, rule(za)
+    dl, zl = gradient(e.left, names)
+    dr, zr = gradient(e.right, names)
+    op, left, right = e.op, e.left, e.right
+    if op == "add":
+        rule = _add
+    elif op == "sub":
+        rule = _sub
+    elif op == "mul":
+        rule = lambda a, b: _add(_mul(a, right), _mul(left, b))
+    elif op == "div":
+        square = Binary("pow", right, _TWO)
+        rule = lambda a, b: _div(_sub(_mul(a, right), _mul(left, b)), square)
+    elif type(right) is Const:
+        c = right.value
+        factor = _mul(Const(c), _pow(left, Const(c - 1.0)))
+        rule = lambda a, b: _mul(factor, a)
+    else:
+        # General exponent: u^v * (v' * log(u) + v * u' / u).
+        log = Unary("log", left)
+        rule = lambda a, b: _mul(e, _add(_mul(b, log), _div(_mul(right, a), left)))
+    out = {name: rule(d, dr.get(name, zr)) for name, d in dl.items()}
+    for name, d in dr.items():
+        if name not in out:
+            out[name] = rule(zl, d)
+    return out, rule(zl, zr)
 
 
 def differentiate(e: Expression, name: str) -> Expression:
     """Exact symbolic derivative of ``e`` with respect to the variable ``name``."""
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0) if e.name == name else Const(0.0)
-    if isinstance(e, Unary):
-        da = differentiate(e.arg, name)
-        if e.op == "neg":
-            return _neg(da)
-        if e.op == "exp":
-            return _mul(Unary("exp", e.arg), da)
-        return _div(da, e.arg)
-    dl = differentiate(e.left, name)
-    dr = differentiate(e.right, name)
-    if e.op == "add":
-        return _add(dl, dr)
-    if e.op == "sub":
-        return _sub(dl, dr)
-    if e.op == "mul":
-        return _add(_mul(dl, e.right), _mul(e.left, dr))
-    if e.op == "div":
-        return _div(
-            _sub(_mul(dl, e.right), _mul(e.left, dr)), _pow(e.right, Const(2.0))
-        )
-    if isinstance(e.right, Const):
-        c = e.right.value
-        return _mul(_mul(Const(c), _pow(e.left, Const(c - 1.0))), dl)
-    # General exponent: u^v * (v' * log(u) + v * u' / u).
-    return _mul(
-        Binary("pow", e.left, e.right),
-        _add(_mul(dr, Unary("log", e.left)), _div(_mul(e.right, dl), e.left)),
-    )
+    derivs, zero = gradient(e, (name,))
+    return derivs.get(name, zero)
 
 
 def _walk(e: Expression) -> Iterator[Expression]:

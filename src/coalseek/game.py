@@ -30,8 +30,9 @@ from .expr import (
     Unary,
     Var,
     compile_vector_function,
-    differentiate,
     free_variables,
+    # Bound as ``differentiate``: ``bench/tracing.py`` times each pass by that name.
+    gradient as differentiate,
 )
 from .graphs import Graph, laplacian
 
@@ -196,10 +197,19 @@ class Game:
     def partials(self) -> dict[tuple[int, int, int], Expression]:
         """Symbolic d f_ij / d x_ik for every stored estimate index (i, j, k),
         in slot order (``Layout.keys``)."""
-        return {
-            (i, j, k): differentiate(self.coalitions[i - 1].costs[j - 1], action_name(i, k))
-            for i, j, k in self.layout.keys
+        keys = self.layout.keys
+        names: dict[tuple[int, int], set[str]] = {}
+        for i, j, k in keys:
+            names.setdefault((i, j), set()).add(action_name(i, k))
+        grads = {
+            (i, j): differentiate(self.coalitions[i - 1].costs[j - 1], slot_names)
+            for (i, j), slot_names in names.items()
         }
+        out = {}
+        for i, j, k in keys:
+            derivs, zero = grads[i, j]
+            out[i, j, k] = derivs.get(action_name(i, k), zero)
+        return out
 
     @cached_property
     def layout(self) -> "Layout":

@@ -5,12 +5,14 @@ gradients."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expr import DomainError, compile_vector_function, differentiate, free_variables
+from .expr import DomainError, compile_vector_function
+from .expr import gradient as differentiate  # ``bench/tracing.py`` times it by this name
 from .game import Game, coalition_cost, pseudo_gradient
 
 __all__ = [
@@ -38,36 +40,118 @@ def _jacobian_exprs(game: Game):
     """Second-derivative expressions of each pseudo-gradient component, keyed
     (row index, column index); absent keys are identically zero.  Rows sum
     their partials in slot order, each partial's columns in ascending order."""
+    index = game.var_index
     out = {}
     for row, first in zip(game.layout.column.tolist(), game.partials.values()):
-        for col, name in sorted((game.var_index[name], name) for name in free_variables(first)):
-            key = (row, col)
-            second = differentiate(first, name)
-            out[key] = second if key not in out else out[key] + second
+        derivs = differentiate(first, index)[0]
+        for name in sorted(derivs, key=index.__getitem__):
+            key = (row, index[name])
+            out[key] = derivs[name] if key not in out else out[key] + derivs[name]
     return out
 
 
 def _jacobian_function(game: Game):
-    """Compiled pseudo-gradient Jacobian: a function of the profile ``x``
-    returning the dense ``n x n`` matrix; raises DomainError, naming the
-    entry and the operation, where an entry is not finite."""
+    """The pseudo-gradient Jacobian as triplets: ``(rows, cols, values)``,
+    where ``values`` is a compiled function of the profile ``x`` returning
+    the entries at ``(rows, cols)`` and raising DomainError, naming the
+    entry and the operation, where an entry is not finite.  No position is
+    listed twice."""
     exprs = _jacobian_exprs(game)
     names = game.var_names
     rows = np.array([row for row, _ in exprs], dtype=np.intp)
     cols = np.array([col for _, col in exprs], dtype=np.intp)
-    n = game.n_actions
 
     def label(pos: int) -> str:
         return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
 
-    second = compile_vector_function(exprs.values(), names, label)
+    return rows, cols, compile_vector_function(exprs.values(), names, label)
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((n, n))
-        jac[rows, cols] = second(x)
-        return jac
 
-    return jacobian
+# Restarted GMRES for the Newton step (Saad & Schultz, *SIAM J. Sci. Stat.
+# Comput.* 7, 1986): the Krylov basis restarts after GMRES_RESTART vectors,
+# a step is solved once the residual of the scaled system is at most
+# GMRES_RTOL times its right-hand side, and GMRES_MAX_ITER matrix-vector
+# products bound the search.  Short of the tolerance, the best iterate is
+# the step.
+GMRES_RESTART = 30
+GMRES_RTOL = 1e-12
+GMRES_MAX_ITER = 300
+
+
+@np.errstate(all="ignore")  # an overflow ends in a non-finite residual, which fails
+def _gmres(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The solution of ``J s = b`` for the Jacobian held as triplets, by
+    restarted GMRES on the system with each row divided by its diagonal
+    entry (Jacobi scaling; rows with a zero diagonal are left as they are).
+    Where the tolerance is out of reach (the residual cannot be computed
+    that finely, or the cap comes first), the iterate with the smallest
+    residual, for the merit test to judge.  None where ``J`` maps a Krylov
+    vector to 0, an entry is not finite, or no iterate reduces the residual
+    at all."""
+    n = b.size
+    diag = np.ones(n)
+    on_diag = rows == cols
+    diag[rows[on_diag]] = vals[on_diag]
+    diag[diag == 0.0] = 1.0
+    scaled, b = vals / diag[rows], b / diag
+    if not (np.isfinite(scaled).all() and np.isfinite(b).all()):
+        return None
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, scaled * v[cols], n)
+
+    x = np.zeros(n)
+    r = b
+    beta = beta0 = math.sqrt(r @ r)
+    target = GMRES_RTOL * beta
+    iterations = 0
+    while beta > target and iterations < GMRES_MAX_ITER:
+        basis = np.empty((GMRES_RESTART + 1, n))
+        basis[0] = r / beta
+        # The rotated Hessenberg matrix by columns, its Givens rotations and
+        # the rotated right-hand side, as Python floats.
+        hess: list[list[float]] = []
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [beta]
+        while len(hess) < GMRES_RESTART and iterations < GMRES_MAX_ITER:
+            k = len(hess)
+            w = matvec(basis[k])
+            iterations += 1
+            # Classical Gram-Schmidt, applied twice.
+            v = basis[: k + 1]
+            h = v @ w
+            w -= h @ v
+            again = v @ w
+            w -= again @ v
+            col = (h + again).tolist()
+            h_next = math.sqrt(w @ w)
+            for i in range(k):
+                top, low = col[i], col[i + 1]
+                col[i], col[i + 1] = cs[i] * top + sn[i] * low, cs[i] * low - sn[i] * top
+            denom = math.hypot(col[k], h_next)
+            if not 0.0 < denom < math.inf:
+                return None  # J maps a Krylov vector to 0, or an entry overflowed
+            cs.append(col[k] / denom)
+            sn.append(h_next / denom)
+            col[k] = denom
+            hess.append(col)
+            g.append(-sn[k] * g[k])
+            g[k] *= cs[k]
+            if abs(g[k + 1]) <= target or h_next == 0.0:
+                break
+            basis[k + 1] = w / h_next
+        k = len(hess)
+        y = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - sum(hess[j][i] * y[j] for j in range(i + 1, k))) / hess[i][i]
+        x_next = x + np.array(y) @ basis[:k]
+        r = b - matvec(x_next)
+        beta_next = math.sqrt(r @ r)
+        if not beta_next < beta:
+            break  # a restart that gains nothing gains nothing again
+        x, beta = x_next, beta_next
+    return x if beta < beta0 or beta <= target else None
 
 
 def solve_stationary(
@@ -79,10 +163,12 @@ def solve_stationary(
 ) -> StationaryReport:
     """Damped Newton iteration on the pseudo-gradient.
 
-    The step is halved until the 2-norm of the pseudo-gradient decreases (or
-    the trial point leaves every cost domain), up to ``max_halvings`` times;
-    the best iterate seen is returned either way.  A singular Jacobian is
-    reported, not raised.
+    Each step solves the Newton system by restarted GMRES over the
+    Jacobian's triplets (``_gmres``); a step it cannot solve is reported as
+    a singular Jacobian, not raised.  The step is halved until the 2-norm of
+    the pseudo-gradient decreases (or the trial point leaves every cost
+    domain), up to ``max_halvings`` times; the best iterate seen is returned
+    either way.
     """
     jacobian = None
     x = game.as_profile(x0)
@@ -96,14 +182,14 @@ def solve_stationary(
             return StationaryReport(x, res_inf, it, True)
         # Compiled on the first step, so a start that has converged skips it.
         jacobian = jacobian or _jacobian_function(game)
+        rows, cols, values = jacobian
         try:
-            jac = jacobian(x)
+            vals = values(x)
         except DomainError as err:
             return StationaryReport(best_x, best_res, it, best_res <= tol,
                                     f"jacobian left the domain: {err}")
-        try:
-            step = np.linalg.solve(jac, -p)
-        except np.linalg.LinAlgError:
+        step = _gmres(rows, cols, vals, -p)
+        if step is None:
             return StationaryReport(best_x, best_res, it, best_res <= tol,
                                     "singular jacobian")
         merit = float(np.linalg.norm(p))

@@ -150,9 +150,10 @@ def test_criterion_06_deviation_bound(example2_game):
             seg = slice(blk.start, blk.stop)
             w[seg] -= w[seg].mean()
         state = SeekerState(x, w, 0.0)
-        for record in deviation_bounds(example2_game, state).values():
+        deviation, bound = deviation_bounds(example2_game, state)
+        for slot in range(layout.size):
             checked += 1
-            if record.deviation > record.bound * (1 + 1e-12) + 1e-12:
+            if deviation[slot] > bound[slot] * (1 + 1e-12) + 1e-12:
                 violations += 1
     ok = violations == 0 and checked >= 500 * layout.size
     _report(6, "per-agent deviation bound holds on 500 randomized states", ok,

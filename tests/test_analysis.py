@@ -135,9 +135,10 @@ def test_converged_run_reaches_consensus(example2):
 def test_deviation_zero_at_consensus(example2_game):
     x = np.full(10, 0.3)
     state = SeekerState(x, _consensus_w(example2_game, x), 0.0)
-    for record in deviation_bounds(example2_game, state).values():
-        assert record.deviation <= 1e-12
-        assert record.bound <= 1e-12
+    deviation, bound = deviation_bounds(example2_game, state)
+    for slot in range(example2_game.layout.size):
+        assert deviation[slot] <= 1e-12
+        assert bound[slot] <= 1e-12
 
 
 def test_two_agent_bound_is_tight():
@@ -153,18 +154,19 @@ def test_two_agent_bound_is_tight():
         )
     )
     state = SeekerState(np.zeros(2), np.zeros(game.layout.size), 0.0)
-    records = deviation_bounds(game, state)
-    for record in records.values():
+    deviation, bound = deviation_bounds(game, state)
+    for slot in range(game.layout.size):
         # dimension-2 blocks attain equality: |g - avg| = |gbar| / sqrt(2)
-        assert record.deviation == pytest.approx(record.bound, rel=1e-12, abs=1e-15)
+        assert deviation[slot] == pytest.approx(bound[slot], rel=1e-12, abs=1e-15)
 
 
 def test_deviation_bound_on_random_states(example2_game):
     rng = np.random.default_rng(11)
     for _ in range(100):
         state = _random_protocol_state(example2_game, rng)
-        for record in deviation_bounds(example2_game, state).values():
-            assert record.deviation <= record.bound * (1 + 1e-12) + 1e-12
+        deviation, bound = deviation_bounds(example2_game, state)
+        for slot in range(example2_game.layout.size):
+            assert deviation[slot] <= bound[slot] * (1 + 1e-12) + 1e-12
 
 
 # --- one disagreement measure -------------------------------------------------------------
@@ -198,16 +200,16 @@ def _check_against_dense(game, state):
         ref_norm, ref_error = consensus[key]
         assert abs(record.gbar_norm - ref_norm) <= 1e-12 * scale
         assert abs(record.mean_identity_error - ref_error) <= 1e-12 * scale
-    got = deviation_bounds(game, state)
-    assert list(got) == list(deviation)
-    for key, record in got.items():
+    got_dev, got_bound = deviation_bounds(game, state)
+    assert list(game.layout.keys) == list(deviation)
+    for slot, key in enumerate(game.layout.keys):
         ref_dev, ref_bound = deviation[key]
-        assert abs(record.deviation - ref_dev) <= 1e-12 * scale
-        assert abs(record.bound - ref_bound) <= 1e-12 * scale
+        assert abs(got_dev[slot] - ref_dev) <= 1e-12 * scale
+        assert abs(got_bound[slot] - ref_bound) <= 1e-12 * scale
     # A singleton block has no disagreement, and its bound is exactly 0.
     for b in game.layout.blocks:
         if b.size == 1:
-            assert got[(b.coalition, b.k, b.k)].bound == 0.0
+            assert got_bound[game.layout.slots[(b.coalition, b.k, b.k)]] == 0.0
             assert consensus_residual(game, state)[(b.coalition, b.k)].gbar_norm == 0.0
 
 

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalseek import dynamics
 from coalseek.dynamics import (
+    MAX_STEPS,
     _TABLEAUS,
     DomainUnrecoverableError,
     IntegrateParams,
     NonFiniteStateError,
     Seeker,
     SeekerState,
+    StepLimitError,
 )
 from coalseek.corpus import random_quadratic_game
 from coalseek.expr import parse
@@ -518,3 +521,42 @@ def test_step_collapse_names_an_estimate_by_its_index(example2):
 def test_record_dt_belongs_to_dopri5(kw, message):
     with pytest.raises(ValueError, match=message):
         IntegrateParams(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(step=1e-300, horizon=0.5), "step asks for more than"),
+        (dict(step=1e-3, horizon=1e20), "step asks for more than"),
+        (dict(step=1e-9, horizon=100.0, record_stride=10**400), "step asks for more than"),
+        (dict(method="dopri5", horizon=0.5, record_dt=1e-300), "record_dt asks for more than"),
+        (dict(method="dopri5", horizon=0.5, record_dt=5e-324), "record_dt asks for more than"),
+        (dict(method="dopri5", horizon=100.0, record_dt=100.0 / (2 * MAX_STEPS)), "record_dt asks"),
+    ],
+)
+def test_a_run_that_would_not_end_is_rejected(kw, message):
+    with pytest.raises(ValueError, match=message):
+        IntegrateParams(**kw)
+
+
+def test_the_step_cap_admits_its_own_count():
+    IntegrateParams(step=100.0 / MAX_STEPS, horizon=100.0)
+    IntegrateParams(method="dopri5", horizon=100.0, record_dt=100.0 / MAX_STEPS)
+    # Under dopri5 ``step`` is only the first trial: the controller grows it.
+    IntegrateParams(method="dopri5", step=1e-300, horizon=100.0, record_dt=1.0)
+
+
+def test_a_tiny_first_dopri5_step_grows(example2):
+    seeker = Seeker(example2.game)
+    params = IntegrateParams(method="dopri5", step=1e-20, horizon=5.0, record_dt=1.0, stop_tol=None)
+    traj = seeker.integrate(SeekerState(np.array(example2.initial_x), np.zeros(seeker.layout.size)), params)
+    assert traj.times[-1] == 5.0 and traj.steps < 200
+
+
+def test_a_run_stops_at_the_step_cap(example2, monkeypatch):
+    seeker = Seeker(example2.game)
+    params = IntegrateParams(method="dopri5", horizon=200.0, record_dt=1.0, stop_tol=None)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 50)  # validated above at the real cap
+    state = SeekerState(np.array(example2.initial_x), np.zeros(seeker.layout.size))
+    with pytest.raises(StepLimitError, match=r"the run made 50 step attempts and stopped at t="):
+        seeker.integrate(state, params)

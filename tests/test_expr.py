@@ -16,6 +16,7 @@ from coalseek.expr import (
     differentiate,
     evaluate,
     free_variables,
+    gradient,
     parse,
     render,
 )
@@ -205,6 +206,128 @@ def test_render_parse_round_trip(tree):
 @given(_trees(), _names)
 def test_derivative_free_variables_shrink(tree, name):
     assert free_variables(differentiate(tree, name)) <= free_variables(tree)
+
+
+# The per-name recursion ``differentiate`` ran before ``gradient`` took
+# every name in one walk: the reference ``gradient`` must equal tree for
+# tree, the sign of every zero included.
+
+
+def _ref_is(e, value):
+    return isinstance(e, Const) and e.value == value
+
+
+def _ref_neg(a):
+    return Const(-a.value) if isinstance(a, Const) else Unary("neg", a)
+
+
+def _ref_add(a, b):
+    if _ref_is(a, 0.0):
+        return b
+    if _ref_is(b, 0.0):
+        return a
+    return Binary("add", a, b)
+
+
+def _ref_sub(a, b):
+    if _ref_is(b, 0.0):
+        return a
+    if _ref_is(a, 0.0):
+        return _ref_neg(b)
+    return Binary("sub", a, b)
+
+
+def _ref_mul(a, b):
+    if _ref_is(a, 0.0) or _ref_is(b, 0.0):
+        return Const(0.0)
+    if _ref_is(a, 1.0):
+        return b
+    if _ref_is(b, 1.0):
+        return a
+    return Binary("mul", a, b)
+
+
+def _ref_div(a, b):
+    if _ref_is(a, 0.0):
+        return Const(0.0)
+    if _ref_is(b, 1.0):
+        return a
+    return Binary("div", a, b)
+
+
+def _ref_pow(a, b):
+    if _ref_is(b, 1.0):
+        return a
+    if _ref_is(b, 0.0):
+        return Const(1.0)
+    return Binary("pow", a, b)
+
+
+def _reference_derivative(e, name):
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0) if e.name == name else Const(0.0)
+    if isinstance(e, Unary):
+        da = _reference_derivative(e.arg, name)
+        if e.op == "neg":
+            return _ref_neg(da)
+        if e.op == "exp":
+            return _ref_mul(Unary("exp", e.arg), da)
+        return _ref_div(da, e.arg)
+    dl = _reference_derivative(e.left, name)
+    dr = _reference_derivative(e.right, name)
+    if e.op == "add":
+        return _ref_add(dl, dr)
+    if e.op == "sub":
+        return _ref_sub(dl, dr)
+    if e.op == "mul":
+        return _ref_add(_ref_mul(dl, e.right), _ref_mul(e.left, dr))
+    if e.op == "div":
+        return _ref_div(
+            _ref_sub(_ref_mul(dl, e.right), _ref_mul(e.left, dr)), _ref_pow(e.right, Const(2.0))
+        )
+    if isinstance(e.right, Const):
+        c = e.right.value
+        return _ref_mul(_ref_mul(Const(c), _ref_pow(e.left, Const(c - 1.0))), dl)
+    return _ref_mul(
+        Binary("pow", e.left, e.right),
+        _ref_add(_ref_mul(dr, Unary("log", e.left)), _ref_div(_ref_mul(e.right, dl), e.left)),
+    )
+
+
+def _signed_trees(depth=4):
+    """Trees with signed zeros, ones and general powers, where the
+    simplifications and the signs of zeros are at stake."""
+    leaf = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]).map(Const),
+        st.sampled_from(["x1_1", "x1_2", "x2_1"]).map(Var),
+    )
+    if depth == 0:
+        return leaf
+    sub = _signed_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), sub, sub).map(
+            lambda t: Binary(t[0], t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(["neg", "exp", "log"]), sub).map(lambda t: Unary(t[0], t[1])),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signed_trees(), st.sets(st.sampled_from(["x1_1", "x1_2", "x2_1", "x3_1"])))
+def test_gradient_equals_the_per_name_recursion(tree, names):
+    derivs, zero = gradient(tree, names)
+    reads = free_variables(tree)
+    assert set(derivs) == reads & names
+    for name in ("x1_1", "x1_2", "x2_1", "x3_1"):
+        expected = repr(_reference_derivative(tree, name))
+        if name in names:
+            assert repr(derivs.get(name, zero)) == expected
+        if name not in reads:
+            assert repr(zero) == expected
+        assert repr(differentiate(tree, name)) == expected
 
 
 def _random_polynomial(rng):

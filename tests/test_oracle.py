@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalseek import oracle
 from coalseek.corpus import random_quadratic_game
 from coalseek.expr import DomainError, free_variables, parse
 from coalseek.game import (
@@ -56,6 +60,19 @@ def test_newton_exact_on_quadratics(quadratic_corpus):
         assert np.abs(report.x - x_star).max() <= 1e-10
 
 
+def _dense_jacobian(game):
+    """The compiled Jacobian's triplets as a function of the profile that
+    returns the dense matrix."""
+    rows, cols, values = _jacobian_function(game)
+
+    def jacobian(x):
+        jac = np.zeros((game.n_actions, game.n_actions))
+        jac[rows, cols] = values(x)
+        return jac
+
+    return jacobian
+
+
 def _central_difference_jacobian(game, x, h=1e-6):
     n = game.n_actions
     jac = np.empty((n, n))
@@ -74,7 +91,7 @@ def test_newton_fd_jacobian_agrees(
     cases = [(example2_game, 2.0), (congestion_demo.game, 0.5)]
     cases += [(sample.game, 3.0) for sample in quadratic_corpus[:5]]
     for game, span in cases:
-        jacobian = _jacobian_function(game)
+        jacobian = _dense_jacobian(game)
         for _ in range(5):
             x = rng.uniform(-span, span, game.n_actions)
             compiled = jacobian(x)
@@ -91,7 +108,7 @@ def test_newton_fd_singular_at_cancellation_scale(example2_game):
     fd = _central_difference_jacobian(example2_game, x0)
     assert (fd[4] == 0.0).all()
     assert np.linalg.matrix_rank(fd) == example2_game.n_actions - 1
-    compiled = _jacobian_function(example2_game)(x0)
+    compiled = _dense_jacobian(example2_game)(x0)
     assert np.isfinite(compiled).all()
     assert np.linalg.matrix_rank(compiled) == example2_game.n_actions
     report = solve_stationary(example2_game, x0, tol=1e-8)
@@ -103,6 +120,105 @@ def test_newton_singular_jacobian_reported():
     report = solve_stationary(game, np.array([0.0]), tol=1e-12)
     assert not report.converged or report.residual <= 1e-12
     assert report.message in ("singular jacobian", "")
+
+
+def test_newton_singular_jacobian_at_a_start_reported():
+    # P = 3 x^2 - 1 has the jacobian 6 x, which vanishes at the start 0.
+    report = solve_stationary(_quadratic_single("x1_1^3 - x1_1"), np.array([0.0]))
+    assert (report.converged, report.iterations, report.message) == (False, 0, "singular jacobian")
+    # P = (x1 + x2 - 1, x1 + x2 + 1): a rank-one jacobian, with no solution.
+    game = _one_agent_coalitions("0.5*x1_1^2 + x1_1*x2_1 - x1_1", "0.5*x2_1^2 + x1_1*x2_1 + x2_1")
+    report = solve_stationary(game, np.zeros(2))
+    assert (report.converged, report.iterations, report.message) == (False, 0, "singular jacobian")
+
+
+def _dense_step(rows, cols, vals, b):
+    """The Newton step by a dense LU solve of the densified triplets: the
+    reference for the GMRES step."""
+    jac = np.zeros((b.size, b.size))
+    jac[rows, cols] = vals
+    try:
+        return np.linalg.solve(jac, b)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _assert_newton_matches_dense(game, x0, tol=1e-10, atol=1e-10):
+    got = solve_stationary(game, x0, tol=tol)
+    with mock.patch.object(oracle, "_gmres", _dense_step):
+        want = solve_stationary(game, x0, tol=tol)
+    assert (got.iterations, got.converged, got.message) == (want.iterations, want.converged, want.message)
+    assert np.abs(got.x - want.x).max() <= atol
+    return got
+
+
+def test_newton_gmres_matches_dense_on_presets(example2, congestion_demo, fig1_demo):
+    starts = [(s.game, np.array(s.initial_x)) for s in (example2, congestion_demo, fig1_demo)]
+    starts += [
+        (example2.game, np.array([48.0, 14.0, 7.0, 0.0, 97.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
+        (example2.game, 0.1 * np.ones(10)),
+    ]
+    for game, x0 in starts:
+        assert _assert_newton_matches_dense(game, x0).converged
+
+
+def test_newton_gmres_matches_dense_on_a_congestion_network():
+    paths = {(i, j): (f"c{i}_{j // 2}", f"s{j}", f"s{j % 6 + 1}") for i in (1, 2, 3) for j in range(1, 7)}
+    agents = [FlowAgent(i, path, 2.0) for (i, _), path in paths.items()]
+    links = {name: 20.0 for a in agents for name in a.path}
+    game = build_congestion_game(links, agents, kappa=5.0)
+    assert _assert_newton_matches_dense(game, np.full(game.n_actions, 0.5)).iterations >= 3
+
+
+def test_newton_gmres_matches_dense_where_the_jacobian_is_singular():
+    _assert_newton_matches_dense(_quadratic_single("x1_1^3 - x1_1"), np.array([0.0]))
+    game = _one_agent_coalitions("0.5*x1_1^2 + x1_1*x2_1 - x1_1", "0.5*x2_1^2 + x1_1*x2_1 + x2_1")
+    _assert_newton_matches_dense(game, np.zeros(2))
+
+
+def test_newton_gmres_matches_dense_where_the_jacobian_is_ill_conditioned():
+    # J = [[1, 1], [1, 1 + 1e-6]], b = (1, 0): the step is about (1e6, -1e6),
+    # and the endpoint is determined only to kappa(J) * eps * |x|, about 9e-4.
+    game = _one_agent_coalitions("0.5*x1_1^2 + x1_1*x2_1 - x1_1", "0.5000005*x2_1^2 + x1_1*x2_1")
+    report = _assert_newton_matches_dense(game, np.zeros(2), atol=1e-3)
+    assert report.converged and report.iterations == 1
+
+
+def test_newton_gmres_step_below_its_tolerance_is_taken():
+    # J = [[1, 1], [1, 1 + 1e-8]]: rounding in b - J s (about eps * |J| * |s|,
+    # 4e-8) keeps every GMRES iterate above its tolerance.  The best one is
+    # the step, and Newton converges, at most one iteration behind the dense
+    # solve, to an endpoint within kappa(J) * eps * |x|.
+    game = _one_agent_coalitions("0.5*x1_1^2 + x1_1*x2_1 - x1_1", "0.500000005*x2_1^2 + x1_1*x2_1")
+    got = solve_stationary(game, np.zeros(2))
+    with mock.patch.object(oracle, "_gmres", _dense_step):
+        want = solve_stationary(game, np.zeros(2))
+    assert (got.converged, got.message) == (want.converged, want.message) == (True, "")
+    assert want.iterations <= got.iterations <= want.iterations + 1
+    kappa = np.linalg.cond(_dense_jacobian(game)(np.zeros(2)))
+    assert np.abs(got.x - want.x).max() <= kappa * np.finfo(float).eps * np.abs(want.x).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_newton_gmres_matches_dense_on_quadratic_games(seed):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    assert _assert_newton_matches_dense(game, rng.uniform(-3.0, 3.0, game.n_actions)).converged
+
+
+def test_newton_on_a_thousand_agent_ring_holds_no_dense_jacobian():
+    game = _ring_game(agents=1000)  # the benchmark's form, four rings of 250
+    game.partials  # the symbolic partials belong to the game
+    tracemalloc.start()
+    try:
+        report = solve_stationary(game, np.zeros(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.iterations == 1
+    # A dense 1000 x 1000 jacobian alone takes 7.6 MiB.
+    assert peak <= 4 * 2**20
 
 
 def test_newton_runtime_under_one_second(example2_game):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,38 @@ def test_cli_dopri5_step_collapse_names_the_fastest_entry(tmp_path, capsys):
     )
 
 
+def _timed_main(argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_cli_run_ends_where_the_step_collapses_at_the_start(tmp_path, capsys):
+    # A gain of 1e300 shrinks every dopri5 step towards 1e-300; near t = 0
+    # any positive step advances t, so only the horizon's resolution ends it.
+    doc = json.loads(preset_path("congestion-demo").read_text(encoding="utf-8"))
+    doc["coalitions"][1]["dbar"][2] = 1e300
+    path = tmp_path / "fast-gain.json"
+    path.write_text(json.dumps(doc))
+    code, seconds = _timed_main(["run", str(path), "--horizon", "0.5", "--out", str(tmp_path / "t.csv")])
+    assert code == 3 and seconds < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.search(r"step at t=0 failed: .*below the resolution of t at the horizon 0\.5; x2_3 moves", err)
+
+
+def test_cli_record_dt_asking_for_too_many_records_is_validation_error(tmp_path, capsys):
+    doc = json.loads(preset_path("congestion-demo").read_text(encoding="utf-8"))
+    doc["integrator"]["record_dt"] = 1e-300
+    path = tmp_path / "tiny-record-dt.json"
+    path.write_text(json.dumps(doc))
+    code, seconds = _timed_main(["run", str(path), "--out", str(tmp_path / "t.csv")])
+    assert code == 2 and seconds < 1.0
+    assert capsys.readouterr().err == (
+        "validation error: $.integrator: record_dt asks for more than 1000000 records, each a step\n"
+    )
+
+
 def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
     # Finite partials, but a communication weight that overflows every
     # Euler step however short.
@@ -639,6 +672,31 @@ def test_cli_dopri5_unrecoverable_step_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: step at t=0.0125 failed: ")
     assert err.count("\n") == 1
+
+
+def test_cli_step_collapse_at_a_domain_wall_names_the_domain_exit(tmp_path, capsys):
+    # The dynamics descend x2_1 into the wall of log(x2_1), which only a
+    # guard sees: the halved steps reach the horizon's resolution before 40
+    # halvings, and the message names the last exit, not the fastest entry.
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "guard-wall",
+        "coalitions": [
+            {"costs": ["(x1_1 - 1)^2 + log(x2_1)"], "communication": []},
+            {"costs": ["(x2_1 + 1)^2"], "communication": []},
+        ],
+        "initial_x": [0.5, 0.5],
+    }
+    path = tmp_path / "guard-wall.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"numerical failure: step at t=2\.02733 failed: the step shrank to \S+, below the "
+        r"resolution of t at the horizon 100, after leaving the domain: log of non-positive "
+        r"value \S+ in the cost of agent \(1,1\)\n",
+        err,
+    )
 
 
 def test_cli_run_reports_counters(tmp_path, capsys):
