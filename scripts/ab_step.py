@@ -20,9 +20,9 @@ start, and from ``x2_1 = 0.5`` the dynamics and Newton descend into it.
 It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
 whose costs raise their actions to the integer powers 4, -1 and -2, which
 the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
-code, each report (``wall_time_s`` removed), each stderr text and each
-trajectory CSV, 108 digests in all.  Any
-digest that differs between the trees ends the script with exit code 1.
+code, each report (less the ``wall_time_s`` line that older trees print),
+each stderr text and each trajectory CSV, 108 digests in all.  Any digest
+that differs between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times

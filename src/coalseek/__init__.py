@@ -11,7 +11,6 @@ from .analysis import (
     cost_accounting,
     deviation_bounds,
     lyapunov_value,
-    solve_lyapunov,
 )
 from .dynamics import (
     IntegrateParams,

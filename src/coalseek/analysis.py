@@ -16,7 +16,6 @@ from .graphs import is_connected, orthonormal_complement
 __all__ = [
     "BlockTransform",
     "build_block_transforms",
-    "solve_lyapunov",
     "ConsensusRecord",
     "consensus_residual",
     "deviation_bounds",
@@ -36,57 +35,39 @@ __all__ = [
 class BlockTransform:
     """Per-block change of coordinates: ``basis`` spans the disagreement
     subspace, ``reduced_laplacian`` is the block Laplacian in that basis, and
-    ``lyapunov_matrix`` solves P A + A P = Q for it."""
+    ``lyapunov_matrix`` solves P A + A P = I for it.  The basis is the
+    Laplacian's own eigenbasis, so both matrices are diagonal."""
 
     basis: np.ndarray
     reduced_laplacian: np.ndarray
     lyapunov_matrix: np.ndarray
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Unique symmetric P with P A + A P = Q for symmetric positive definite
-    A and Q, via the eigendecomposition of A."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A and Q must be square matrices of the same size")
-    if a.size == 0:
-        return np.zeros_like(a)
-    scale_a = max(1.0, float(np.abs(a).max()))
-    scale_q = max(1.0, float(np.abs(q).max()))
-    if np.abs(a - a.T).max() > 1e-10 * scale_a or np.abs(q - q.T).max() > 1e-10 * scale_q:
-        raise ValueError("A and Q must be symmetric")
-    lam, vec = np.linalg.eigh(a)
-    if lam[0] <= 0 or np.linalg.eigvalsh(q)[0] <= 0:
-        raise ValueError("A and Q must be positive definite")
-    q_tilde = vec.T @ q @ vec
-    p_tilde = q_tilde / np.add.outer(lam, lam)
-    p = vec @ p_tilde @ vec.T
-    p = 0.5 * (p + p.T)
-    residual = np.abs(p @ a + a @ p - q).max()
-    if residual > tol * scale_q:
-        raise ValueError(f"Lyapunov residual {residual:.3e} exceeds tolerance")
-    return p
-
-
 def build_block_transforms(game: Game) -> dict[tuple[int, int], BlockTransform]:
-    """One transform per estimation block, its Lyapunov matrix solved against
-    the identity of the block's reduced dimension.  Raises ValueError, naming
-    the block, where a block's communication graph is disconnected."""
+    """One transform per estimation block: on the eigenbasis of the block's
+    reduced Laplacian, with eigenvalues ``lam``, P = diag(1 / (2 lam)).
+    Raises ValueError, naming the block, where its communication graph is
+    disconnected or its spectrum is not resolved in double precision: the
+    smallest eigenvalue at most ``size * eps`` times the largest."""
     out = {}
+    eps = np.finfo(float).eps
     for b in game.layout.blocks:
+        name = f"block ({b.coalition},{b.k})"
         if not is_connected(game.coalitions[b.coalition - 1].comm.induced(b.members)):
             raise ValueError(
-                "the energy value needs the communication graph of block "
-                f"({b.coalition},{b.k}) connected"
+                f"the energy value needs the communication graph of {name} connected"
             )
-        basis = orthonormal_complement(b.size)
+        householder = orthonormal_complement(b.size)
         lap = game.layout.block_laplacians[(b.coalition, b.k)]
-        reduced = basis.T @ lap @ basis
-        reduced = 0.5 * (reduced + reduced.T)
-        dim = b.size - 1
-        p_block = solve_lyapunov(reduced, np.eye(dim)) if dim > 0 else np.zeros((0, 0))
-        out[(b.coalition, b.k)] = BlockTransform(basis, reduced, p_block)
+        lam, vec = np.linalg.eigh(householder.T @ lap @ householder)
+        if lam.size and not lam[0] > b.size * eps * lam[-1]:
+            raise ValueError(
+                f"the energy value cannot resolve the communication graph of {name}: "
+                f"its Laplacian has eigenvalues {lam[0]:.3g} and {lam[-1]:.3g}"
+            )
+        out[(b.coalition, b.k)] = BlockTransform(
+            householder @ vec, np.diag(lam), np.diag(0.5 / lam)
+        )
     return out
 
 

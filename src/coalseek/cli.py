@@ -142,7 +142,6 @@ def _cmd_run(args) -> int:
         ("rhs_evals", str(trajectory.rhs_evals)),
         ("rejected_steps", str(trajectory.rejected_steps)),
         ("stopped_early", str(trajectory.stopped_early).lower()),
-        ("wall_time_s", f"{trajectory.wall_time:.3f}"),
     ]
     summary = _kv_or_text(pairs, args.format or "text")
     if args.summary:

@@ -14,7 +14,6 @@ singleton block simply has none.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -191,7 +190,6 @@ class Trajectory:
     steps: int = 0
     rejected_steps: int = 0
     rhs_evals: int = 0
-    wall_time: float = 0.0
 
     @property
     def final_x(self) -> np.ndarray:
@@ -421,7 +419,6 @@ class Seeker:
         params = params or IntegrateParams()
         if not (np.all(np.isfinite(state0.x)) and np.all(np.isfinite(state0.w))):
             raise NonFiniteStateError("initial state contains non-finite entries")
-        start = time.perf_counter()
         evaluations = self.evaluations
         n = self._n
         z = np.concatenate((state0.x, state0.w))
@@ -464,5 +461,4 @@ class Seeker:
             steps=steps,
             rejected_steps=rejected,
             rhs_evals=self.evaluations - evaluations,
-            wall_time=time.perf_counter() - start,
         )

@@ -192,7 +192,8 @@ def solve_stationary(
         if step is None:
             return StationaryReport(best_x, best_res, it, best_res <= tol,
                                     "singular jacobian")
-        merit = float(np.linalg.norm(p))
+        # hypot scales its arguments, so a finite residual has a finite norm.
+        merit = math.hypot(*p.tolist())
         alpha = 1.0
         accepted = False
         for _ in range(max_halvings + 1):
@@ -202,7 +203,7 @@ def solve_stationary(
             except DomainError:
                 alpha *= 0.5
                 continue
-            if float(np.linalg.norm(p_trial)) < merit:
+            if math.hypot(*p_trial.tolist()) < merit:
                 x, p = trial, p_trial
                 accepted = True
                 break

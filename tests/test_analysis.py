@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from coalseek.analysis import (
     cost_accounting,
     deviation_bounds,
     lyapunov_value,
-    solve_lyapunov,
 )
 from coalseek.corpus import random_quadratic_game
 from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
@@ -43,45 +43,6 @@ def _random_protocol_state(game, rng, span=2.0):
     return SeekerState(x, w, 0.0)
 
 
-# --- solve_lyapunov ---------------------------------------------------------------
-
-
-def test_lyapunov_identity():
-    p = solve_lyapunov(np.eye(3), 2.0 * np.eye(3))
-    assert np.abs(p - np.eye(3)).max() <= 1e-14
-
-
-def test_lyapunov_diagonal():
-    p = solve_lyapunov(np.diag([1.0, 2.0]), np.eye(2))
-    assert np.abs(p - np.diag([0.5, 0.25])).max() <= 1e-14
-
-
-def test_lyapunov_random_spd_residual():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        m = rng.normal(size=(5, 5))
-        a = m @ m.T + 5 * np.eye(5)
-        m2 = rng.normal(size=(5, 5))
-        q = m2 @ m2.T + np.eye(5)
-        p = solve_lyapunov(a, q)
-        assert np.abs(p @ a + a @ p - q).max() <= 1e-10 * max(1.0, np.abs(q).max())
-        assert np.linalg.eigvalsh(p)[0] > 0
-
-
-def test_lyapunov_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        solve_lyapunov(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
-
-
-def test_lyapunov_rejects_indefinite():
-    with pytest.raises(ValueError):
-        solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
-
-
-def test_lyapunov_empty_block():
-    assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
-
-
 # --- block transforms ----------------------------------------------------------------
 
 
@@ -97,6 +58,61 @@ def test_transforms_solve_block_equations(example2_game):
         assert np.linalg.eigvalsh(a)[0] > 0
         resid = tr.lyapunov_matrix @ a + a @ tr.lyapunov_matrix - np.eye(dim)
         assert np.abs(resid).max() <= 1e-10
+
+
+def _path_game(weight):
+    """One coalition of three agents that all interfere, communicating on the
+    path 1-2-3 with edge weights (weight, 1): each of the three blocks holds
+    all three agents, and its communication graph is that path, a tree."""
+    agents = (1, 2, 3)
+    costs = tuple(
+        parse(f"x1_{j}^2 + " + " + ".join(f"x1_{j}*x1_{l}" for l in agents if l != j))
+        for j in agents
+    )
+    return Game(
+        coalitions=(
+            Coalition(
+                costs=costs,
+                dbar=(1.0, 2.0, 0.5),
+                comm=Graph.build(agents, [(1, 2, weight), (2, 3)]),
+                interference=Graph.build(agents, [(1, 2), (1, 3), (2, 3)]),
+            ),
+        )
+    )
+
+
+@pytest.mark.parametrize("weight", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12])
+def test_value_on_a_tree_is_its_edge_flow_energy(weight):
+    # On a tree, (1/2) g' L^+ g is (1/2) sum_e f_e^2 / w_e, with f_e the sum
+    # of the centred estimates on one side of edge e.  The block's condition
+    # number kappa comes from its two nonzero Laplacian eigenvalues, whose
+    # product is 3 * weight (three times the weighted spanning tree).  The
+    # value is good to kappa * eps from the eigenproblem, plus about ten eps
+    # of rounding in either sum, which is all there is at kappa = 3.
+    game = _path_game(weight)
+    transforms = build_block_transforms(game)
+    lam_max = weight + 1.0 + math.sqrt(weight * weight - weight + 1.0)
+    kappa = lam_max * lam_max / (3.0 * weight)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x_star = rng.uniform(-2.0, 2.0, 3)
+        state = SeekerState(rng.uniform(-2.0, 2.0, 3), rng.normal(size=game.layout.size), 0.0)
+        g = state.w + tree_walk_partials(game, state.x)
+        expected = 0.0
+        for b, d, diff in zip(game.layout.blocks, game.coalitions[0].dbar, state.x - x_star):
+            assert b.members == (1, 2, 3)
+            c = g[b.start : b.stop] - g[b.start : b.stop].mean()
+            expected += 0.5 * (c[0] * c[0] / weight + c[2] * c[2])
+            expected += 0.5 * (3 / d) * diff * diff
+        got = lyapunov_value(game, state, x_star, transforms)
+        assert abs(got - expected) <= (kappa + 10.0) * eps * expected
+
+
+@pytest.mark.parametrize("weight", [1e-300, 1e300])
+def test_an_unresolved_block_spectrum_is_named(weight):
+    with pytest.raises(ValueError, match=r"block \(1,[123]\): its Laplacian has eigenvalues "):
+        build_block_transforms(_path_game(weight))
 
 
 # --- consensus residual ----------------------------------------------------------------

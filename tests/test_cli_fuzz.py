@@ -21,13 +21,14 @@ PRESETS = {
 
 COMMANDS = (("graphs",), ("costs",), ("solve",), ("check",), ("run", "--horizon", "0.5"))
 
-# Wrong types, zeros, signs, bad expressions and indices out of range.  No
-# magnitude far from 1: a tiny record_dt, or a huge gain or weight that
-# makes the dynamics stiff, asks for a run of unbounded length, which is
-# valid input and not what this test checks.
+# Wrong types, zeros, signs, bad expressions, indices out of range, and
+# magnitudes near the ends of double precision: a start whose costs
+# overflow, a weight whose block spectrum cannot be resolved, a gain too
+# stiff to integrate or a record_dt asking for too many records.  Every run
+# is bounded, so each of these ends with its exit code.
 REPLACEMENTS = st.sampled_from(
-    [None, True, 0, 1, -1, 2, 7, 0.5, -2.5, 1e3, -1e3, 1e-3, "", "x1_1", "x9_9",
-     "log(x1_1)", "rk4", [], {}, [0], [1, 2], [1, 1]]
+    [None, True, 0, 1, -1, 2, 7, 0.5, -2.5, 1e3, -1e3, 1e-3, 1e300, -1e300, 1e-300,
+     "", "x1_1", "x9_9", "log(x1_1)", "rk4", [], {}, [0], [1, 2], [1, 1]]
 )
 
 
@@ -87,6 +88,7 @@ FAR["initial_x"][0] = 1e300
 @example(doc=DISCONNECTED, command=COMMANDS[-1])
 @example(doc=FAINT, command=COMMANDS[-1])
 @example(doc=FAR, command=("check",))
+@example(doc=FAR, command=("solve",))
 @example(doc=FAR, command=COMMANDS[-1])
 def test_mutated_presets_exit_with_one_line(tmp_path_factory, doc, command):
     path = tmp_path_factory.getbasetemp() / "mutant.json"

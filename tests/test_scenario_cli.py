@@ -616,6 +616,32 @@ def test_cli_run_names_the_disconnected_block_the_energy_value_needs(tmp_path, c
     assert main(["solve", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "weight, block",
+    [(1e-12, None), (1e-9, None), (1e-300, "(3,4)"), (1e300, "(3,2)")],
+)
+def test_cli_run_energy_value_on_a_reweighted_edge(tmp_path, capsys, weight, block):
+    # Edge [2, 4] of coalition 3 lies in blocks (3,2) and (3,4).  Far from 1,
+    # its weight leaves each block connected, and the energy value builds
+    # for as long as the block's spectrum is resolved in double precision.
+    doc = json.loads(preset_path("example2").read_text(encoding="utf-8"))
+    edges = doc["coalitions"][2]["communication"]
+    edges[edges.index([2, 4])] = [2, 4, weight]
+    path = tmp_path / "reweighted.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path), "--horizon", "0.5", "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err.splitlines()
+    if block is None:
+        assert (code, err) == (0, [])
+    else:
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(
+            "validation error: $.x_star: the energy value cannot resolve the "
+            f"communication graph of block {block}: its Laplacian has eigenvalues "
+        )
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
 def test_cli_overflowing_stage_warns_nothing(tmp_path, method):
     # The scenario of the test above, run as a command: the overflow in the
@@ -792,8 +818,11 @@ def test_cli_run_writes_csv_and_summary(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("t,x1_1,x1_2,x1_3,x1_4")
     assert len(lines) > 2
-    assert "wall_time_s" in summary.read_text()
-    assert "x1_1" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "x1_1" in printed
+    # The summary holds no wall time, so it is the same on every run.
+    assert summary.read_text() == printed
+    assert "wall_time_s" not in printed
 
 
 def test_cli_run_example2_final_row_near_origin(tmp_path):
