@@ -21,8 +21,10 @@ It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
 whose costs raise their actions to the integer powers 4, -1 and -2, which
 the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
 code, each report (less the ``wall_time_s`` line that older trees print),
-each stderr text and each trajectory CSV, 108 digests in all.  Any digest
-that differs between the trees ends the script with exit code 1.
+each stderr text and each trajectory CSV, and, for each of the five inputs,
+``repr`` of the loaded game's cost trees and of its partial trees, 118
+digests in all.  Any digest that differs between the trees ends the script
+with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -35,7 +37,10 @@ up to 20 audits, each batch sized to run about 50 ms) and one
 included (batched the same way).  Per input the script prints the median
 and IQR of the integrate wall time on each side, the change's relative
 move, how many pairs the change won, the median microseconds per kernel
-call and the median milliseconds per audit and per solve.
+call and the median milliseconds per audit and per solve.  Each also times
+loading: ``Seeker(load_scenario(source).game)``, batched as the audits are;
+per input the script prints its median and IQR on each side, the change's
+relative move and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -128,10 +133,15 @@ def _sha256(text: str | bytes) -> str:
 
 def _digests(docs: Path, seed: int) -> dict:
     from coalseek import cli
+    from coalseek.scenario import load_scenario
 
+    out = {}
+    for label, source in _inputs(docs):
+        game = load_scenario(source).game
+        out[f"{label} cost trees"] = _sha256(repr(game.costs))
+        out[f"{label} partial trees"] = _sha256(repr(tuple(game.partials.items())))
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
     runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
-    out = {}
     for label, source, commands in runs:
         for command in commands:
             argv = [command, source, "--format", "kv"]
@@ -203,6 +213,7 @@ def _times(docs: Path, repeats: int) -> dict:
             # The first audit builds its plan.
             "audit_ms": _best_batch_ms(lambda: gradient_check(scenario.game, x)),
             "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
+            "setup_ms": _best_batch_ms(lambda: Seeker(load_scenario(source).game)),
             "rhs_evals": trajectory.rhs_evals,
         }
     return out
@@ -278,6 +289,14 @@ def main() -> int:
               f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {f'{audit[0]:.2f} -> {audit[1]:.2f}':>16} "
               f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
+    print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6}")
+    for label, _ in _inputs(Path()):
+        parent = [r[label]["setup_ms"] for r in runs["parent"]]
+        change = [r[label]["setup_ms"] for r in runs["change"]]
+        (pm, piqr), (cm, ciqr) = _quartiles(parent), _quartiles(change)
+        wins = sum(c < p for p, c in zip(parent, change))
+        print(f"{label:<16} {f'{pm:.2f} ({piqr:.2f})':>22} {f'{cm:.2f} ({ciqr:.2f})':>20} "
+              f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6}")
     return 0
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "DomainError",
     "MissingVariableError",
     "parse",
+    "parse_shaped",
     "render",
     "evaluate",
     "compile_vector_function",
@@ -97,28 +98,60 @@ class _Node:
         return Unary("neg", self)
 
 
-@dataclass(frozen=True)
+# The node kinds are frozen dataclasses with slots and their own
+# ``__init__``, which sets each field through its slot's descriptor: the
+# generated one calls ``object.__setattr__`` once per field, and building
+# nodes is most of what parsing does.  Writing an instance ``__dict__``
+# instead would be as fast, but CPython 3.11 then keeps a real dict per
+# node, half again the node's memory, and reads its fields at half the
+# speed.  Assigning a field still raises ``FrozenInstanceError``.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const(_Node):
     value: float
 
+    def __init__(self, value: float):
+        _set_value(self, value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var(_Node):
     name: str
 
+    def __init__(self, name: str):
+        _set_name(self, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Unary(_Node):
     op: str  # "neg" | "exp" | "log"
     arg: "Expression"
 
+    def __init__(self, op: str, arg: "Expression"):
+        _set_unary_op(self, op)
+        _set_arg(self, arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Binary(_Node):
     op: str  # "add" | "sub" | "mul" | "div" | "pow"
     left: "Expression"
     right: "Expression"
 
+    def __init__(self, op: str, left: "Expression", right: "Expression"):
+        _set_binary_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_value = Const.value.__set__
+_set_name = Var.name.__set__
+_set_unary_op = Unary.op.__set__
+_set_arg = Unary.arg.__set__
+_set_binary_op = Binary.op.__set__
+_set_left = Binary.left.__set__
+_set_right = Binary.right.__set__
 
 Expression = Union[Const, Var, Unary, Binary]
 
@@ -333,6 +366,95 @@ def _parse_atom(lex: _Lexer) -> tuple[Expression, int]:
 
 
 # ---------------------------------------------------------------------------
+# Parsing many texts of one shape
+#
+# The costs of a graphical game repeat a few forms over different
+# neighbours.  A text's skeleton is its tokens with a hole for each number
+# and each name other than exp and log.  What the parser builds depends on
+# the skeleton alone, but for two checks on single tokens: a literal that
+# overflows and a malformed ``x<digit>`` name.  So the first text of a
+# skeleton is parsed, and every later one is built from that tree with its
+# own literals and names in the leaves.
+# ---------------------------------------------------------------------------
+
+# The tokens that make a skeleton, as ``_Lexer`` reads them: a number
+# (tried first), a name, or a fault the parser rejects on its own token, a
+# malformed ``x<digit>`` name or a stray character: any but an operator, a
+# parenthesis or whitespace, which is what ``str.isspace`` accepts, as
+# ``\s`` of a str pattern and ``str.split`` do.
+_LEAF_RE = re.compile(
+    f"({_NUMBER_RE.pattern})"
+    r"|(x[1-9][0-9]*_[1-9][0-9]*(?![A-Za-z0-9_])|(?!x[0-9])[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(x[0-9][A-Za-z0-9_]*|[^-+*/^()\s])"
+)
+
+
+def parse_shaped(text: str, shapes: dict) -> tuple[Expression, frozenset[str]]:
+    """``parse(text)`` and the names it reads, read from the tokens.
+    ``shapes`` is the caller's table of the skeletons seen so far, kept for
+    a set of texts: a skeleton's first text is parsed, and each later one
+    is built from that tree.  A text with a stray character, an overflowing
+    literal or a malformed ``x<digit>`` name is parsed, which raises the
+    parser's ``ParseError``."""
+    parts = _LEAF_RE.split(text)
+    kinds = []
+    literals = []
+    names = []
+    for number, name, fault in zip(parts[1::4], parts[2::4], parts[3::4]):
+        if fault is not None:
+            break
+        if number is not None:
+            kinds.append("#")
+            literals.append(float(number))
+        elif name in _FUNCTIONS:
+            kinds.append(name)
+        else:
+            kinds.append("$")
+            names.append(name)
+    else:
+        if math.inf not in literals:
+            # The operators between the leaves, and the leaves' kinds.
+            key = "".join("\0".join(parts[::4]).split()), "".join(kinds)
+            shape = shapes.get(key)
+            if shape is None:
+                shapes[key] = parse(text)
+                return shapes[key], frozenset(names)
+            if isinstance(shape, _Node):
+                shape = shapes[key] = _shape_builder(shape)
+            return shape(literals, names), frozenset(names)
+    tree = parse(text)
+    return tree, free_variables(tree)
+
+
+def _shape_builder(tree: Expression) -> Callable[[list[float], list[str]], Expression]:
+    """A function of a skeleton's literals and names, in text order, that
+    builds its tree; ``tree`` is one of them.  Its leaves are the holes in
+    text order, and a constant whose sign is not its literal's, as ``-2``
+    and ``^-1`` make, is the negated literal.  The function is one closure
+    per node of ``tree``."""
+    count = {Const: 0, Var: 0}
+
+    def builder(e: Expression) -> Callable[[list[float], list[str]], Expression]:
+        kind = type(e)
+        if kind is Const or kind is Var:
+            n = count[kind]
+            count[kind] += 1
+            if kind is Var:
+                return lambda c, v: Var(v[n])
+            if math.copysign(1.0, e.value) < 0:
+                return lambda c, v: Const(-c[n])
+            return lambda c, v: Const(c[n])
+        op = e.op
+        if kind is Unary:
+            arg = builder(e.arg)
+            return lambda c, v: Unary(op, arg(c, v))
+        left, right = builder(e.left), builder(e.right)
+        return lambda c, v: Binary(op, left(c, v), right(c, v))
+
+    return builder(tree)
+
+
+# ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
@@ -344,12 +466,14 @@ def _prec(e: Expression) -> int:
         return _PREC["neg"] if e.op == "neg" else 5
     if isinstance(e, Binary):
         return _PREC[e.op]
-    if isinstance(e, Const) and e.value < 0:
+    if isinstance(e, Const) and math.copysign(1.0, e.value) < 0:  # -0.0 too
         return _PREC["neg"]
     return 5
 
 
 def _fmt_number(value: float) -> str:
+    if value == 0.0:
+        return "-0" if math.copysign(1.0, value) < 0 else "0"
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -72,12 +72,22 @@ def split_action_name(name: str) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class Coalition:
-    """One coalition: per-agent costs, gains and graphs on agents 1..m."""
+    """One coalition: per-agent costs, gains and graphs on agents 1..m.
+
+    ``reads`` holds the names each cost reads, in cost order; without it,
+    each tree is walked for them.  Loading passes the names it read from
+    each cost's tokens.  A ``dataclasses.replace`` that changes the costs
+    must pass ``reads=None``."""
 
     costs: tuple[Expression, ...]
     dbar: tuple[float, ...]
     comm: Graph
     interference: Graph
+    reads: tuple[frozenset[str], ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.reads is None:
+            object.__setattr__(self, "reads", tuple(free_variables(f) for f in self.costs))
 
     @property
     def m(self) -> int:
@@ -175,9 +185,9 @@ class Game:
         order, that is no action or that the interference graph excludes."""
         out = []
         for i, c in enumerate(self.coalitions, start=1):
-            for j, f in enumerate(c.costs, start=1):
+            for j, names in enumerate(c.reads, start=1):
                 cols = []
-                for name in sorted(free_variables(f)):
+                for name in sorted(names):
                     col = self.var_index.get(name)
                     if col is None:
                         raise GameError(
@@ -363,13 +373,21 @@ class Layout:
 # ---------------------------------------------------------------------------
 
 
-def infer_interference_graph(costs: Sequence[Expression], coalition: int) -> Graph:
+def infer_interference_graph(
+    costs: Sequence[Expression],
+    coalition: int,
+    reads: Sequence[Iterable[str]] | None = None,
+) -> Graph:
     """Dependency graph of one coalition: agents j and k are adjacent iff the
-    cost of j depends on the action of k or vice versa (syntactically)."""
+    cost of j depends on the action of k or vice versa (syntactically).
+    ``reads`` holds the names each cost reads, where the caller has them;
+    without it, each tree is walked for them."""
     m = len(costs)
+    if reads is None:
+        reads = [free_variables(f) for f in costs]
     edges = set()
-    for j, f in enumerate(costs, start=1):
-        for name in free_variables(f):
+    for j, names in enumerate(reads, start=1):
+        for name in names:
             idx = split_action_name(name)
             if idx is not None and idx[0] == coalition and 1 <= idx[1] <= m and idx[1] != j:
                 edges.add((min(j, idx[1]), max(j, idx[1])))

@@ -19,7 +19,8 @@ from typing import Any
 import numpy as np
 
 from .dynamics import IntegrateParams, Seeker, SeekerState
-from .expr import ParseError, parse
+# Bound as ``parse``: ``bench/tracing.py`` times each cost's parse by that name.
+from .expr import ParseError, parse_shaped as parse
 from .game import Coalition, Game, GameError, infer_interference_graph
 from .graphs import ContainmentReport, Graph, GraphError, validate_containment
 
@@ -94,6 +95,15 @@ def _expect(doc: dict, key: str, kind, path: str, default=_REQUIRED):
         return value
     if not isinstance(value, kind):
         raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is str:
+        # JSON escapes such as \ud800 make lone surrogates, which no report,
+        # file or terminal can carry.
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise ScenarioError(
+                f"{path}.{key}: not UTF-8 text: {value[err.start]!r} at character {err.start}"
+            ) from None
     return value
 
 
@@ -139,6 +149,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
     warnings: list[str] = []
     coalitions = []
     verdicts: dict[int, ContainmentReport] = {}
+    shapes: dict = {}  # one document's cost skeletons (see ``expr.parse_shaped``)
     for ci, raw in enumerate(raw_coalitions, start=1):
         path = f"$.coalitions[{ci - 1}]"
         if not isinstance(raw, dict):
@@ -147,17 +158,20 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         if not cost_strings:
             raise ScenarioError(f"{path}.costs: must not be empty")
         costs = []
+        reads = []
         for jpos, text in enumerate(cost_strings):
             if not isinstance(text, str):
                 raise ScenarioError(f"{path}.costs[{jpos}]: expected a string")
             try:
-                costs.append(parse(text))
+                cost, names = parse(text, shapes)
             except ParseError as err:
                 raise ScenarioError(f"{path}.costs[{jpos}]: {err}") from None
+            costs.append(cost)
+            reads.append(names)
         m = len(costs)
         dbar = _numbers(_expect(raw, "dbar", list, path, [1.0] * m), m, f"{path}.dbar")
         comm = _edge_list(_expect(raw, "communication", list, path, []), m, f"{path}.communication")
-        inferred = infer_interference_graph(costs, ci)
+        inferred = infer_interference_graph(costs, ci, reads)
         if "interference" in raw:
             declared = _edge_list(raw["interference"], m, f"{path}.interference")
             missing = set(inferred.edge_pairs()) - set(declared.edge_pairs())
@@ -183,6 +197,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
                 dbar=dbar,
                 comm=comm,
                 interference=interference,
+                reads=tuple(reads),
             )
         )
 

@@ -25,10 +25,12 @@ COMMANDS = (("graphs",), ("costs",), ("solve",), ("check",), ("run", "--horizon"
 # magnitudes near the ends of double precision: a start whose costs
 # overflow, a weight whose block spectrum cannot be resolved, a gain too
 # stiff to integrate or a record_dt asking for too many records.  Every run
-# is bounded, so each of these ends with its exit code.
+# is bounded, so each of these ends with its exit code.  Lone surrogates
+# (JSON's \ud800 escapes) are strings no report or file can encode.
 REPLACEMENTS = st.sampled_from(
     [None, True, 0, 1, -1, 2, 7, 0.5, -2.5, 1e3, -1e3, 1e-3, 1e300, -1e300, 1e-300,
-     "", "x1_1", "x9_9", "log(x1_1)", "rk4", [], {}, [0], [1, 2], [1, 1]]
+     "", "x1_1", "x9_9", "log(x1_1)", "rk4", "\ud800", "x1_1\udfff", [], {}, [0], [1, 2],
+     [1, 1]]
 )
 
 
@@ -76,6 +78,9 @@ FAINT["coalitions"][2]["communication"][2] = [2, 4, 1e-300]  # was [2, 4]
 # A start whose costs overflow.
 FAR = copy.deepcopy(PRESETS["coalition1-fig1"])
 FAR["initial_x"][0] = 1e300
+# A name no report can print.
+SURROGATE = copy.deepcopy(PRESETS["coalition1-fig1"])
+SURROGATE["name"] = "\ud800"
 
 
 @settings(
@@ -90,12 +95,21 @@ FAR["initial_x"][0] = 1e300
 @example(doc=FAR, command=("check",))
 @example(doc=FAR, command=("solve",))
 @example(doc=FAR, command=COMMANDS[-1])
+@example(doc=SURROGATE, command=("solve",))
+@example(doc=SURROGATE, command=COMMANDS[-1])
 def test_mutated_presets_exit_with_one_line(tmp_path_factory, doc, command):
-    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    base = tmp_path_factory.getbasetemp()
+    path = base / "mutant.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
+    if command[0] == "run":  # the summary is printed and written to a file
+        command += ("--out", str(base / "mutant.csv"), "--summary", str(base / "summary.txt"))
+    # Standard output encodes strictly, as in a UTF-8 locale, and standard
+    # error with backslash escapes, as the interpreter's always does.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], str(path), *command[1:], "--format", "kv"])
     assert code in (0, 1, 2, 3)
-    lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
+    err.seek(0)
+    lines = [line for line in err.read().splitlines() if not line.startswith("warning: ")]
     assert len(lines) <= 1, lines

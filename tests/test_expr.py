@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,8 +172,9 @@ def test_free_variables_constant():
 # --- random-tree strategies -------------------------------------------------
 
 _names = st.sampled_from(["x1_1", "x1_2", "x2_1", "x3_6", "y", "load"])
-_consts = st.floats(
-    min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
+_consts = st.one_of(
+    st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
 ).map(lambda v: Const(round(v, 4)))
 
 
@@ -197,9 +200,54 @@ def _trees(depth=3):
 @settings(max_examples=200)
 @given(_trees())
 def test_render_parse_round_trip(tree):
+    # By repr, which tells -0.0 from 0.0 where == does not.
     text = render(tree)
     reparsed = parse(text)
-    assert parse(render(reparsed)) == reparsed
+    assert repr(parse(render(reparsed))) == repr(reparsed)
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        (Const(-0.0), "-0"),
+        (Const(0.0), "0"),
+        (Binary("pow", Const(-0.0), Const(2.0)), "(-0)^2"),
+        (Binary("pow", Var("x1_1"), Const(-0.0)), "x1_1^-0"),
+        (Binary("sub", Var("x1_1"), Const(-0.0)), "x1_1 - -0"),
+    ],
+)
+def test_render_keeps_the_sign_of_zero(tree, text):
+    assert render(tree) == text
+    assert repr(parse(text)) == repr(tree)
+
+
+@pytest.mark.parametrize(
+    "node, change, text",
+    [
+        (Const(2.0), {"value": 3.0}, "Const(value=2.0)"),
+        (Var("x1_1"), {"name": "y"}, "Var(name='x1_1')"),
+        (Unary("neg", Var("y")), {"op": "exp"}, "Unary(op='neg', arg=Var(name='y'))"),
+        (
+            Binary("add", Const(1.0), Var("y")),
+            {"right": Const(2.0)},
+            "Binary(op='add', left=Const(value=1.0), right=Var(name='y'))",
+        ),
+    ],
+)
+def test_nodes_are_frozen_dataclasses(node, change, text):
+    assert dataclasses.is_dataclass(node)
+    assert repr(node) == text
+    fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+    twin = type(node)(**fields)
+    assert twin == node and hash(twin) == hash(node) and twin is not node
+    changed = dataclasses.replace(node, **change)
+    assert changed != node and {**fields, **change} == {
+        f.name: getattr(changed, f.name) for f in dataclasses.fields(changed)
+    }
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+    assert repr(node) == text
 
 
 @settings(max_examples=150)
