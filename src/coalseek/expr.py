@@ -163,22 +163,34 @@ def _coerce(value) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Lexing / parsing
+# Tokens and parsing
 #
 # expr   := term  (('+'|'-') term)*          left-associative
 # term   := unary (('*'|'/') unary)*         left-associative
 # unary  := '-' unary | power
-# power  := atom ('^' signed-number)?        binds tighter than unary minus
+# power  := atom ('^' '-'? number)?          binds tighter than unary minus
 # atom   := number | name | '(' expr ')' | ('exp'|'log') atom
+# number := (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
+# name   := [A-Za-z_] [A-Za-z0-9_]*
 #
-# A leading '-' on a numeric literal folds into the constant so that rendered
-# negative constants reparse to an identical tree.
+# Digits are ASCII.  Whitespace, which is what ``str.isspace`` accepts, may
+# stand between tokens.  A leading '-' on a numeric literal folds into the
+# constant so that rendered negative constants reparse to an identical tree.
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ACTION_RE = re.compile(r"x[1-9]\d*_[1-9]\d*\Z")
-_FUNCTIONS = ("exp", "log")
+# The one pattern that tokenizes a text.  ``split`` leaves the operators,
+# parentheses and whitespace between its matches (``\s`` of a str pattern
+# is what ``str.isspace`` accepts), and each match is one group: a number,
+# tried first; a name; or a token the parser rejects on its own, a
+# malformed ``x<digit>`` name or a stray character.
+_TOKEN_RE = re.compile(
+    r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(x[1-9][0-9]*_[1-9][0-9]*(?![A-Za-z0-9_])|(?!x[0-9])[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(x[0-9][A-Za-z0-9_]*|[^-+*/^()\s])"
+)
+_FUNCTIONS = {"e": "exp", "l": "log"}  # by their kind in a key
+_SUMS = {"+": "add", "-": "sub"}
+_PRODUCTS = {"*": "mul", "/": "div"}
 
 # The deepest input ``parse`` accepts.  Parsing, differentiation, rendering,
 # evaluation and compilation each recurse once per level of a tree, and
@@ -191,76 +203,28 @@ MAX_NESTING = 100
 MAX_HEIGHT = 256
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.nesting = 0
-
-    def byte_offset(self, pos: int | None = None) -> int:
-        pos = self.pos if pos is None else pos
-        return len(self.text[:pos].encode("utf-8"))
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, char: str) -> None:
-        if not self.take(char):
-            found = self.peek() or "end of input"
-            raise ParseError(f"expected '{char}', found {found!r}", self.byte_offset())
-
-    def number(self) -> float | None:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m is None:
-            return None
-        value = float(m.group())
-        if math.isinf(value):
-            raise ParseError(f"numeric literal {m.group()!r} overflows", self.byte_offset())
-        self.pos = m.end()
-        return value
-
-    def name(self) -> str | None:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def nest(self, parse_inner: Callable[["_Lexer"], tuple[Expression, int]]):
-        """``parse_inner(self)`` one nesting level deeper."""
-        if self.nesting == MAX_NESTING:
-            raise ParseError(
-                f"parentheses, functions and minus signs nested more than {MAX_NESTING} deep",
-                self.byte_offset(),
-            )
-        self.nesting += 1
-        inner = parse_inner(self)
-        self.nesting -= 1
-        return inner
-
-    def height_error(self) -> ParseError:
-        return ParseError(f"expression more than {MAX_HEIGHT} operations deep", self.byte_offset())
-
-
-# Each ``_parse_*`` function returns the tree it read and its height, the
-# operations on its longest path from the root to a leaf.
+def _tokens(text: str) -> tuple[str, list[float], list[str]]:
+    """``text``'s tokens: a key of one character per token, an operator or
+    a parenthesis as itself and a leaf as its kind (``#`` a number, ``$`` a
+    name, ``e`` exp, ``l`` log, ``?`` a malformed name or a stray
+    character), and the numbers' values and the names in text order."""
+    parts = _TOKEN_RE.split(text)
+    key = []
+    literals = []
+    names = []
+    for between, number, name in zip(parts[::4], parts[1::4], parts[2::4]):
+        if number is not None:
+            key.append(between + "#")
+            literals.append(float(number))
+        elif name is None:
+            key.append(between + "?")
+        elif name == "exp" or name == "log":
+            key.append(between + name[0])
+        else:
+            key.append(between + "$")
+            names.append(name)
+    key.append(parts[-1])
+    return "".join("".join(key).split()), literals, names
 
 
 def parse(text: str) -> Expression:
@@ -271,159 +235,190 @@ def parse(text: str) -> Expression:
     1-based indices (anything else of that shape is rejected as malformed).
     Input nested deeper than ``MAX_NESTING`` or ``MAX_HEIGHT`` is rejected.
     """
-    lex = _Lexer(text)
-    tree, _ = _parse_expr(lex)
-    if not lex.at_end():
-        raise ParseError(
-            f"unexpected trailing input {lex.peek()!r}", lex.byte_offset()
-        )
-    return tree
+    return _Parser(text, *_tokens(text)).tree()
 
 
-def _parse_expr(lex: _Lexer) -> tuple[Expression, int]:
-    node, height = _parse_term(lex)
-    while True:
-        if lex.take("+"):
-            op = "add"
-        elif lex.take("-"):
-            op = "sub"
-        else:
-            return node, height
-        right, right_height = _parse_term(lex)
-        node = Binary(op, node, right)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_HEIGHT:
-            raise lex.height_error()
+class _Parser:
+    """Recursive descent over one text's tokens (see ``_tokens``).  Each
+    ``_parse_*`` method returns the tree it read and its height, the
+    operations on its longest path from the root to a leaf.  Only an error
+    looks for its place in the text (see ``_error``)."""
 
+    def __init__(self, text: str, key: str, literals: list[float], names: list[str]):
+        self.text = text
+        self.key = key + " "  # a key holds no whitespace, so a space ends it
+        self.i = 0
+        self.literals = iter(literals)
+        self.names = iter(names)
+        self.nesting = 0
 
-def _parse_term(lex: _Lexer) -> tuple[Expression, int]:
-    node, height = _parse_unary(lex)
-    while True:
-        if lex.take("*"):
-            op = "mul"
-        elif lex.take("/"):
-            op = "div"
-        else:
-            return node, height
-        right, right_height = _parse_unary(lex)
-        node = Binary(op, node, right)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_HEIGHT:
-            raise lex.height_error()
+    def tree(self) -> Expression:
+        tree, _ = self._parse_expr()
+        if self.key[self.i] != " ":
+            raise self._error(f"unexpected trailing input {self._found(self.i)!r}", self.i)
+        return tree
 
+    def _parse_expr(self) -> tuple[Expression, int]:
+        node, height = self._parse_term()
+        while True:
+            op = _SUMS.get(self.key[self.i])
+            if op is None:
+                return node, height
+            self.i += 1
+            right, right_height = self._parse_term()
+            node = Binary(op, node, right)
+            height = (height if height > right_height else right_height) + 1
+            if height > MAX_HEIGHT:
+                raise self._height_error(peeked=True)
 
-def _parse_unary(lex: _Lexer) -> tuple[Expression, int]:
-    if lex.take("-"):
-        inner, height = lex.nest(_parse_unary)
-        if isinstance(inner, Const):
+    def _parse_term(self) -> tuple[Expression, int]:
+        node, height = self._parse_unary()
+        while True:
+            op = _PRODUCTS.get(self.key[self.i])
+            if op is None:
+                return node, height
+            self.i += 1
+            right, right_height = self._parse_unary()
+            node = Binary(op, node, right)
+            height = (height if height > right_height else right_height) + 1
+            if height > MAX_HEIGHT:
+                raise self._height_error()
+
+    def _parse_unary(self) -> tuple[Expression, int]:
+        if self.key[self.i] != "-":
+            return self._parse_power()
+        self.i += 1
+        inner, height = self._nest(self._parse_unary)
+        if type(inner) is Const:
             return Const(-inner.value), height
         if height == MAX_HEIGHT:
-            raise lex.height_error()
+            raise self._height_error()
         return Unary("neg", inner), height + 1
-    return _parse_power(lex)
 
-
-def _parse_power(lex: _Lexer) -> tuple[Expression, int]:
-    base, height = _parse_atom(lex)
-    if lex.take("^"):
-        sign = -1.0 if lex.take("-") else 1.0
-        at = lex.pos
-        value = lex.number()
-        if value is None:
-            raise ParseError("exponent must be a numeric literal", lex.byte_offset(at))
+    def _parse_power(self) -> tuple[Expression, int]:
+        base, height = self._parse_atom()
+        key, i = self.key, self.i + 1
+        if key[i - 1] != "^":
+            return base, height
+        negative = key[i] == "-"
+        i += negative
+        if key[i] != "#":
+            raise self._error("exponent must be a numeric literal", i, peeked=not negative)
+        self.i = i
+        exponent = self._parse_atom()[0].value
         if height == MAX_HEIGHT:
-            raise lex.height_error()
-        return Binary("pow", base, Const(sign * value)), height + 1
-    return base, height
+            raise self._height_error()
+        return Binary("pow", base, Const(-exponent if negative else exponent)), height + 1
 
-
-def _parse_atom(lex: _Lexer) -> tuple[Expression, int]:
-    at = lex.pos
-    value = lex.number()
-    if value is not None:
-        return Const(value), 0
-    if lex.take("("):
-        inner = lex.nest(_parse_expr)
-        lex.expect(")")
-        return inner
-    name = lex.name()
-    if name is not None:
-        if name in _FUNCTIONS:
-            arg, height = lex.nest(_parse_atom)
+    def _parse_atom(self) -> tuple[Expression, int]:
+        at = self.i
+        kind = self.key[at]
+        if kind == "#":
+            value = next(self.literals)
+            if value == math.inf:
+                raise self._error(f"numeric literal {self._token(at)!r} overflows", at)
+            self.i = at + 1
+            return Const(value), 0
+        if kind == "$" and self.key[at + 1] != "(":
+            self.i = at + 1
+            return Var(next(self.names)), 0
+        if kind == "(":
+            self.i = at + 1
+            inner = self._nest(self._parse_expr)
+            if self.key[self.i] != ")":
+                raise self._error(f"expected ')', found {self._found(self.i)!r}", self.i)
+            self.i += 1
+            return inner
+        function = _FUNCTIONS.get(kind)
+        if function is not None:
+            self.i = at + 1
+            arg, height = self._nest(self._parse_atom)
             if height == MAX_HEIGHT:
-                raise lex.height_error()
-            return Unary(name, arg), height + 1
-        if lex.peek() == "(":
-            raise ParseError(f"unknown function name '{name}'", lex.byte_offset(at))
-        if name[0] == "x" and len(name) > 1 and name[1].isdigit():
-            if _ACTION_RE.match(name) is None:
-                raise ParseError(f"malformed variable token '{name}'", lex.byte_offset(at))
-        return Var(name), 0
-    found = lex.peek() or "end of input"
-    raise ParseError(
-        f"expected a number, variable or '(', found {found!r}", lex.byte_offset(at)
-    )
+                raise self._height_error(peeked=False)  # an argument this high ends in ')'
+            return Unary(function, arg), height + 1
+        # A function's argument is read from the end of the function's name.
+        peeked = self.key[at - 1] not in _FUNCTIONS
+        name = self._token(at)
+        if kind == "$" or len(name) > 1:  # a name, well-formed or not
+            if self.key[at + 1] == "(":
+                raise self._error(f"unknown function name '{name}'", at, peeked)
+            raise self._error(f"malformed variable token '{name}'", at, peeked)
+        message = f"expected a number, variable or '(', found {self._found(at)!r}"
+        raise self._error(message, at, peeked)
+
+    def _nest(self, parse_inner: Callable[[], tuple[Expression, int]]) -> tuple[Expression, int]:
+        if self.nesting == MAX_NESTING:
+            message = f"parentheses, functions and minus signs nested more than {MAX_NESTING} deep"
+            raise self._error(message, self.i, peeked=False)
+        self.nesting += 1
+        inner = parse_inner()
+        self.nesting -= 1
+        return inner
+
+    def _height_error(self, peeked: bool | None = None) -> ParseError:
+        if peeked is None:  # past what it read last, unless that was an exponent
+            peeked = not self.key[: self.i].endswith(("^#", "^-#"))
+        return self._error(f"expression more than {MAX_HEIGHT} operations deep", self.i, peeked)
+
+    def _error(self, message: str, i: int, peeked: bool = True) -> ParseError:
+        """``message`` at the byte offset where a reader of characters
+        would stand: at the start of token ``i``, past the whitespace before
+        it, once it has looked there (``peeked``), and else at the end of
+        token ``i - 1``.  It looks after each name for '(' and after each
+        atom for '^', but not after an exponent or a function's argument."""
+        spans = self._spans()
+        at = spans[i + 1][0] if peeked else spans[i][1]
+        return ParseError(message, len(self.text[:at].encode("utf-8")))
+
+    def _spans(self) -> list[tuple[int, int]]:
+        """Each token's start and end, after an empty span at 0 and before one at the end."""
+        spans = [(0, 0)]
+        at = 0
+        for k, part in enumerate(_TOKEN_RE.split(self.text)):
+            if k % 4 == 0:
+                spans += [(at + j, at + j + 1) for j, c in enumerate(part) if not c.isspace()]
+            elif part is not None:
+                spans.append((at, at + len(part)))
+            at += len(part or "")
+        return spans + [(at, at)]
+
+    def _token(self, i: int) -> str:
+        return self.text[slice(*self._spans()[i + 1])]
+
+    def _found(self, i: int) -> str:
+        return self._token(i)[:1] or "end of input"
 
 
 # ---------------------------------------------------------------------------
 # Parsing many texts of one shape
 #
 # The costs of a graphical game repeat a few forms over different
-# neighbours.  A text's skeleton is its tokens with a hole for each number
-# and each name other than exp and log.  What the parser builds depends on
-# the skeleton alone, but for two checks on single tokens: a literal that
-# overflows and a malformed ``x<digit>`` name.  So the first text of a
-# skeleton is parsed, and every later one is built from that tree with its
-# own literals and names in the leaves.
+# neighbours.  A text's skeleton is its token key (see ``_tokens``): its
+# operators and parentheses, and the kind of each leaf.  What the parser
+# builds depends on the skeleton alone, but for two checks on single
+# tokens: a literal that overflows, and a malformed ``x<digit>`` name,
+# which is a token of its own kind, as a stray character is, so no
+# skeleton the parser accepts has one.  So the first text of a skeleton is
+# parsed, and every later one is built from that tree with its own
+# literals and names in the leaves.
 # ---------------------------------------------------------------------------
-
-# The tokens that make a skeleton, as ``_Lexer`` reads them: a number
-# (tried first), a name, or a fault the parser rejects on its own token, a
-# malformed ``x<digit>`` name or a stray character: any but an operator, a
-# parenthesis or whitespace, which is what ``str.isspace`` accepts, as
-# ``\s`` of a str pattern and ``str.split`` do.
-_LEAF_RE = re.compile(
-    f"({_NUMBER_RE.pattern})"
-    r"|(x[1-9][0-9]*_[1-9][0-9]*(?![A-Za-z0-9_])|(?!x[0-9])[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(x[0-9][A-Za-z0-9_]*|[^-+*/^()\s])"
-)
 
 
 def parse_shaped(text: str, shapes: dict) -> tuple[Expression, frozenset[str]]:
-    """``parse(text)`` and the names it reads, read from the tokens.
-    ``shapes`` is the caller's table of the skeletons seen so far, kept for
-    a set of texts: a skeleton's first text is parsed, and each later one
-    is built from that tree.  A text with a stray character, an overflowing
-    literal or a malformed ``x<digit>`` name is parsed, which raises the
-    parser's ``ParseError``."""
-    parts = _LEAF_RE.split(text)
-    kinds = []
-    literals = []
-    names = []
-    for number, name, fault in zip(parts[1::4], parts[2::4], parts[3::4]):
-        if fault is not None:
-            break
-        if number is not None:
-            kinds.append("#")
-            literals.append(float(number))
-        elif name in _FUNCTIONS:
-            kinds.append(name)
-        else:
-            kinds.append("$")
-            names.append(name)
-    else:
-        if math.inf not in literals:
-            # The operators between the leaves, and the leaves' kinds.
-            key = "".join("\0".join(parts[::4]).split()), "".join(kinds)
-            shape = shapes.get(key)
-            if shape is None:
-                shapes[key] = parse(text)
-                return shapes[key], frozenset(names)
-            if isinstance(shape, _Node):
-                shape = shapes[key] = _shape_builder(shape)
-            return shape(literals, names), frozenset(names)
-    tree = parse(text)
-    return tree, free_variables(tree)
+    """``parse(text)`` and the names it reads, from one pass of the token
+    pattern.  ``shapes`` is the caller's table of the skeletons seen so
+    far, kept for a set of texts: a skeleton's first text is parsed, and
+    each later one is built from that tree.  A later text with an
+    overflowing literal is parsed too, which raises the parser's
+    ``ParseError``."""
+    key, literals, names = _tokens(text)
+    shape = shapes.get(key)
+    if shape is None or math.inf in literals:  # the parser raises on the latter
+        shape = shapes[key] = _Parser(text, key, literals, names).tree()
+        return shape, frozenset(names)
+    if isinstance(shape, _Node):
+        shape = shapes[key] = _shape_builder(shape)
+    return shape(literals, names), frozenset(names)
 
 
 def _shape_builder(tree: Expression) -> Callable[[list[float], list[str]], Expression]:

@@ -66,6 +66,10 @@ def test_left_associativity():
         ("x1_1 ^ x1_1", "exponent must be a numeric literal"),
         ("1e999*x1_1^2", "numeric literal '1e999' overflows"),
         ("x1_1^1e400", "numeric literal '1e400' overflows"),
+        # Digits are ASCII: any other decimal digit is a stray character.
+        ("x1_1^2 + \u0663", "expected a number, variable or '(', found '\u0663' (byte offset 9)"),
+        ("\uff11.5*x1_1", "expected a number, variable or '(', found '\uff11' (byte offset 0)"),
+        ("x1_1^2 + 1\u0663", "unexpected trailing input '\u0663' (byte offset 10)"),
     ],
 )
 def test_parse_errors(text, message):
@@ -85,6 +89,47 @@ def _chain(terms):
     return " + ".join(f"x1_{j % 9 + 1}" for j in range(terms))
 
 
+def _repeat(term, op, n):
+    return op.join([term] * n)
+
+
+DEEP = f"expression more than {MAX_HEIGHT} operations deep"
+
+
+# The byte offset is where a reader of characters stands when it stops: at
+# the start of the token it looked at, past the whitespace before it, or at
+# the end of the token it read last where it has not looked on: after an
+# exponent, a function's name, a minus sign or a parenthesis.
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("exp $", "expected a number, variable or '(', found '$'", 3),
+        ("exp x01_1", "malformed variable token 'x01_1'", 3),
+        ("x01_1(2)", "unknown function name 'x01_1'", 0),
+        ("x1_1^ y", "exponent must be a numeric literal", 6),
+        ("x1_1^--2", "exponent must be a numeric literal", 6),
+        ("(1 + $) 1e999", "expected a number, variable or '(', found '$'", 5),
+        ("1e999 + $", "numeric literal '1e999' overflows", 0),
+        ("x1_1^1e999 $", "numeric literal '1e999' overflows", 5),
+        ("2x1_1", "unexpected trailing input 'x'", 1),
+        ("1e5e5", "unexpected trailing input 'e'", 3),
+        ("  \u3000x1_1 $", "unexpected trailing input '$'", 10),
+        ("(1 + 2  ", "expected ')', found 'end of input'", 8),
+        pytest.param(_repeat("x1_1^2", " + ", 258), DEEP, 2311, id="sum"),
+        pytest.param(_repeat("x1_1^2", " * ", 258), DEEP, 2310, id="product"),
+        pytest.param(_repeat("x1_1", " * ", 258) + " ", DEEP, 1804, id="names"),
+        pytest.param(f"- ({_chain(256)}) ^ 2 ", DEEP, 1797, id="minus"),
+        pytest.param(f"({_chain(257)}) ^ 2 ", DEEP, 1802, id="power"),
+        pytest.param(f"exp ({_chain(257)})  ", DEEP, 1802, id="exp"),
+    ],
+)
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
 # Past a limit, the offset is that of the end of the token that crosses it.
 @pytest.mark.parametrize(
     "text, message, offset",
@@ -96,12 +141,8 @@ def _chain(terms):
             id="parentheses",
         ),
         pytest.param("-" * (MAX_NESTING + 1) + "x1_1", "nested more than", MAX_NESTING + 1, id="minus"),
-        pytest.param(
-            "exp " * (MAX_NESTING + 1) + "x1_1", "nested more than", 4 * MAX_NESTING + 3, id="exp"
-        ),
-        pytest.param(
-            _chain(MAX_HEIGHT + 2), "operations deep", len(_chain(MAX_HEIGHT + 2)), id="chain"
-        ),
+        pytest.param("exp " * (MAX_NESTING + 1) + "x1_1", "nested more than", 4 * MAX_NESTING + 3, id="exp"),
+        pytest.param(_chain(MAX_HEIGHT + 2), "operations deep", len(_chain(MAX_HEIGHT + 2)), id="chain"),
     ],
 )
 def test_parse_rejects_input_past_the_depth_limits(text, message, offset):

@@ -884,6 +884,16 @@ def test_cli_graphs_lists_neighborhoods(capsys):
     assert out.count("containment check: pass") == 2
 
 
+def test_cli_graphs_rejects_a_non_ascii_digit(tmp_path, capsys):
+    # Digits are ASCII: an Arabic-Indic three is a stray character, not 3.
+    path = _one_agent_file(tmp_path, "x1_1^2 + ٣", 0.5)
+    assert main(["graphs", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: $.coalitions[0].costs[0]: "
+        "expected a number, variable or '(', found '٣' (byte offset 9)"
+    ]
+
+
 def test_cli_costs_kv(capsys):
     assert main(["costs", "example2", "--format", "kv"]) == 0
     out = capsys.readouterr().out

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek.expr import (
-    _LEAF_RE,
+    _TOKEN_RE,
     Binary,
     Const,
     ParseError,
     Unary,
     Var,
+    _tokens,
     free_variables,
     parse,
     render,
@@ -150,13 +151,15 @@ def test_first_error_in_document_order_wins():
 
 
 def test_leaves_and_stray_characters_leave_exactly_the_parsers_whitespace():
-    # Every code point the leaf pattern does not consume is an operator, a
-    # parenthesis or one ``str.isspace`` accepts, which ``_Lexer`` skips;
-    # the skeleton key drops the same ones with ``str.split``.
+    # Between its matches the token pattern leaves only the operators, the
+    # parentheses and the code points ``str.isspace`` accepts; the key
+    # drops the same ones with ``str.split``, and keeps each operator and
+    # parenthesis as a token of its own.
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     spaces = "".join(c for c in every if c.isspace())
-    assert sorted(_LEAF_RE.sub("", every)) == sorted(spaces + "()*+-/^")
+    assert sorted(_TOKEN_RE.sub("", every)) == sorted(spaces + "()*+-/^")
     assert "".join(every.split()) == "".join(c for c in every if not c.isspace())
+    assert _tokens(spaces.join("()*+-/^")) == ("()*+-/^", [], [])
 
 
 def test_loading_walks_no_tree_for_its_names(monkeypatch):
