@@ -20,11 +20,10 @@ start, and from ``x2_1 = 0.5`` the dynamics and Newton descend into it.
 It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
 whose costs raise their actions to the integer powers 4, -1 and -2, which
 the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
-code, each report (less the ``wall_time_s`` line that older trees print),
-each stderr text and each trajectory CSV, and, for each of the five inputs,
-``repr`` of the loaded game's cost trees and of its partial trees, 118
-digests in all.  Any digest that differs between the trees ends the script
-with exit code 1.
+code, each report, each stderr text and each trajectory CSV, and, for each
+of the five inputs, ``repr`` of the loaded game's cost trees and of its
+partial trees, 118 digests in all.  Any digest that differs between the
+trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -153,12 +152,8 @@ def _digests(docs: Path, seed: int) -> dict:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
-            report = "".join(
-                line for line in stdout.getvalue().splitlines(True)
-                if not line.startswith("wall_time_s=")
-            )
             out[f"{label} {command} exit"] = str(code)
-            out[f"{label} {command} report"] = _sha256(report)
+            out[f"{label} {command} report"] = _sha256(stdout.getvalue())
             out[f"{label} {command} stderr"] = _sha256(stderr.getvalue())
             if command == "run":
                 # A run that fails writes no trajectory.

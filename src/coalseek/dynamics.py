@@ -33,9 +33,6 @@ __all__ = [
     "StepLimitError",
 ]
 
-# Halvings of a step rejected for leaving the domain before the run gives up.
-MAX_HALVINGS = 40
-
 # The most step attempts, accepted and rejected, of one run, like NMAX in
 # Hairer's DOPRI5.  Validation turns away a run that asks for more: more
 # fixed steps (``horizon / step``), or more dopri5 record times
@@ -107,10 +104,9 @@ class NumericsError(RuntimeError):
 
 
 class DomainUnrecoverableError(NumericsError):
-    """A step stayed outside the cost domain after ``MAX_HALVINGS`` halvings,
-    and the message ends with the cause of the last rejection; or the step
-    shrank until it no longer advanced the time, and the message ends with
-    the state entry moving fastest at the last accepted state."""
+    """A step shrank below the resolution of t at the horizon.  The message
+    ends with its last domain exit since the last accepted step, if any,
+    else with the state entry moving fastest at the last accepted state."""
 
 
 class NonFiniteStateError(NumericsError):
@@ -343,12 +339,14 @@ class Seeker:
     def _steps(self, z, t, pvec, t_end, params, record):
         """Steps of ``params.method`` from ``(z, t)`` to ``t_end``.  A step
         leaving the domain is halved, one failing the error test shrunk by
-        the controller.  A step is cut short or stretched by less than the
-        resolution ``eps`` to land exactly on ``t_end`` and, under an
-        error-controlled method, on the record times ``t + k * record_dt``;
-        ``record`` is called there and, under a fixed-step method, after
-        every ``record_stride``-th step.  Returns (accepted, rejected,
-        stopped); raises StepLimitError at ``MAX_STEPS`` attempts."""
+        the controller, until one is accepted or the step falls below the
+        resolution of t at ``t_end``.  A step is cut short, or stretched by
+        less than ``eps`` unless it retries a rejected one, to land exactly
+        on ``t_end`` and, under an error-controlled method, on the record
+        times ``t + k * record_dt``; ``record`` is called there and, under a
+        fixed-step method, after every ``record_stride``-th step.  Returns
+        (accepted, rejected, stopped); raises StepLimitError at
+        ``MAX_STEPS`` attempts."""
         tableau = _TABLEAUS[params.method]
         stride = params.record_stride or 100
         t0 = t
@@ -357,20 +355,21 @@ class Seeker:
         h = params.step
         err_prev = 1.0
         grow = True  # no growth right after a rejection
-        steps = rejected = halvings = 0
+        steps = rejected = 0
+        domain_exit = None  # the last domain exit since the last accepted step
         n_rec = 1
         while True:
             t_rec = t_end if params.record_dt is None else t0 + n_rec * params.record_dt
             if t_rec >= t_end - eps:
                 t_rec = t_end
-            land = t + h >= t_rec - eps
+            land = t + h >= t_rec - (eps if grow else 0.0)
             h_try = t_rec - t if land else h
             if steps + rejected == MAX_STEPS:
                 raise StepLimitError(f"the run made {MAX_STEPS} step attempts and stopped at t={t:.6g}")
             # A shrunk step is measured at the horizon, not at t: near t = 0
             # any positive step advances t, however far it has shrunk.
             if h_try < params.step and t_end + h_try == t_end:
-                if halvings:
+                if domain_exit is not None:
                     cause = f", after leaving the domain: {domain_exit}"
                 else:
                     cause = f"; {self._fastest_entry(k1)}"
@@ -383,11 +382,6 @@ class Seeker:
             except DomainError as exc:
                 domain_exit = exc
                 rejected += 1
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    raise DomainUnrecoverableError(
-                        f"step at t={t:.6g} failed after {MAX_HALVINGS} halvings: {exc}"
-                    ) from None
                 h, grow = 0.5 * h_try, False
                 continue
             if err > 1.0:
@@ -405,7 +399,7 @@ class Seeker:
             z, pvec, k1 = zn, pvec_n, kn
             t = t_rec if land else t + h_try
             steps += 1
-            halvings = 0
+            domain_exit = None
             grow = True
             if land or (params.record_dt is None and steps % stride == 0):
                 if record(t, z, pvec):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -74,20 +74,20 @@ def split_action_name(name: str) -> tuple[int, int] | None:
 class Coalition:
     """One coalition: per-agent costs, gains and graphs on agents 1..m.
 
-    ``reads`` holds the names each cost reads, in cost order; without it,
-    each tree is walked for them.  Loading passes the names it read from
-    each cost's tokens.  A ``dataclasses.replace`` that changes the costs
-    must pass ``reads=None``."""
+    ``reads`` holds the names each cost reads, in cost order: ``names`` where
+    the caller has them (loading reads them from each cost's tokens), else
+    a walk of each tree.  ``dataclasses.replace`` passes no ``names``, so
+    it derives ``reads`` from the new costs."""
 
     costs: tuple[Expression, ...]
     dbar: tuple[float, ...]
     comm: Graph
     interference: Graph
-    reads: tuple[frozenset[str], ...] | None = field(default=None, compare=False, repr=False)
+    names: InitVar[Sequence[frozenset[str]] | None] = None
+    reads: tuple[frozenset[str], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.reads is None:
-            object.__setattr__(self, "reads", tuple(free_variables(f) for f in self.costs))
+    def __post_init__(self, names):
+        object.__setattr__(self, "reads", tuple(names or map(free_variables, self.costs)))
 
     @property
     def m(self) -> int:
@@ -490,13 +490,15 @@ def build_congestion_game(
                 Unary("log", Binary("add", own, Const(1.0))),
             )
             costs.append(Binary("sub", total, barrier))
-        interference = infer_interference_graph(costs, i)
+        names = [free_variables(f) for f in costs]
+        interference = infer_interference_graph(costs, i, names)
         coalitions.append(
             Coalition(
                 costs=tuple(costs),
                 dbar=(1.0,) * len(costs),
                 comm=interference,
                 interference=interference,
+                names=names,
             )
         )
     return Game(coalitions=tuple(coalitions), delta=delta)

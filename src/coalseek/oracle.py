@@ -77,6 +77,10 @@ GMRES_RESTART = 30
 GMRES_RTOL = 1e-12
 GMRES_MAX_ITER = 300
 
+NEWTON_MAX_ITER = 50  # Newton steps of one solve
+NEWTON_MAX_HALVINGS = 30  # halvings of one Newton step in search of descent
+AUDIT_STEP = 1e-6  # the central-difference step of the gradient audit
+
 
 @np.errstate(all="ignore")  # an overflow ends in a non-finite residual, which fails
 def _gmres(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -154,27 +158,21 @@ def _gmres(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray) 
     return x if beta < beta0 or beta <= target else None
 
 
-def solve_stationary(
-    game: Game,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    max_halvings: int = 30,
-) -> StationaryReport:
+def solve_stationary(game: Game, x0, tol: float = 1e-10) -> StationaryReport:
     """Damped Newton iteration on the pseudo-gradient.
 
     Each step solves the Newton system by restarted GMRES over the
     Jacobian's triplets (``_gmres``); a step it cannot solve is reported as
     a singular Jacobian, not raised.  The step is halved until the 2-norm of
     the pseudo-gradient decreases (or the trial point leaves every cost
-    domain), up to ``max_halvings`` times; the best iterate seen is returned
-    either way.
+    domain), up to ``NEWTON_MAX_HALVINGS`` times; the best iterate seen is
+    returned either way.
     """
     jacobian = None
     x = game.as_profile(x0)
     p = pseudo_gradient(game, x)
     best_x, best_res = x.copy(), float(np.abs(p).max())
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         res_inf = float(np.abs(p).max())
         if res_inf < best_res:
             best_x, best_res = x.copy(), res_inf
@@ -196,7 +194,7 @@ def solve_stationary(
         merit = math.hypot(*p.tolist())
         alpha = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
             trial = x + alpha * step
             try:
                 p_trial = pseudo_gradient(game, trial)
@@ -214,7 +212,7 @@ def solve_stationary(
     res_inf = float(np.abs(p).max())
     if res_inf < best_res:
         best_x, best_res = x.copy(), res_inf
-    return StationaryReport(best_x, best_res, max_iter, best_res <= tol,
+    return StationaryReport(best_x, best_res, NEWTON_MAX_ITER, best_res <= tol,
                             "iteration limit reached")
 
 
@@ -406,7 +404,7 @@ def _difference_audit(game: Game, x: np.ndarray, sym: np.ndarray, classes, h: fl
     return float((np.abs(sym - fd) / np.maximum(1.0, np.abs(sym))).max())
 
 
-def gradient_check(game: Game, x, h: float = 1e-6) -> float:
+def gradient_check(game: Game, x) -> float:
     """Max over all stored partials of the relative gap between the symbolic
     derivative and a central finite difference of the per-agent cost.
 
@@ -424,6 +422,6 @@ def gradient_check(game: Game, x, h: float = 1e-6) -> float:
         # single-column failure that no colored call sees comes from an
         # output that fails at x itself.
         game.cost_kernel(x)
-        return _difference_audit(game, x, sym, plan.classes, h)
+        return _difference_audit(game, x, sym, plan.classes, AUDIT_STEP)
     except DomainError:
-        return _difference_audit(game, x, sym, plan.singletons, h)
+        return _difference_audit(game, x, sym, plan.singletons, AUDIT_STEP)

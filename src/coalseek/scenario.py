@@ -197,7 +197,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
                 dbar=dbar,
                 comm=comm,
                 interference=interference,
-                reads=tuple(reads),
+                names=reads,
             )
         )
 

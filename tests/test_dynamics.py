@@ -325,6 +325,36 @@ def test_unrecoverable_domain_exit_raises():
         )
 
 
+def test_a_step_is_halved_until_accepted():
+    # From x1_1 = 2e-16 next to the wall of log(x1_1), every RK4 step longer
+    # than about 1e-15 has a stage past the wall: 0.01 is halved 45 times
+    # before an attempt is accepted, and the next full step lands.
+    game = _single_agent_game("x1_1^2 - log(x1_1)", delta=1.0)
+    seeker = Seeker(game)
+    traj = seeker.integrate(
+        seeker.initial_state([2e-16]),
+        IntegrateParams(step=0.01, horizon=0.01, record_stride=1, stop_tol=None),
+    )
+    assert (traj.steps, traj.rejected_steps) == (2, 45)
+    assert traj.times.tolist() == [0.0, 0.01 / 2**45, 0.01]
+
+
+def test_a_rejected_landing_step_is_not_stretched_again(monkeypatch):
+    # A step of 1e-12 is stretched by less than the landing tolerance to the
+    # horizon 1.5e-12, and that attempt leaves the domain.  Its halved retry
+    # must not be stretched back to the same attempt; with a cap of 100
+    # attempts such a loop would end in StepLimitError.
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    game = _single_agent_game("x1_1^2 - log(x1_1)", delta=1.0)
+    seeker = Seeker(game)
+    traj = seeker.integrate(
+        seeker.initial_state([2e-16]),
+        IntegrateParams(step=1e-12, horizon=1.5e-12, record_stride=1, stop_tol=None),
+    )
+    assert (traj.steps, traj.rejected_steps) == (2, 12)
+    assert traj.times[-1] == 1.5e-12
+
+
 def test_nonfinite_initial_state_rejected():
     game = _single_agent_game()
     seeker = Seeker(game)

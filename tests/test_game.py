@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -80,6 +81,25 @@ def test_game_rejects_undeclared_dependency():
                 Coalition(costs=costs, dbar=(1.0, 1.0), comm=empty, interference=empty),
             )
         )
+
+
+def test_replaced_costs_are_read_again(fig1_demo):
+    """``dataclasses.replace`` of the costs derives the names they read
+    afresh, so the interference check sees the new dependence."""
+    coalition = fig1_demo.game.coalitions[0]
+    assert (1, 3) not in coalition.interference.edge_pairs()
+    costs = (parse("x1_1^2 + x1_1*x1_3"),) + coalition.costs[1:]
+    replaced = dataclasses.replace(coalition, costs=costs)
+    assert replaced.reads[0] == {"x1_1", "x1_3"}
+    assert replaced.reads[1:] == coalition.reads[1:]
+    with pytest.raises(
+        GameError,
+        match=re.escape(
+            "cost of agent (1,1) depends on x1_3 but the interference graph "
+            "of coalition 1 has no edge (1,3)"
+        ),
+    ):
+        Game(coalitions=(replaced, *fig1_demo.game.coalitions[1:]), delta=1.0)
 
 
 def test_game_rejects_unknown_action():

@@ -485,8 +485,11 @@ def test_cli_unrecoverable_step_names_its_cause(tmp_path, capsys):
     path = _example2_rk4_file(tmp_path)
     argv = ["run", path, "--delta", "3", "--step", "0.05", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 3
+    # 0.05 / 2**42: the step was rejected 42 times before it fell below the
+    # resolution of t at the horizon.
     assert re.fullmatch(
-        r"numerical failure: step at t=0\.562564 failed after 40 halvings: "
+        r"numerical failure: step at t=0\.562564 failed: the step shrank to 1\.14e-14, "
+        r"below the resolution of t at the horizon 200, after leaving the domain: "
         r"exp\(\S+\) overflows in the cost of agent \(3,1\)\n",
         capsys.readouterr().err,
     )
@@ -554,7 +557,8 @@ def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: step at t=0 failed after 40 halvings: "
+        "numerical failure: step at t=0 failed: the step shrank to 8.88e-17, below the "
+        "resolution of t at the horizon 1, after leaving the domain: "
         "step produced a non-finite state\n"
     )
 
@@ -662,8 +666,30 @@ def test_cli_overflowing_stage_warns_nothing(tmp_path, method):
     path.write_text(json.dumps(doc))
     proc = _cli_subprocess(["run", str(path), "--out", str(tmp_path / "t.csv")])
     assert proc.returncode == 3
-    assert proc.stderr.startswith(b"numerical failure: step at t=0 failed after 40 halvings: ")
+    assert proc.stderr.startswith(
+        b"numerical failure: step at t=0 failed: the step shrank to 8.88e-17, below the "
+        b"resolution of t at the horizon 1, after leaving the domain: "
+    )
     assert proc.stderr.count(b"\n") == 1
+
+
+def test_cli_deep_halving_completes(tmp_path, capsys):
+    # Next to the wall of log(x1_1) the first step is halved 45 times before
+    # an attempt is accepted.
+    doc = {
+        "schema": SCHEMA_KEY,
+        "delta": 1.0,
+        "coalitions": [{"costs": ["x1_1^2 - log(x1_1)"], "communication": []}],
+        "integrator": {"method": "rk4", "step": 0.01, "horizon": 0.01, "record_stride": 1},
+        "initial_x": [2e-16],
+    }
+    path = tmp_path / "wall.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv"), "--format", "kv"]) == 0
+    captured = capsys.readouterr()
+    kv = dict(line.split("=", 1) for line in captured.out.splitlines())
+    assert (kv["steps"], kv["rejected_steps"], kv["t_end"]) == ("2", "45", "0.01")
+    assert captured.err == ""
 
 
 def test_cli_dopri5_counts_domain_rejections(tmp_path, capsys):
@@ -702,8 +728,8 @@ def test_cli_dopri5_unrecoverable_step_is_one_line(tmp_path, capsys):
 
 def test_cli_step_collapse_at_a_domain_wall_names_the_domain_exit(tmp_path, capsys):
     # The dynamics descend x2_1 into the wall of log(x2_1), which only a
-    # guard sees: the halved steps reach the horizon's resolution before 40
-    # halvings, and the message names the last exit, not the fastest entry.
+    # guard sees: the halved steps reach the horizon's resolution, and the
+    # message names the last exit, not the fastest entry.
     doc = {
         "schema": SCHEMA_KEY,
         "name": "guard-wall",
