@@ -21,9 +21,10 @@ It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
 whose costs raise their actions to the integer powers 4, -1 and -2, which
 the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
 code, each report, each stderr text and each trajectory CSV, and, for each
-of the five inputs, ``repr`` of the loaded game's cost trees and of its
-partial trees, 118 digests in all.  Any digest that differs between the
-trees ends the script with exit code 1.
+of the five inputs, ``repr`` of the loaded game's cost trees, of its
+partial trees and of its Newton second derivatives
+(``oracle._jacobian_exprs``), 123 digests in all.  Any digest that differs
+between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -132,6 +133,7 @@ def _sha256(text: str | bytes) -> str:
 
 def _digests(docs: Path, seed: int) -> dict:
     from coalseek import cli
+    from coalseek.oracle import _jacobian_exprs
     from coalseek.scenario import load_scenario
 
     out = {}
@@ -139,6 +141,7 @@ def _digests(docs: Path, seed: int) -> dict:
         game = load_scenario(source).game
         out[f"{label} cost trees"] = _sha256(repr(game.costs))
         out[f"{label} partial trees"] = _sha256(repr(tuple(game.partials.items())))
+        out[f"{label} jacobian trees"] = _sha256(repr(tuple(_jacobian_exprs(game).items())))
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
     runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
     for label, source, commands in runs:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dynamics import NumericsError, Seeker, SeekerState
+from .dynamics import NumericsError, Seeker, SeekerState, check_step_budget
 from .expr import DomainError
 from .graphs import interference_to_k_graph
 from .oracle import check_monotonicity, gradient_check, solve_stationary
@@ -113,7 +113,6 @@ def _kv_or_text(pairs, fmt) -> str:
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    seeker = Seeker(scenario.game)
     params = scenario.params
     if scenario.x_star is not None:
         try:
@@ -127,6 +126,11 @@ def _cmd_run(args) -> int:
                 scenario.game, state, x_star, transforms
             ),
         )
+    try:
+        check_step_budget(scenario.game.layout, params)
+    except ValueError as err:
+        raise ScenarioError(f"$.integrator: {err}") from None
+    seeker = Seeker(scenario.game)
     trajectory = seeker.integrate(scenario.initial_state(seeker), params)
     if args.out:
         trajectory.write_csv(args.out)

@@ -31,6 +31,7 @@ __all__ = [
     "DomainUnrecoverableError",
     "NonFiniteStateError",
     "StepLimitError",
+    "check_step_budget",
 ]
 
 # The most step attempts, accepted and rejected, of one run, like NMAX in
@@ -165,6 +166,35 @@ class IntegrateParams:
             raise ValueError("record_stride must be at least 1")
         if self.horizon / self.step > MAX_STEPS:
             raise ValueError(f"step asks for more than {MAX_STEPS} steps")
+
+
+# The length of dopri5's real stability interval (Hairer & Wanner, Solving
+# ODEs II, sec. IV.2): a step of length h follows decay rates up to 3.3 / h.
+DOPRI5_STABILITY = 3.3
+
+
+def check_step_budget(layout: Layout, params: IntegrateParams) -> float | None:
+    """The steps a dopri5 run takes for its consensus alone, and None under
+    a fixed-step method: the horizon times the fastest decay rate of a
+    block, its Laplacian's largest eigenvalue, which is at most twice its
+    largest weighted degree (Gershgorin), over ``DOPRI5_STABILITY``.  Raises
+    ValueError, naming the block and the count, where that exceeds
+    ``MAX_STEPS``."""
+    if params.method != "dopri5":
+        return None
+    head, _, weight = layout.edges
+    degrees = np.maximum.reduceat(np.bincount(head, weight, layout.size), layout.block_starts)
+    b = int(degrees.argmax())
+    degree = float(degrees[b])
+    steps = params.horizon * 2.0 * degree / DOPRI5_STABILITY  # Python floats: inf, never a warning
+    if steps > MAX_STEPS:
+        block = layout.blocks[b]
+        raise ValueError(
+            f"the consensus of block ({block.coalition},{block.k}) would take dopri5 about "
+            f"{steps:.3g} steps (horizon {params.horizon:g} times twice its largest weighted "
+            f"degree, {degree:.3g}, over {DOPRI5_STABILITY}), more than {MAX_STEPS}"
+        )
+    return steps
 
 
 @dataclass

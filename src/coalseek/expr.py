@@ -15,10 +15,13 @@ operation and output when a point is outside.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -34,12 +37,16 @@ __all__ = [
     "MissingVariableError",
     "parse",
     "parse_shaped",
+    "shape",
     "render",
     "evaluate",
     "compile_vector_function",
     "product_power",
     "differentiate",
     "gradient",
+    "gradient_shaped",
+    "template_key",
+    "templates_for",
     "free_variables",
 ]
 
@@ -404,21 +411,23 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def parse_shaped(text: str, shapes: dict) -> tuple[Expression, frozenset[str]]:
-    """``parse(text)`` and the names it reads, from one pass of the token
-    pattern.  ``shapes`` is the caller's table of the skeletons seen so
-    far, kept for a set of texts: a skeleton's first text is parsed, and
-    each later one is built from that tree.  A later text with an
-    overflowing literal is parsed too, which raises the parser's
-    ``ParseError``."""
+def parse_shaped(text: str, shapes: dict) -> tuple[Expression, tuple[str, tuple, tuple]]:
+    """``parse(text)`` and its shape (see ``shape``): its skeleton, its
+    literals and its names, from one pass of the token pattern.  ``shapes``
+    is the caller's table of the skeletons seen so far, kept for a set of
+    texts: a skeleton's first text is parsed, and each later one is built
+    from that tree.  A later text with an overflowing literal is parsed
+    too, which raises the parser's ``ParseError``."""
     key, literals, names = _tokens(text)
-    shape = shapes.get(key)
-    if shape is None or math.inf in literals:  # the parser raises on the latter
-        shape = shapes[key] = _Parser(text, key, literals, names).tree()
-        return shape, frozenset(names)
-    if isinstance(shape, _Node):
-        shape = shapes[key] = _shape_builder(shape)
-    return shape(literals, names), frozenset(names)
+    # Tuples of numbers and strings, which the garbage collector stops tracking.
+    form = key, tuple(literals), tuple(names)
+    tree = shapes.get(key)
+    if tree is None or math.inf in literals:  # the parser raises on the latter
+        tree = shapes[key] = _Parser(text, *form).tree()
+        return tree, form
+    if isinstance(tree, _Node):
+        tree = shapes[key] = _shape_builder(tree)
+    return tree(literals, names), form
 
 
 def _shape_builder(tree: Expression) -> Callable[[list[float], list[str]], Expression]:
@@ -1145,6 +1154,161 @@ def differentiate(e: Expression, name: str) -> Expression:
     """Exact symbolic derivative of ``e`` with respect to the variable ``name``."""
     derivs, zero = gradient(e, (name,))
     return derivs.get(name, zero)
+
+
+# ---------------------------------------------------------------------------
+# Differentiating many trees of one template
+#
+# What ``gradient`` builds depends on a tree's structure, on which of its
+# leaves are one name and which names it differentiates in, and on the
+# constants its rules simplify on: 0 and 1 of either sign, and each pow
+# exponent c, of which they make c and c - 1.  Every other constant is a
+# hole, which the rules carry or negate.  So a copy of a tree with a marker
+# in each hole, a value no rule makes, is differentiated once, and builds
+# the derivatives of every tree of its template: a node of the copy is the
+# tree's node at the same place, and a negated marker the negated hole.
+# ---------------------------------------------------------------------------
+
+
+def _kept(value: float, power: bool) -> bool:
+    """Whether a constant is no hole: 0 or 1 of either sign, or a pow exponent."""
+    return power or value == 0.0 or abs(value) == 1.0
+
+
+def shape(e: Expression) -> tuple[str, tuple, tuple]:
+    """``e``'s skeleton, literals and names in leaf order, from one walk:
+    what ``parse_shaped`` reads from a text's tokens.  The skeleton is a
+    postfix form of its own, which no text's equals, and, as in a text,
+    a constant pow exponent stands right after '^'."""
+    ops: list[str] = ["!"]
+    literals: list[float] = []
+    names: list[str] = []
+
+    def walk(e: Expression) -> None:
+        if type(e) is Const:
+            ops.append("-#" if math.copysign(1.0, e.value) < 0 else "#")
+            literals.append(e.value)
+        elif type(e) is Var:
+            ops.append("$")
+            names.append(e.name)
+        elif type(e) is Unary:
+            walk(e.arg)
+            ops.append(e.op)
+        else:
+            walk(e.left)
+            if e.op == "pow":
+                ops.append("^")
+            walk(e.right)
+            ops.append(e.op)
+
+    walk(e)
+    return "".join(ops), tuple(literals), tuple(names)
+
+
+def template_key(form: tuple[str, tuple, tuple], wrt: Container[str], powers: dict) -> tuple:
+    """The key of the template of a tree of shape ``form`` differentiated in
+    the names of ``wrt`` (see ``gradient_shaped``): its skeleton, each
+    literal that is no hole (None for a hole), the first leaf of each
+    leaf's name, and which leaves are in ``wrt``.  ``powers`` is the
+    caller's table of the places of each skeleton's pow exponents."""
+    skeleton, literals, names = form
+    if skeleton not in powers:  # a pow exponent is the literal after '^' or '^-'
+        powers[skeleton] = [m[1] is not None for m in re.finditer(r"(\^-?)?#", skeleton)]
+    kept = tuple([v if _kept(v, power) else None for v, power in zip(literals, powers[skeleton])])
+    return skeleton, kept, tuple(map(names.index, names)), tuple(map(wrt.__contains__, names))
+
+
+# Fewest trees of one key that make a template.  A template costs about
+# 2.5 differentiations of a tree (a marked copy, its derivatives, and
+# their builder), and builds each tree's in 0.1 to 0.35 of one (the trees
+# of the presets, ring-sparse and congestion-net), so it pays from about
+# four trees.
+TEMPLATE_MIN_TREES = 4
+
+
+def templates_for(keys: Iterable) -> dict:
+    """The table ``gradient_shaped`` reads for a set of trees of ``keys``:
+    each key of at least ``TEMPLATE_MIN_TREES`` of them but None, the key
+    of no template, with no template until its first tree builds one."""
+    counts = Counter(keys)
+    return dict.fromkeys(k for k, n in counts.items() if n >= TEMPLATE_MIN_TREES and k is not None)
+
+
+def gradient_shaped(
+    e: Expression, names: Container[str], key, templates: dict, differentiate: Callable
+) -> tuple[dict[str, Expression], Expression]:
+    """``gradient(e, names)``, where ``differentiate`` is ``gradient`` as the
+    caller binds it, and ``key`` determines ``e``'s tree up to the values
+    of its holes and the names in its leaves, which leaves are one name,
+    and which are in ``names``.  A tree of a key in ``templates`` (see
+    ``templates_for``) is built from the key's template, which its first
+    tree makes with one differentiation; any other tree is differentiated."""
+    if key not in templates:
+        return differentiate(e, names)
+    entry = templates[key]
+    if entry is None:
+        entry = templates[key] = _gradient_builder(e, names, differentiate)
+    return entry(e)
+
+
+def _gradient_builder(tree: Expression, names: Container[str], differentiate: Callable):
+    """A function of a tree of ``tree``'s template that builds its
+    ``gradient``, from one call of ``differentiate`` on a marked copy."""
+    # No marker is a constant of the copy or one the rules make: 0, 1, 2
+    # (a squared denominator), and c and c - 1 of each exponent c.
+    avoid = {0.0, 1.0, 2.0}
+    for node in _walk(tree):
+        if type(node) is Binary and node.op == "pow" and type(node.right) is Const:
+            avoid.update((abs(node.right.value), abs(node.right.value - 1.0)))
+    markers = (m for m in itertools.count(3.0) if m not in avoid)
+    at: dict[int, str] = {}  # node of the copy -> its attribute path from the root
+    holes: dict[float, tuple[str, float]] = {}  # marker -> (path, value in the copy)
+    labels: dict[str, str] = {}  # name -> its name in the copy
+    first: dict[str, str] = {}  # name in the copy -> the path of its first leaf
+    wrt = set()
+
+    def copy(e: Expression, path: str, power: bool = False) -> Expression:
+        if type(e) is Const:
+            if _kept(e.value, power):
+                t = Const(e.value)
+            else:
+                t = Const(math.copysign(next(markers), e.value))
+                holes[abs(t.value)] = path, t.value
+        elif type(e) is Var:
+            t = Var(labels.setdefault(e.name, f"h{len(labels)}"))
+            first.setdefault(t.name, path)
+            if e.name in names:
+                wrt.add(t.name)
+        elif type(e) is Unary:
+            t = Unary(e.op, copy(e.arg, path + ".arg"))
+        else:
+            t = Binary(e.op, copy(e.left, path + ".left"), copy(e.right, path + ".right", e.op == "pow"))
+        at[id(t)] = path
+        return t
+
+    template = copy(tree, "")  # alive while ``at`` is read, so no id is reused
+    derivs, zero = differentiate(template, wrt)
+
+    def get(path: str) -> Callable[[Expression], Expression]:
+        return attrgetter(path[1:]) if path else lambda r: r
+
+    def build(d: Expression) -> Callable[[Expression], Expression]:
+        if id(d) in at:
+            return get(at[id(d)])
+        if type(d) is Const:
+            if abs(d.value) not in holes:
+                return lambda r: d
+            path, value = holes[abs(d.value)]
+            hole = get(path)
+            return hole if d.value == value else lambda r: Const(-hole(r).value)
+        if type(d) is Unary:
+            arg = build(d.arg)
+            return lambda r: Unary(d.op, arg(r))
+        left, right = build(d.left), build(d.right)
+        return lambda r: Binary(d.op, left(r), right(r))
+
+    parts = [(get(first[label] + ".name"), build(d)) for label, d in derivs.items()]
+    return lambda r: ({name(r): part(r) for name, part in parts}, zero)
 
 
 def _walk(e: Expression) -> Iterator[Expression]:

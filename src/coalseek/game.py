@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -24,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
+    TEMPLATE_MIN_TREES,
     Binary,
     Const,
     Expression,
@@ -33,6 +35,10 @@ from .expr import (
     free_variables,
     # Bound as ``differentiate``: ``bench/tracing.py`` times each pass by that name.
     gradient as differentiate,
+    gradient_shaped,
+    shape,
+    template_key,
+    templates_for,
 )
 from .graphs import Graph, laplacian
 
@@ -74,24 +80,30 @@ def split_action_name(name: str) -> tuple[int, int] | None:
 class Coalition:
     """One coalition: per-agent costs, gains and graphs on agents 1..m.
 
-    ``reads`` holds the names each cost reads, in cost order: ``names`` where
-    the caller has them (loading reads them from each cost's tokens), else
-    a walk of each tree.  ``dataclasses.replace`` passes no ``names``, so
-    it derives ``reads`` from the new costs."""
+    ``forms`` holds each cost's shape (see ``expr.shape``), in cost order:
+    the ``shapes`` passed where the caller has them (loading reads them
+    from each cost's tokens), else one walk of each tree.
+    ``dataclasses.replace`` passes no ``shapes``, so it derives them from
+    the new costs."""
 
     costs: tuple[Expression, ...]
     dbar: tuple[float, ...]
     comm: Graph
     interference: Graph
-    names: InitVar[Sequence[frozenset[str]] | None] = None
-    reads: tuple[frozenset[str], ...] = field(init=False, compare=False, repr=False)
+    shapes: InitVar[Sequence[tuple[str, tuple, tuple]] | None] = None
+    forms: tuple[tuple[str, tuple, tuple], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, names):
-        object.__setattr__(self, "reads", tuple(names or map(free_variables, self.costs)))
+    def __post_init__(self, shapes):
+        object.__setattr__(self, "forms", tuple(shapes or map(shape, self.costs)))
 
     @property
     def m(self) -> int:
         return len(self.costs)
+
+    @property
+    def reads(self) -> tuple[frozenset[str], ...]:
+        """The set of names each cost reads."""
+        return tuple([frozenset(names) for _, _, names in self.forms])
 
 
 @dataclass(frozen=True)
@@ -204,21 +216,37 @@ class Game:
         return tuple(out)
 
     @cached_property
+    def templates(self) -> tuple[tuple | None, ...]:
+        """For each cost, in profile order, the key of its derivatives'
+        template in its coalition's names (``expr.template_key``), or None
+        where too few costs share its skeleton to share a template."""
+        skeletons = Counter(form[0] for c in self.coalitions for form in c.forms)
+        powers: dict = {}
+        out = []
+        for i, c in enumerate(self.coalitions, start=1):
+            own = frozenset(action_name(i, k) for k in range(1, c.m + 1))
+            for form in c.forms:
+                enough = skeletons[form[0]] >= TEMPLATE_MIN_TREES
+                out.append(template_key(form, own, powers) if enough else None)
+        one = {}  # one key object per template: its costs keep no copies
+        return tuple([one.setdefault(key, key) for key in out])
+
+    @cached_property
     def partials(self) -> dict[tuple[int, int, int], Expression]:
         """Symbolic d f_ij / d x_ik for every stored estimate index (i, j, k),
-        in slot order (``Layout.keys``)."""
-        keys = self.layout.keys
-        names: dict[tuple[int, int], set[str]] = {}
-        for i, j, k in keys:
-            names.setdefault((i, j), set()).add(action_name(i, k))
-        grads = {
-            (i, j): differentiate(self.coalitions[i - 1].costs[j - 1], slot_names)
-            for (i, j), slot_names in names.items()
-        }
+        in slot order (``Layout.keys``), each cost differentiated in its
+        coalition's names once per template."""
+        seen = templates_for(self.templates)
+        templates = iter(self.templates)
+        grads = []
+        for i, c in enumerate(self.coalitions, start=1):
+            own = {action_name(i, k) for k in range(1, c.m + 1)}
+            grads += [gradient_shaped(f, own, next(templates), seen, differentiate) for f in c.costs]
+        names, layout = self.var_names, self.layout
         out = {}
-        for i, j, k in keys:
-            derivs, zero = grads[i, j]
-            out[i, j, k] = derivs.get(action_name(i, k), zero)
+        for key, owner, column in zip(layout.keys, layout.owner.tolist(), layout.column.tolist()):
+            derivs, zero = grads[owner]
+            out[key] = derivs.get(names[column], zero)
         return out
 
     @cached_property
@@ -490,15 +518,15 @@ def build_congestion_game(
                 Unary("log", Binary("add", own, Const(1.0))),
             )
             costs.append(Binary("sub", total, barrier))
-        names = [free_variables(f) for f in costs]
-        interference = infer_interference_graph(costs, i, names)
+        forms = [shape(f) for f in costs]
+        interference = infer_interference_graph(costs, i, [frozenset(names) for *_, names in forms])
         coalitions.append(
             Coalition(
                 costs=tuple(costs),
                 dbar=(1.0,) * len(costs),
                 comm=interference,
                 interference=interference,
-                names=names,
+                shapes=forms,
             )
         )
     return Game(coalitions=tuple(coalitions), delta=delta)

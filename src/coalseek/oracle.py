@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import DomainError, compile_vector_function
+from .expr import DomainError, compile_vector_function, gradient_shaped, templates_for
 from .expr import gradient as differentiate  # ``bench/tracing.py`` times it by this name
 from .game import Game, coalition_cost, pseudo_gradient
 
@@ -39,11 +39,21 @@ class StationaryReport:
 def _jacobian_exprs(game: Game):
     """Second-derivative expressions of each pseudo-gradient component, keyed
     (row index, column index); absent keys are identically zero.  Rows sum
-    their partials in slot order, each partial's columns in ascending order."""
+    their partials in slot order, each partial's columns in ascending order.
+    Each partial is differentiated in every name, once per template."""
     index = game.var_index
+    leaves = [names for c in game.coalitions for *_, names in c.forms]
+    rows = game.layout.column.tolist()
+    # A partial's template is its cost's and the first leaf of its name.
+    templates = [
+        None if game.templates[owner] is None
+        else (game.templates[owner], leaves[owner].index(name) if name in leaves[owner] else None)
+        for owner, name in zip(game.layout.owner.tolist(), map(game.var_names.__getitem__, rows))
+    ]
+    seen = templates_for(templates)
     out = {}
-    for row, first in zip(game.layout.column.tolist(), game.partials.values()):
-        derivs = differentiate(first, index)[0]
+    for row, template, first in zip(rows, templates, game.partials.values()):
+        derivs = gradient_shaped(first, index, template, seen, differentiate)[0]
         for name in sorted(derivs, key=index.__getitem__):
             key = (row, index[name])
             out[key] = derivs[name] if key not in out else out[key] + derivs[name]

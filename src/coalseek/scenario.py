@@ -158,20 +158,20 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         if not cost_strings:
             raise ScenarioError(f"{path}.costs: must not be empty")
         costs = []
-        reads = []
+        forms = []  # each cost's shape: its skeleton, literals and names
         for jpos, text in enumerate(cost_strings):
             if not isinstance(text, str):
                 raise ScenarioError(f"{path}.costs[{jpos}]: expected a string")
             try:
-                cost, names = parse(text, shapes)
+                cost, form = parse(text, shapes)
             except ParseError as err:
                 raise ScenarioError(f"{path}.costs[{jpos}]: {err}") from None
             costs.append(cost)
-            reads.append(names)
+            forms.append(form)
         m = len(costs)
         dbar = _numbers(_expect(raw, "dbar", list, path, [1.0] * m), m, f"{path}.dbar")
         comm = _edge_list(_expect(raw, "communication", list, path, []), m, f"{path}.communication")
-        inferred = infer_interference_graph(costs, ci, reads)
+        inferred = infer_interference_graph(costs, ci, [frozenset(names) for *_, names in forms])
         if "interference" in raw:
             declared = _edge_list(raw["interference"], m, f"{path}.interference")
             missing = set(inferred.edge_pairs()) - set(declared.edge_pairs())
@@ -197,7 +197,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
                 dbar=dbar,
                 comm=comm,
                 interference=interference,
-                names=reads,
+                shapes=forms,
             )
         )
 

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +19,13 @@ from coalseek.dynamics import (
     Seeker,
     SeekerState,
     StepLimitError,
+    check_step_budget,
 )
 from coalseek.corpus import random_quadratic_game
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
+from coalseek.scenario import available_presets, load_scenario, parse_scenario, preset_path
 from conftest import assignment, estimates, rhs, tree_walk_partials
 
 
@@ -590,3 +596,46 @@ def test_a_run_stops_at_the_step_cap(example2, monkeypatch):
     state = SeekerState(np.array(example2.initial_x), np.zeros(seeker.layout.size))
     with pytest.raises(StepLimitError, match=r"the run made 50 step attempts and stopped at t="):
         seeker.integrate(state, params)
+
+
+# --- the step budget of a stiff consensus ----------------------------------------
+
+
+def _heavy_example2(weight):
+    """example2 with communication edge (2,4) of coalition 3 weighted ``weight``."""
+    doc = json.loads(preset_path("example2").read_text(encoding="utf-8"))
+    for edge in doc["coalitions"][2]["communication"]:
+        if edge[:2] == [2, 4]:
+            edge[2:] = [weight]
+    return parse_scenario(doc)
+
+
+def test_step_budget_predicts_a_stiff_consensus():
+    # At weight 1e6 a dopri5 run of horizon 0.5 takes 302 478 steps, and the
+    # largest block eigenvalue is 2 000 002: the prediction is within 0.2 %.
+    scenario = _heavy_example2(1e6)
+    params = dataclasses.replace(scenario.params, horizon=0.5)
+    assert check_step_budget(scenario.game.layout, params) == pytest.approx(0.5 * 2_000_004 / 3.3)
+    with pytest.raises(ValueError, match=r"block \(3,2\) would take dopri5 about 6\.06e\+07 steps"):
+        check_step_budget(scenario.game.layout, dataclasses.replace(params, horizon=100.0))
+    assert check_step_budget(scenario.game.layout, dataclasses.replace(params, method="rk4", record_dt=None)) is None
+
+
+def _bench_generators():
+    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("_bench_generators", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_budget_admits_every_shipped_input_under_dopri5(quadratic_corpus):
+    generators = _bench_generators()
+    scenarios = [load_scenario(name) for name in available_presets()]
+    scenarios += [parse_scenario(generators.ring_game(seed).doc) for seed in (5, 900)]
+    scenarios += [parse_scenario(generators.congestion_network(seed)) for seed in (5, 900)]
+    cases = [(s.game, s.params.horizon) for s in scenarios]
+    cases += [(sample.game, IntegrateParams().horizon) for sample in quadratic_corpus]
+    for game, horizon in cases:
+        params = IntegrateParams(method="dopri5", horizon=horizon, record_dt=1.0)
+        assert check_step_budget(game.layout, params) <= MAX_STEPS

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek.corpus import random_quadratic_game
-from coalseek.expr import DomainError, evaluate, parse, render
+from coalseek.expr import DomainError, differentiate, evaluate, parse, render
 from coalseek.game import (
     Coalition,
     FlowAgent,
@@ -100,6 +100,17 @@ def test_replaced_costs_are_read_again(fig1_demo):
         ),
     ):
         Game(coalitions=(replaced, *fig1_demo.game.coalitions[1:]), delta=1.0)
+
+    # So are the templates its derivatives are built from: four costs of one
+    # template, replaced by four of other forms, are each differentiated as
+    # they are, and no later one is built from the first's template.
+    same = [f"{j + 1.5}*(x1_{j} - {j + 0.5})^2 + 0.1*x1_{j}*x1_{k}" for j, k in ((1, 2), (2, 3), (3, 2), (4, 1))]
+    mixed = ["x1_1^2 + x1_1*x1_2", "(x1_2 - 1)^3 + 2.5*x1_2*x1_3", "exp(x1_3) + x1_2/x1_3", "(x1_4 - x1_1)^2"]
+    one_form = dataclasses.replace(coalition, costs=tuple(map(parse, same)))
+    assert len(set(Game(coalitions=(one_form,)).templates)) == 1
+    game = Game(coalitions=(dataclasses.replace(one_form, costs=tuple(map(parse, mixed))),))
+    for (i, j, k), partial in game.partials.items():
+        assert repr(partial) == repr(differentiate(parse(mixed[j - 1]), f"x1_{k}"))
 
 
 def test_game_rejects_unknown_action():

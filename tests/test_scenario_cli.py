@@ -540,6 +540,27 @@ def test_cli_record_dt_asking_for_too_many_records_is_validation_error(tmp_path,
     )
 
 
+@pytest.mark.parametrize("weight", [1e9, 1e12])
+def test_cli_stiff_consensus_is_validation_error(tmp_path, capsys, weight):
+    # A heavy edge makes coalition 3's consensus stiff: dopri5 would take
+    # horizon * 2 * degree / 3.3 steps, more than MAX_STEPS, and the run
+    # ends before it starts.
+    doc = json.loads(preset_path("example2").read_text(encoding="utf-8"))
+    for edge in doc["coalitions"][2]["communication"]:
+        if edge[:2] == [2, 4]:
+            edge[2:] = [weight]
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    code, seconds = _timed_main(["run", str(path), "--horizon", "0.5", "--out", str(tmp_path / "t.csv")])
+    assert code == 2 and seconds < 1.0
+    assert capsys.readouterr().err == (
+        "validation error: $.integrator: the consensus of block (3,2) would take dopri5 about "
+        f"{weight / 3.3:.3g} steps (horizon 0.5 times twice its largest weighted degree, "
+        f"{weight:.3g}, over 3.3), more than 1000000\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_unrecoverable_non_finite_state_names_its_cause(tmp_path, capsys):
     # Finite partials, but a communication weight that overflows every
     # Euler step however short.
@@ -665,6 +686,16 @@ def test_cli_overflowing_stage_warns_nothing(tmp_path, method):
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps(doc))
     proc = _cli_subprocess(["run", str(path), "--out", str(tmp_path / "t.csv")])
+    if method == "dopri5":
+        # dopri5 would take infinitely many steps for this consensus, so
+        # validation turns the run away before its first stage.
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"validation error: $.integrator: the consensus of block (1,1) would take dopri5 "
+            b"about inf steps (horizon 1 times twice its largest weighted degree, 1e+308, "
+            b"over 3.3), more than 1000000\n"
+        )
+        return
     assert proc.returncode == 3
     assert proc.stderr.startswith(
         b"numerical failure: step at t=0 failed: the step shrank to 8.88e-17, below the "

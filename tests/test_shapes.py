@@ -163,8 +163,9 @@ def test_leaves_and_stray_characters_leave_exactly_the_parsers_whitespace():
 
 
 def test_loading_walks_no_tree_for_its_names(monkeypatch):
-    # The names read from each cost's tokens serve the inferred
-    # interference graphs and ``Game.supports``.
+    # The names and the shape read from each cost's tokens serve the
+    # inferred interference graphs, ``Game.supports`` and the templates of
+    # ``Game.partials``.
     import coalseek.expr
     import coalseek.game
 
@@ -173,5 +174,7 @@ def test_loading_walks_no_tree_for_its_names(monkeypatch):
 
     monkeypatch.setattr(coalseek.game, "free_variables", walk)
     monkeypatch.setattr(coalseek.expr, "free_variables", walk)
+    monkeypatch.setattr(coalseek.game, "shape", walk)
     game = parse_scenario(_document(GOOD + [_swap_coalitions(text) for text in GOOD])).game
     assert game.supports[0] == (0, 1, 3, 4)
+    assert len(game.partials) == 24
