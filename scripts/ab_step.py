@@ -23,7 +23,10 @@ the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
 code, each report, each stderr text and each trajectory CSV, and, for each
 of the five inputs, ``repr`` of the loaded game's cost trees, of its
 partial trees and of its Newton second derivatives
-(``oracle._jacobian_exprs``), 123 digests in all.  Any digest that differs
+(``oracle._jacobian_exprs``), and the sources that compiling its kernel,
+its cost kernel and its Newton Jacobian passes to ``compile``, with the
+arrays each compiled function reads from its namespace, 138 digests in
+all.  Any digest that differs
 between the trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
@@ -131,9 +134,35 @@ def _sha256(text: str | bytes) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
 
 
+def _compiled(build) -> str:
+    """SHA-256 of the sources that ``build()`` passes to ``compile`` in
+    ``coalseek.expr``, and of each array in the namespace of the function
+    it returns, by name, dtype, shape and bytes."""
+    import numpy as np
+    from coalseek import expr
+
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    expr.compile = capture  # shadows the builtin in that module alone
+    try:
+        function = build()
+    finally:
+        del expr.compile
+    arrays = [
+        (name, str(value.dtype), value.shape, np.ascontiguousarray(value).tobytes())
+        for name, value in sorted(function.__globals__.items())
+        if isinstance(value, (np.ndarray, np.generic))
+    ]
+    return _sha256(repr((sources, arrays)))
+
+
 def _digests(docs: Path, seed: int) -> dict:
     from coalseek import cli
-    from coalseek.oracle import _jacobian_exprs
+    from coalseek.oracle import _jacobian_exprs, _jacobian_function
     from coalseek.scenario import load_scenario
 
     out = {}
@@ -142,6 +171,9 @@ def _digests(docs: Path, seed: int) -> dict:
         out[f"{label} cost trees"] = _sha256(repr(game.costs))
         out[f"{label} partial trees"] = _sha256(repr(tuple(game.partials.items())))
         out[f"{label} jacobian trees"] = _sha256(repr(tuple(_jacobian_exprs(game).items())))
+        out[f"{label} kernel source"] = _compiled(lambda: game.kernel)
+        out[f"{label} cost kernel source"] = _compiled(lambda: game.cost_kernel)
+        out[f"{label} jacobian source"] = _compiled(lambda: _jacobian_function(game)[2])
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
     runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
     for label, source, commands in runs:

@@ -121,11 +121,15 @@ def lyapunov_value(
     state: SeekerState,
     x_star,
     transforms: dict[tuple[int, int], BlockTransform],
+    g: np.ndarray | None = None,
 ) -> float:
     """Energy along trajectories: disagreement quadratic forms plus the
-    weighted squared distance of the actions from the reference profile."""
+    weighted squared distance of the actions from the reference profile.
+    ``g`` is the state's estimates ``w + partials``, where the caller has
+    them (the integrator's records do); else the kernel computes them."""
     x_star = game.as_profile(x_star)
-    g = _estimates(game, state)[0]
+    if g is None:
+        g = _estimates(game, state)[0]
     total = 0.0
     for b in game.layout.blocks:
         tr = transforms[(b.coalition, b.k)]

@@ -122,8 +122,8 @@ def _cmd_run(args) -> int:
         x_star = np.array(scenario.x_star)
         params = dataclasses.replace(
             params,
-            lyapunov=lambda state: analysis.lyapunov_value(
-                scenario.game, state, x_star, transforms
+            lyapunov=lambda state, g: analysis.lyapunov_value(
+                scenario.game, state, x_star, transforms, g
             ),
         )
     try:

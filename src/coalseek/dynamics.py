@@ -143,7 +143,8 @@ class IntegrateParams:
     record_dt: float | None = None
     stop_tol: float | None = 1e-8
     record_w: bool = False
-    lyapunov: Callable[["SeekerState"], float] | None = None
+    # Called at each record with the state and its estimates ``w + partials``.
+    lyapunov: Callable[["SeekerState", np.ndarray], float] | None = None
 
     def __post_init__(self):
         if not (0 < self.step < math.inf):
@@ -463,7 +464,7 @@ class Seeker:
             pg.append(p_inf)
             gbar.append(float(np.sqrt((resid**2).sum())))
             if params.lyapunov is not None:
-                vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t)))
+                vvals.append(params.lyapunov(SeekerState(z[:n], z[n:], t), g))
             max_resid = float(resid.max()) if resid.size else 0.0
             tol = params.stop_tol
             return tol is not None and p_inf <= tol and max_resid <= tol

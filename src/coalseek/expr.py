@@ -689,23 +689,24 @@ _GUARDS = {"log": "0.0 < {} < 1e999", "div": "{} != 0.0"}
 
 
 def _vector_source(
-    e: Expression, lift: Callable[[Expression], str], depth: int = 0
+    e: Expression, lift: Callable[[Expression, str], str], depth: int = 0, path: str = ""
 ) -> str | None:
-    """Vector-mode source for ``e``, its leaves rendered by ``lift``: the
-    operands are numpy arrays and a division checks its denominator; None
-    where vector mode does not cover ``e`` or ``e`` sits ``depth``
-    operations deep, which must stay below ``MAX_INLINE_DEPTH``."""
+    """Vector-mode source for ``e``, each leaf rendered by ``lift`` from it
+    and its attribute path, ``.left.arg`` say: the operands are numpy
+    arrays and a division checks its denominator; None where vector mode
+    does not cover ``e`` or ``e`` sits ``depth`` operations deep, which
+    must stay below ``MAX_INLINE_DEPTH``."""
     if isinstance(e, (Const, Var)):
-        return lift(e)
+        return lift(e, path)
     depth += 1
     if depth >= MAX_INLINE_DEPTH:
         return None
     if isinstance(e, Unary):
         if e.op != "neg":
             return None
-        inner = _vector_source(e.arg, lift, depth)
+        inner = _vector_source(e.arg, lift, depth, path + ".arg")
         return None if inner is None else f"(-{inner})"
-    left = _vector_source(e.left, lift, depth)
+    left = _vector_source(e.left, lift, depth, path + ".left")
     if left is None:
         return None
     if e.op == "pow":
@@ -714,7 +715,7 @@ def _vector_source(
             return None
         # ``_t`` is read right after it is bound, so nesting cannot clobber it.
         return f"((_t := {left}){' * _t' * (power - 1)})"
-    right = _vector_source(e.right, lift, depth)
+    right = _vector_source(e.right, lift, depth, path + ".right")
     if right is None:
         return None
     if e.op == "div":
@@ -730,21 +731,34 @@ def _nonzero(den: np.ndarray) -> np.ndarray:
 
 def _lift(
     e: Expression, slot_of: dict[str, int]
-) -> tuple[str | None, list[float], list[int]]:
+) -> tuple[str | None, Callable[[list[Expression]], tuple[np.ndarray, np.ndarray]]]:
     """Vector-mode source of ``e`` with its leaves renamed ``c<n>`` and
-    ``g<n>`` in order (the shape), and the constants and slots they stand
-    for; the source is None when vector mode does not cover ``e``."""
-    consts: list[float] = []
-    slots: list[int] = []
+    ``g<n>`` in order (the shape), None where vector mode does not cover
+    ``e``; and a function of trees of ``e``'s structure that returns the
+    constants and slots at those leaves, one row per tree, read with one
+    ``attrgetter`` of their paths."""
+    paths: dict[type, list[str]] = {Const: [], Var: []}
 
-    def lift(leaf: Expression) -> str:
-        if isinstance(leaf, Const):
-            consts.append(leaf.value)
-            return f"c{len(consts) - 1}"
-        slots.append(slot_of[leaf.name])
-        return f"g{len(slots) - 1}"
+    def lift(leaf: Expression, path: str) -> str:
+        found = paths[type(leaf)]
+        found.append(f"{path}.value"[1:] if type(leaf) is Const else f"{path}.name"[1:])
+        return f"{'c' if type(leaf) is Const else 'g'}{len(found) - 1}"
 
-    return _vector_source(e, lift), consts, slots
+    def read(kind: type, trees: list[Expression]) -> list:
+        at = paths[kind]
+        if len(at) < 2:  # ``attrgetter`` of one path returns the value itself
+            return list(map(attrgetter(*at), trees)) if at else []
+        return list(itertools.chain.from_iterable(map(attrgetter(*at), trees)))
+
+    def leaves(trees: list[Expression]) -> tuple[np.ndarray, np.ndarray]:
+        consts, names = len(paths[Const]), len(paths[Var])
+        slots = list(map(slot_of.__getitem__, read(Var, trees)))
+        return (
+            np.array(read(Const, trees)).reshape(len(trees), consts),
+            np.array(slots).reshape(len(trees), names),
+        )
+
+    return _vector_source(e, lift), leaves
 
 
 # A value in the scalar-mode DAG: a leaf is its own source text, an interior
@@ -774,7 +788,7 @@ class _Dag:
             self.uses[ref] += 1
         return ref
 
-    def guards(self, trees: Iterable[Expression]) -> list[tuple[str, _Ref]]:
+    def guards(self, trees: Iterable[Expression], keys: Iterable = ()) -> list[tuple[str, _Ref]]:
         """Guards for the operations of ``trees`` that can fail, in tree
         order: ``("log", u)`` for ``log(u)``, ``("div", d)`` for a
         denominator ``d``, and ``("call", e)`` for an exp or a power ``e``
@@ -782,9 +796,36 @@ class _Dag:
         DAG as a use, so an exp or a power the DAG evaluates already is its
         temp, and its guard emits nothing.  No ``("div", d)`` guard is
         returned where the DAG divides by ``d`` or by ``d*d``: that division
-        raises already wherever ``d`` is zero."""
+        raises already wherever ``d`` is zero.  Trees of one key (see
+        ``compile_vector_function``) have the same operations, so where the
+        first has none that can fail, the others are not walked."""
         found: dict[tuple[str, _Ref], None] = {}
-        stack = list(trees)[::-1]
+        fails: dict = {}  # key -> whether its first tree has an operation that can fail
+        for tree, key in itertools.zip_longest(trees, keys):
+            if fails.get(key, True):
+                can_fail = self._guard_walk(tree, found)
+                if key is not None:
+                    fails.setdefault(key, can_fail)
+        divided = set()
+        for op, *operands in self.nodes:
+            if op == "div":
+                den = operands[1]
+                divided.add(den)
+                if isinstance(den, int) and self.nodes[den][0] == "mul":
+                    _, left, right = self.nodes[den]
+                    if left == right:  # d*d is zero wherever d is
+                        divided.add(left)
+        kept = [(kind, ref) for kind, ref in found if kind != "div" or ref not in divided]
+        for _, ref in kept:
+            if isinstance(ref, int):
+                self.uses[ref] += 1
+        return kept
+
+    def _guard_walk(self, tree: Expression, found: dict[tuple[str, _Ref], None]) -> bool:
+        """Add the guards of ``tree``'s operations that can fail to
+        ``found``, in tree order; whether it has any."""
+        can_fail = False
+        stack = [tree]
         while stack:
             e = stack.pop()
             # The guard's operand is evaluated, with every operation under it.
@@ -805,21 +846,9 @@ class _Dag:
                 continue
             else:
                 continue
+            can_fail = True
             found.setdefault((kind, self._ref(e)))
-        divided = set()
-        for op, *operands in self.nodes:
-            if op == "div":
-                den = operands[1]
-                divided.add(den)
-                if isinstance(den, int) and self.nodes[den][0] == "mul":
-                    _, left, right = self.nodes[den]
-                    if left == right:  # d*d is zero wherever d is
-                        divided.add(left)
-        kept = [(kind, ref) for kind, ref in found if kind != "div" or ref not in divided]
-        for _, ref in kept:
-            if isinstance(ref, int):
-                self.uses[ref] += 1
-        return kept
+        return can_fail
 
     def _node(self, key: tuple) -> int:
         ref = self._number.get(key)
@@ -927,11 +956,52 @@ def _output_label(pos: int) -> str:
     return f"output {pos}"
 
 
+def _vector_groups(
+    exprs: list[Expression], keys: list, slot_of: dict[str, int]
+) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """The shapes of ``exprs`` (see ``_lift``) that at least
+    ``VECTOR_MIN_INSTANCES`` of them share, in the order of their first
+    expression, each with its expressions' positions, and their constants
+    and slots by row, in position order.  Of the trees of a key of
+    ``keys`` (see ``compile_vector_function``) only the first is lifted,
+    the largest keys first, and none once the trees left could not bring
+    a shape to vector mode.  The trees of a shape that reaches it are
+    read for their leaves with no walk (see ``_lift``)."""
+    by_key: dict = {}
+    for pos, key in enumerate(keys):
+        by_key.setdefault(object() if key is None else key, []).append(pos)
+    shapes: dict[str, list] = {}  # shape -> the positions and leaf reader of each of its keys
+    counts: Counter = Counter()
+    largest = 0  # the most trees lifted into one shape
+    left = len(exprs)  # the trees not lifted
+    for positions in sorted(by_key.values(), key=len, reverse=True):
+        if largest + left < VECTOR_MIN_INSTANCES:
+            break
+        left -= len(positions)
+        shape, leaves = _lift(exprs[positions[0]], slot_of)
+        if shape is not None:
+            shapes.setdefault(shape, []).append((positions, leaves))
+            counts[shape] += len(positions)
+            largest = max(largest, counts[shape])
+    groups = []
+    for shape, parts in shapes.items():
+        if counts[shape] < VECTOR_MIN_INSTANCES:
+            continue
+        read = [leaves([exprs[pos] for pos in part]) for part, leaves in parts]
+        positions = np.array([pos for part, _ in parts for pos in part])
+        consts = np.concatenate([consts for consts, _ in read])
+        slots = np.concatenate([slots for _, slots in read])
+        order = np.argsort(positions, kind="stable")
+        groups.append((shape, positions[order], consts[order], slots[order]))
+    return sorted(groups, key=lambda group: group[1][0])
+
+
 def compile_vector_function(
     exprs: Iterable[Expression],
     names: tuple[str, ...],
     label: Callable[[int], str] = _output_label,
     guarded: Iterable[Expression] = (),
+    keys: Iterable | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into one function of the point ``x`` (a float
     array in ``names`` order) that returns their values as one array, in
@@ -948,15 +1018,22 @@ def compile_vector_function(
     unless the scalar-mode code of the outputs evaluates it already.
     Where a guarded expression computes a non-finite value without a
     failing operation, the function may return.  The message positions
-    count the guarded expressions first."""
+    count the guarded expressions first.
+
+    ``keys`` holds a key for each expression, the guarded first, in label
+    order, or is None.  Expressions of one key must be one tree up to the
+    values of their constants other than pow exponents and the names in
+    their variables, as a template's trees are (see ``gradient_shaped``);
+    a None key is an expression's own.  The compiler lifts the first tree
+    of each key alone, and walks the others for guards only where the
+    first has an operation that can fail."""
     exprs = list(exprs)
     guarded = list(guarded)
+    keys = [None] * (len(guarded) + len(exprs)) if keys is None else list(keys)
     slot_of = {name: i for i, name in enumerate(names)}
-    groups: dict[str | None, list[tuple[int, list[float], list[int]]]] = {}
+    vector_groups = []
     if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode
-        for pos, e in enumerate(exprs):
-            shape, consts, slots = _lift(e, slot_of)
-            groups.setdefault(shape, []).append((pos, consts, slots))
+        vector_groups = _vector_groups(exprs, keys[len(guarded) :], slot_of)
 
     namespace = {
         "_exp": math.exp,
@@ -971,16 +1048,10 @@ def compile_vector_function(
         "_outside": lambda x: _OutsideDomain(guarded + exprs, names, x, label),
     }
     lines = []
-    vector_groups = [
-        (shape, members)
-        for shape, members in groups.items()
-        if shape is not None and len(members) >= VECTOR_MIN_INSTANCES
-    ]
     if vector_groups:
         lines.append('with _errstate(all="ignore"):')
     vectorized: set[int] = set()
-    for q, (shape, members) in enumerate(vector_groups):
-        positions, consts, slots = (np.array(column) for column in zip(*members))
+    for q, (shape, positions, consts, slots) in enumerate(vector_groups):
         namespace[f"_p{q}"] = positions
         for n, column in enumerate(consts.T):
             # A constant shared by every instance enters as a numpy scalar.
@@ -1000,7 +1071,7 @@ def compile_vector_function(
     # piece boundary.
     dag = _Dag(slot_of)
     scalar = [(pos, dag.output(e)) for pos, e in enumerate(exprs) if pos not in vectorized]
-    guards = dag.guards(guarded)
+    guards = dag.guards(guarded, keys[: len(guarded)])
     pieces: list[_Piece] = []
 
     def tail() -> _Piece:

@@ -196,6 +196,7 @@ class Game:
         the actions it reads.  Raises GameError at the first name, in sorted
         order, that is no action or that the interference graph excludes."""
         out = []
+        first = 0  # profile index of agent (i, 1)
         for i, c in enumerate(self.coalitions, start=1):
             for j, names in enumerate(c.reads, start=1):
                 cols = []
@@ -205,21 +206,24 @@ class Game:
                         raise GameError(
                             f"cost of agent ({i},{j}) references unknown action '{name}'"
                         )
-                    ci, ck = split_action_name(name)
-                    if ci == i and ck != j and not c.interference.has_edge(j, ck):
+                    k = col - first + 1  # the agent of a name of coalition i
+                    if 1 <= k <= c.m and k != j and not c.interference.has_edge(j, k):
                         raise GameError(
-                            f"cost of agent ({i},{j}) depends on x{i}_{ck} but the "
-                            f"interference graph of coalition {i} has no edge ({j},{ck})"
+                            f"cost of agent ({i},{j}) depends on x{i}_{k} but the "
+                            f"interference graph of coalition {i} has no edge ({j},{k})"
                         )
                     cols.append(col)
                 out.append(tuple(sorted(cols)))
+            first += c.m
         return tuple(out)
 
     @cached_property
-    def templates(self) -> tuple[tuple | None, ...]:
-        """For each cost, in profile order, the key of its derivatives'
-        template in its coalition's names (``expr.template_key``), or None
-        where too few costs share its skeleton to share a template."""
+    def templates(self) -> tuple[int | None, ...]:
+        """For each cost, in profile order, the number of its derivatives'
+        template in its coalition's names, one per ``expr.template_key``,
+        or None where too few costs share its skeleton to share a
+        template.  A number hashes in one step, where a key hashes every
+        item it holds."""
         skeletons = Counter(form[0] for c in self.coalitions for form in c.forms)
         powers: dict = {}
         out = []
@@ -228,8 +232,23 @@ class Game:
             for form in c.forms:
                 enough = skeletons[form[0]] >= TEMPLATE_MIN_TREES
                 out.append(template_key(form, own, powers) if enough else None)
-        one = {}  # one key object per template: its costs keep no copies
-        return tuple([one.setdefault(key, key) for key in out])
+        number: dict = {None: None}
+        return tuple([number.setdefault(key, len(number) - 1) for key in out])
+
+    @cached_property
+    def partial_templates(self) -> tuple[tuple | None, ...]:
+        """For each partial, in slot order, the key of its template: its
+        cost's key in ``templates`` and the first leaf of the name it is
+        differentiated in (None where the cost reads no such name), or
+        None where its cost has no key."""
+        templates, names = self.templates, self.var_names
+        leaves = [names for c in self.coalitions for *_, names in c.forms]
+        columns = map(names.__getitem__, self.layout.column.tolist())
+        return tuple([
+            None if templates[owner] is None
+            else (templates[owner], leaves[owner].index(name) if name in leaves[owner] else None)
+            for owner, name in zip(self.layout.owner.tolist(), columns)
+        ])
 
     @cached_property
     def partials(self) -> dict[tuple[int, int, int], Expression]:
@@ -268,7 +287,8 @@ class Game:
         non-finite value with no failing operation (see
         ``compile_vector_function``)."""
         return compile_vector_function(
-            tuple(self.partials.values()), self.var_names, self._kernel_label, guarded=self.costs
+            tuple(self.partials.values()), self.var_names, self._kernel_label, guarded=self.costs,
+            keys=self.templates + self.partial_templates,
         )
 
     @cached_property
@@ -279,7 +299,8 @@ class Game:
         cost or a partial is not finite.  Compiled on first use, so
         integrating or solving never builds it."""
         return compile_vector_function(
-            self.costs + tuple(self.partials.values()), self.var_names, self._kernel_label
+            self.costs + tuple(self.partials.values()), self.var_names, self._kernel_label,
+            keys=self.templates + self.partial_templates,
         )
 
     @cached_property
@@ -413,12 +434,13 @@ def infer_interference_graph(
     m = len(costs)
     if reads is None:
         reads = [free_variables(f) for f in costs]
+    agent = {action_name(coalition, k): k for k in range(1, m + 1)}
     edges = set()
     for j, names in enumerate(reads, start=1):
         for name in names:
-            idx = split_action_name(name)
-            if idx is not None and idx[0] == coalition and 1 <= idx[1] <= m and idx[1] != j:
-                edges.add((min(j, idx[1]), max(j, idx[1])))
+            k = agent.get(name, j)
+            if k != j:
+                edges.add((min(j, k), max(j, k)))
     return Graph.build(range(1, m + 1), sorted(edges))
 
 

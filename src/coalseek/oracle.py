@@ -36,27 +36,34 @@ class StationaryReport:
     message: str = ""
 
 
-def _jacobian_exprs(game: Game):
+def _jacobian_exprs(game: Game, keys: list | None = None):
     """Second-derivative expressions of each pseudo-gradient component, keyed
     (row index, column index); absent keys are identically zero.  Rows sum
     their partials in slot order, each partial's columns in ascending order.
-    Each partial is differentiated in every name, once per template."""
+    Each partial is differentiated in every name, once per template.  Where
+    ``keys`` is given, each entry's key for ``compile_vector_function`` is
+    appended to it, in entry order: one number per sequence of its terms'
+    keys, each its partial's template and the first leaf of its name in
+    the cost, and None where a partial has no template."""
     index = game.var_index
     leaves = [names for c in game.coalitions for *_, names in c.forms]
-    rows = game.layout.column.tolist()
-    # A partial's template is its cost's and the first leaf of its name.
-    templates = [
-        None if game.templates[owner] is None
-        else (game.templates[owner], leaves[owner].index(name) if name in leaves[owner] else None)
-        for owner, name in zip(game.layout.owner.tolist(), map(game.var_names.__getitem__, rows))
-    ]
+    templates = game.partial_templates
     seen = templates_for(templates)
     out = {}
-    for row, template, first in zip(rows, templates, game.partials.values()):
-        derivs = gradient_shaped(first, index, template, seen, differentiate)[0]
+    codes: dict[tuple[int, int], int | None] = {}
+    chain: dict[tuple, int] = {}  # (the number of some terms, the next term's key) -> theirs
+    for row, owner, template, partial in zip(
+        game.layout.column.tolist(), game.layout.owner.tolist(), templates, game.partials.values()
+    ):
+        derivs = gradient_shaped(partial, index, template, seen, differentiate)[0]
         for name in sorted(derivs, key=index.__getitem__):
             key = (row, index[name])
             out[key] = derivs[name] if key not in out else out[key] + derivs[name]
+            prev = codes.get(key, -1)
+            term = (prev, template, leaves[owner].index(name))
+            codes[key] = None if None in term else chain.setdefault(term, len(chain))
+    if keys is not None:
+        keys += codes.values()
     return out
 
 
@@ -66,7 +73,8 @@ def _jacobian_function(game: Game):
     the entries at ``(rows, cols)`` and raising DomainError, naming the
     entry and the operation, where an entry is not finite.  No position is
     listed twice."""
-    exprs = _jacobian_exprs(game)
+    keys: list = []
+    exprs = _jacobian_exprs(game, keys)
     names = game.var_names
     rows = np.array([row for row, _ in exprs], dtype=np.intp)
     cols = np.array([col for _, col in exprs], dtype=np.intp)
@@ -74,7 +82,7 @@ def _jacobian_function(game: Game):
     def label(pos: int) -> str:
         return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
 
-    return rows, cols, compile_vector_function(exprs.values(), names, label)
+    return rows, cols, compile_vector_function(exprs.values(), names, label, keys=keys)
 
 
 # Restarted GMRES for the Newton step (Saad & Schultz, *SIAM J. Sci. Stat.

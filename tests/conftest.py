@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,3 +81,12 @@ def estimates(seeker, state):
     """Estimate ``w + cost partial`` of every stored index (i, j, k)."""
     flat = state.w + seeker.partial_vector(state.x)
     return {key: float(flat[slot]) for key, slot in seeker.layout.slots.items()}
+
+
+def bench_generators():
+    """The benchmark's document generators, ``bench/generators.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("_bench_generators", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

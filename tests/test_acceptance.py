@@ -199,7 +199,7 @@ def test_criterion_08_lyapunov_decrease(quadratic_corpus):
         seeker = Seeker(game)
         params = IntegrateParams(
             step=0.05, horizon=40.0, record_stride=10, stop_tol=None,
-            lyapunov=lambda s, g=game, xs=x_star, trf=transforms: lyapunov_value(g, s, xs, trf),
+            lyapunov=lambda s, est, g=game, xs=x_star, trf=transforms: lyapunov_value(g, s, xs, trf, est),
         )
         traj = seeker.integrate(
             seeker.initial_state(rng.uniform(-2, 2, game.n_actions)), params

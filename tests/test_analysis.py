@@ -322,7 +322,7 @@ def test_value_decreases_on_monotone_game(quadratic_corpus):
         horizon=40.0,
         record_stride=10,
         stop_tol=None,
-        lyapunov=lambda s: lyapunov_value(game, s, x_star, transforms),
+        lyapunov=lambda s, g: lyapunov_value(game, s, x_star, transforms, g),
     )
     rng = np.random.default_rng(9)
     traj = seeker.integrate(seeker.initial_state(rng.uniform(-2, 2, game.n_actions)), params)

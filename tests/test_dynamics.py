@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from coalseek.expr import parse
 from coalseek.game import Coalition, Game, pseudo_gradient
 from coalseek.graphs import Graph
 from coalseek.scenario import available_presets, load_scenario, parse_scenario, preset_path
-from conftest import assignment, estimates, rhs, tree_walk_partials
+from conftest import assignment, bench_generators, estimates, rhs, tree_walk_partials
 
 
 def _single_agent_game(cost="(x1_1 - 3)^2", delta=1.0, dbar=1.0):
@@ -621,16 +620,8 @@ def test_step_budget_predicts_a_stiff_consensus():
     assert check_step_budget(scenario.game.layout, dataclasses.replace(params, method="rk4", record_dt=None)) is None
 
 
-def _bench_generators():
-    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("_bench_generators", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_step_budget_admits_every_shipped_input_under_dopri5(quadratic_corpus):
-    generators = _bench_generators()
+    generators = bench_generators()
     scenarios = [load_scenario(name) for name in available_presets()]
     scenarios += [parse_scenario(generators.ring_game(seed).doc) for seed in (5, 900)]
     scenarios += [parse_scenario(generators.congestion_network(seed)) for seed in (5, 900)]

@@ -381,10 +381,10 @@ def _count_compiles(monkeypatch):
 
     compiled = []
 
-    def counting(exprs, names, *label, guarded=()):
+    def counting(exprs, names, *label, guarded=(), **keys):
         exprs, guarded = list(exprs), list(guarded)
         compiled.append((len(exprs), len(guarded)))
-        return compile_vector_function(exprs, names, *label, guarded=guarded)
+        return compile_vector_function(exprs, names, *label, guarded=guarded, **keys)
 
     monkeypatch.setattr(coalseek.game, "compile_vector_function", counting)
     monkeypatch.setattr(coalseek.oracle, "compile_vector_function", counting)
