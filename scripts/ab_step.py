@@ -35,12 +35,16 @@ Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 kernel call as the integrator makes it (``Seeker.partial_vector`` at the
 initial profile, the best of 25 batches of up to 200 calls) and one
 ``oracle.gradient_check`` at the initial profile (the best of 5 batches of
-up to 20 audits, each batch sized to run about 50 ms) and one
+up to 20 audits, each batch sized to run about 50 ms), one ``check`` audit
+set at the initial profile (its 20 gradient audits, its monotonicity probe
+and its 50 deviation spot checks: ``cli._cmd_check`` on the loaded scenario,
+its report discarded; batched the same way) and one
 ``oracle.solve_stationary`` from the input's start, Jacobian compile
 included (batched the same way).  Per input the script prints the median
 and IQR of the integrate wall time on each side, the change's relative
 move, how many pairs the change won, the median microseconds per kernel
-call and the median milliseconds per audit and per solve.  Each also times
+call and the median milliseconds per audit, per ``check`` audit set and
+per solve.  Each also times
 loading: ``Seeker(load_scenario(source).game)``, batched as the audits are;
 per input the script prints its median and IQR on each side, the change's
 relative move and how many pairs the change won.
@@ -218,6 +222,19 @@ def _best_batch_ms(call) -> float:
     return _best_per_call(call, calls, 5) * 1e3
 
 
+def _check_audits(scenario) -> None:
+    """``check`` on a loaded scenario, with no load and no report."""
+    from coalseek import cli
+
+    load = cli._load
+    cli._load = lambda args: scenario
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._cmd_check(argparse.Namespace(format="kv"))
+    finally:
+        cli._load = load
+
+
 def _times(docs: Path, repeats: int) -> dict:
     import numpy as np
     from coalseek.dynamics import Seeker
@@ -242,6 +259,7 @@ def _times(docs: Path, repeats: int) -> dict:
             "kernel_us": kernel_us,
             # The first audit builds its plan.
             "audit_ms": _best_batch_ms(lambda: gradient_check(scenario.game, x)),
+            "check_ms": _best_batch_ms(lambda: _check_audits(scenario)),
             "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
             "setup_ms": _best_batch_ms(lambda: Seeker(load_scenario(source).game)),
             "rhs_evals": trajectory.rhs_evals,
@@ -304,7 +322,8 @@ def main() -> int:
                 runs[side].append(_call(sides[side], "times", str(docs), str(args.repeats)))
 
     print(f"{'input':<16} {'parent s (IQR)':>20} {'change s (IQR)':>20} {'move':>7} "
-          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'solve ms':>18} {'rhs_evals':>9}")
+          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'check ms':>18} {'solve ms':>18} "
+          f"{'rhs_evals':>9}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["integrate_s"] for r in runs["parent"]]
         change = [r[label]["integrate_s"] for r in runs["change"]]
@@ -312,11 +331,13 @@ def main() -> int:
         wins = sum(c < p for p, c in zip(parent, change))
         kernel = [statistics.median(r[label]["kernel_us"] for r in runs[side]) for side in sides]
         audit = [statistics.median(r[label]["audit_ms"] for r in runs[side]) for side in sides]
+        check = [statistics.median(r[label]["check_ms"] for r in runs[side]) for side in sides]
         solve = [statistics.median(r[label]["solve_ms"] for r in runs[side]) for side in sides]
         evals = {r[label]["rhs_evals"] for side in sides for r in runs[side]}
         print(f"{label:<16} {f'{pm:.4f} ({piqr:.4f})':>20} {f'{cm:.4f} ({ciqr:.4f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
               f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {f'{audit[0]:.2f} -> {audit[1]:.2f}':>16} "
+              f"{f'{check[0]:.2f} -> {check[1]:.2f}':>18} "
               f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
     print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6}")

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SeekerState
-from .game import Game
+from .expr import DomainError
+from .game import Game, Layout
 from .graphs import is_connected, orthonormal_complement
+from .oracle import block_rows
 
 __all__ = [
     "BlockTransform",
@@ -19,6 +21,7 @@ __all__ = [
     "ConsensusRecord",
     "consensus_residual",
     "deviation_bounds",
+    "deviation_spot_checks",
     "lyapunov_value",
     "AgentCost",
     "CostReport",
@@ -94,7 +97,7 @@ def consensus_residual(game: Game, state: SeekerState) -> dict[tuple[int, int], 
     layout = game.layout
     g, pvec = _estimates(game, state)
     means, norms = layout.block_spread(g)
-    errors = np.abs(means - layout.block_spread(pvec)[0])
+    errors = np.abs(means - layout.block_means(pvec))
     return {
         (b.coalition, b.k): ConsensusRecord(gbar_norm=float(norm), mean_identity_error=float(err))
         for b, norm, err in zip(layout.blocks, norms, errors)
@@ -106,14 +109,61 @@ def deviation_bounds(game: Game, state: SeekerState) -> tuple[np.ndarray, np.nda
     per-agent bound on it: the norm of the agent's row of a disagreement
     basis, ``sqrt(1 - 1/size)`` for every row of every orthonormal one,
     times the block disagreement norm.  Both arrays are in slot order
-    (``Layout.keys``)."""
-    layout = game.layout
+    (``Layout.keys``).  This is one row of ``_deviation_rows``."""
+    pvec = game.kernel(game.as_profile(state.x))
+    return _deviation_rows(game.layout, state.w, pvec)
+
+
+def _deviation_rows(layout: Layout, w: np.ndarray, pvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``deviation_bounds`` of the auxiliaries ``w`` at the partials
+    ``pvec``, along their last axis: each row of matrices gets the bits it
+    gets alone."""
     sizes = layout.block_sizes
-    g, pvec = _estimates(game, state)
-    norms = layout.block_spread(g)[1]
-    deviation = np.abs(g - np.repeat(layout.block_spread(pvec)[0], sizes))
-    bound = np.repeat(np.sqrt(1.0 - 1.0 / sizes) * norms, sizes)
+    g = w + pvec
+    deviation = np.abs(g - np.repeat(layout.block_means(pvec), sizes, axis=-1))
+    bound = np.repeat(np.sqrt(1.0 - 1.0 / sizes) * layout.block_spread(g)[1], sizes, axis=-1)
     return deviation, bound
+
+
+def deviation_spot_checks(
+    game: Game, base, rng: np.random.Generator, samples: int
+) -> tuple[list[float], int]:
+    """``check``'s spot checks of the deviation bound.  Each of ``samples``
+    states is drawn in turn: a profile uniform within 1 of ``base``, then
+    auxiliaries standard normal, less their block means.  Returns the
+    largest excess of a deviation over its bound of each state in the
+    domain (0.0 where none exceeds it; a NaN excess is passed over), in
+    draw order, and the number of states outside the domain.
+
+    The states are checked a block at a time (``oracle.block_rows``): the
+    draws and the kernel calls are per state, in order, and the rest is one
+    array pass per block."""
+    base = game.as_profile(base)
+    layout = game.layout
+    n, size = game.n_actions, layout.size
+    gaps: list[float] = []
+    outside = 0
+    rows = block_rows(size)
+    for start in range(0, samples, rows):
+        k = min(rows, samples - start)
+        offsets, w, pvec = np.empty((k, n)), np.empty((k, size)), np.empty((k, size))
+        for r in range(k):
+            offsets[r] = rng.uniform(-1.0, 1.0, n)
+            w[r] = rng.normal(size=size)
+        kept = []
+        # Within 1 of a finite base, every profile is finite.
+        for r, x in enumerate(base + offsets):
+            try:
+                pvec[len(kept)] = game.kernel(x)
+            except DomainError:
+                outside += 1
+                continue
+            kept.append(r)
+        w = w[kept]
+        w -= np.repeat(layout.block_means(w), layout.block_sizes, axis=-1)
+        deviation, bound = _deviation_rows(layout, w, pvec[: len(kept)])
+        gaps += np.fmax.reduce(deviation - bound, axis=-1, initial=0.0).tolist()
+    return gaps, outside
 
 
 def lyapunov_value(

@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dynamics import NumericsError, Seeker, SeekerState, check_step_budget
+from .dynamics import NumericsError, Seeker, check_step_budget
 from .expr import DomainError
 from .graphs import interference_to_k_graph
-from .oracle import check_monotonicity, gradient_check, solve_stationary
+from .oracle import block_rows, check_monotonicity, gradient_check, solve_stationary
 from .scenario import ScenarioError, available_presets, load_scenario
 
 __all__ = ["main"]
@@ -228,28 +228,18 @@ def _cmd_check(args) -> int:
     skipped = 0
 
     grad_errors = []
-    for _ in range(20):
-        x = base + rng.uniform(-0.5, 0.5, n)
-        try:
-            grad_errors.append(gradient_check(game, x))
-        except DomainError:
-            skipped += 1
+    rows = block_rows(n)
+    for start in range(0, 20, rows):
+        for x in base + rng.uniform(-0.5, 0.5, (min(rows, 20 - start), n)):
+            try:
+                grad_errors.append(gradient_check(game, x))
+            except DomainError:
+                skipped += 1
 
     mono = check_monotonicity(game, base - 2.0, base + 2.0, pairs=200, seed=scenario.seed)
 
-    gaps = []
-    layout = game.layout
-    for _ in range(50):
-        x = game.as_profile(base + rng.uniform(-1.0, 1.0, n))
-        w = rng.normal(size=layout.size)
-        state = SeekerState(x, w - np.repeat(layout.block_spread(w)[0], layout.block_sizes))
-        try:
-            deviation, bound = analysis.deviation_bounds(game, state)
-        except DomainError:
-            skipped += 1
-            continue
-        # fmax passes over a NaN gap (inf - inf), as a Python max from 0.0 does.
-        gaps.append(float(np.fmax.reduce(deviation - bound, initial=0.0)))
+    gaps, outside = analysis.deviation_spot_checks(game, base, rng, 50)
+    skipped += outside
 
     pairs = [
         ("scenario", scenario.name),

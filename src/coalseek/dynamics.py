@@ -291,7 +291,7 @@ class Seeker:
                 raise ValueError(
                     f"w must have {self.layout.size} entries (one per stored estimate)"
                 )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        if not (all_finite(x) and all_finite(w)):
             raise NonFiniteStateError("initial state contains non-finite entries")
         return SeekerState(x, w, t)
 
@@ -442,7 +442,7 @@ class Seeker:
 
     def integrate(self, state0: SeekerState, params: IntegrateParams | None = None) -> Trajectory:
         params = params or IntegrateParams()
-        if not (np.all(np.isfinite(state0.x)) and np.all(np.isfinite(state0.w))):
+        if not (all_finite(state0.x) and all_finite(state0.w)):
             raise NonFiniteStateError("initial state contains non-finite entries")
         evaluations = self.evaluations
         n = self._n

@@ -19,7 +19,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .expr import (
     Expression,
     Unary,
     Var,
+    all_finite,
     compile_vector_function,
     free_variables,
     # Bound as ``differentiate``: ``bench/tracing.py`` times each pass by that name.
@@ -184,7 +185,7 @@ class Game:
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n_actions,):
             raise GameError(f"profile must have {self.n_actions} entries")
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise GameError("profile entries must be finite")
         return arr
 
@@ -287,7 +288,8 @@ class Game:
         non-finite value with no failing operation (see
         ``compile_vector_function``)."""
         return compile_vector_function(
-            tuple(self.partials.values()), self.var_names, self._kernel_label, guarded=self.costs,
+            tuple(self.partials.values()), self.var_names,
+            partial(_kernel_label, self.var_names, self.layout.keys), guarded=self.costs,
             keys=self.templates + self.partial_templates,
         )
 
@@ -299,7 +301,8 @@ class Game:
         cost or a partial is not finite.  Compiled on first use, so
         integrating or solving never builds it."""
         return compile_vector_function(
-            self.costs + tuple(self.partials.values()), self.var_names, self._kernel_label,
+            self.costs + tuple(self.partials.values()), self.var_names,
+            partial(_kernel_label, self.var_names, self.layout.keys),
             keys=self.templates + self.partial_templates,
         )
 
@@ -312,14 +315,17 @@ class Game:
 
         return AuditPlan(self)
 
-    def _kernel_label(self, pos: int) -> str:
-        """Names position ``pos`` of the costs followed by the partials."""
-        n = self.n_actions
-        if pos < n:
-            i, j = split_action_name(self.var_names[pos])
-            return f"the cost of agent ({i},{j})"
-        i, j, k = self.layout.keys[pos - n]
-        return f"the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
+
+def _kernel_label(names: tuple[str, ...], keys: tuple, pos: int) -> str:
+    """Names position ``pos`` of the costs, one per name of ``names``,
+    followed by the partials, one per slot key of ``keys``.  The kernels
+    bind it to the game's names and keys, not to the game, so a kernel keeps
+    no game alive."""
+    if pos < len(names):
+        i, j = split_action_name(names[pos])
+        return f"the cost of agent ({i},{j})"
+    i, j, k = keys[pos - len(names)]
+    return f"the partial of the cost of agent ({i},{j}) in {action_name(i, k)}"
 
 
 class Layout:
@@ -402,14 +408,21 @@ class Layout:
         """Member count of each block."""
         return np.array([b.size for b in self.blocks], dtype=np.intp)
 
+    def block_means(self, g: np.ndarray) -> np.ndarray:
+        """Per-block mean of the slot vectors ``g`` along its last axis, in
+        block order."""
+        return np.add.reduceat(g, self.block_starts, axis=-1) / self.block_sizes
+
     def block_spread(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block mean of the slot vector ``g`` and 2-norm of ``g`` minus
-        that mean, in block order; a singleton block's norm is exactly 0.
-        For any orthonormal basis B of the block's disagreement subspace
-        (the complement of the all-ones vector) the norm is ``|B^T g|``."""
-        means = np.add.reduceat(g, self.block_starts) / self.block_sizes
-        dev = g - np.repeat(means, self.block_sizes)
-        return means, np.sqrt(np.add.reduceat(dev * dev, self.block_starts))
+        """Per-block mean of the slot vectors ``g`` along its last axis and
+        2-norm of ``g`` minus that mean, in block order; a singleton block's
+        norm is exactly 0.  For any orthonormal basis B of the block's
+        disagreement subspace (the complement of the all-ones vector) the
+        norm is ``|B^T g|``.  Each row of a matrix ``g`` gets the bits it
+        gets alone."""
+        means = self.block_means(g)
+        dev = g - np.repeat(means, self.block_sizes, axis=-1)
+        return means, np.sqrt(np.add.reduceat(dev * dev, self.block_starts, axis=-1))
 
     @cached_property
     def own_slots(self) -> np.ndarray:

@@ -99,6 +99,20 @@ NEWTON_MAX_ITER = 50  # Newton steps of one solve
 NEWTON_MAX_HALVINGS = 30  # halvings of one Newton step in search of descent
 AUDIT_STEP = 1e-6  # the central-difference step of the gradient audit
 
+# The sampled audits (the gradient audit's classes, the monotonicity probe,
+# ``check``'s samples) work a block of samples at a time: one draw and one
+# array pass per block, with only the kernel calls per point.  No per-sample
+# matrix of a block holds more than AUDIT_BLOCK_FLOATS floats, so a large
+# game's audits stay as small in memory as one sample at a time; a preset's
+# samples all fit in one block.
+AUDIT_BLOCK_FLOATS = 1 << 14
+
+
+def block_rows(width: int) -> int:
+    """Samples per block where each takes ``width`` floats of a per-sample
+    matrix: as many as ``AUDIT_BLOCK_FLOATS`` holds, and at least one."""
+    return max(1, AUDIT_BLOCK_FLOATS // width)
+
 
 @np.errstate(all="ignore")  # an overflow ends in a non-finite residual, which fails
 def _gmres(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -325,36 +339,60 @@ def check_monotonicity(
 
     Samples random distinct point pairs (plus any caller-supplied pairs,
     checked first) and reports the minimum of (x - y) . (P(x) - P(y)); a value
-    that is not strictly positive is a violation witness.
+    that is not strictly positive is a violation witness.  A pair whose
+    point leaves the domain is counted and skipped.  The pairs are probed a
+    block at a time (``block_rows``): the block's random pairs are one draw,
+    the kernel is called per point in pair order, and the pseudo-gradients
+    and inner products of the block are one array pass, each inner product
+    the dot product of its own pair.
     """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (game.n_actions,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (game.n_actions,))
+    n, size = game.n_actions, game.layout.size
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     if np.any(hi < lo):
         raise ValueError("empty region")
     rng = np.random.default_rng(seed)
+    starts = game.layout.block_starts
     min_inner = np.inf
     witness = None
     evaluated = 0
     domain_errors = 0
 
-    def probe(x, y):
+    def probe(block: np.ndarray) -> None:  # pairs of profiles, (pairs, 2, n)
         nonlocal min_inner, witness, evaluated, domain_errors
-        if np.array_equal(x, y):
+        pvecs = np.empty((len(block), 2, size))
+        kept = []
+        for r in np.flatnonzero((block[:, 0] != block[:, 1]).any(axis=1)).tolist():
+            try:
+                pvecs[len(kept), 0] = game.kernel(block[r, 0])
+                pvecs[len(kept), 1] = game.kernel(block[r, 1])
+            except DomainError:
+                domain_errors += 1
+                continue
+            kept.append(r)
+        if not kept:
             return
-        try:
-            inner = float((x - y) @ (pseudo_gradient(game, x) - pseudo_gradient(game, y)))
-        except DomainError:
-            domain_errors += 1
-            return
-        evaluated += 1
-        if inner < min_inner:
-            min_inner = inner
-            witness = (x.copy(), y.copy())
+        block = block[kept]
+        grads = np.add.reduceat(pvecs[: len(kept)], starts, axis=-1)
+        # A stacked matmul of vectors takes each row's dot product as ``@``
+        # takes one pair's.
+        diff, step = block[:, 0] - block[:, 1], grads[:, 0] - grads[:, 1]
+        inner = (diff[:, None, :] @ step[:, :, None]).ravel()
+        evaluated += len(kept)
+        # The first least inner product; a NaN is never the least.
+        best = int(np.argmin(np.where(np.isnan(inner), np.inf, inner)))
+        if inner[best] < min_inner:
+            min_inner = float(inner[best])
+            witness = (block[best, 0].copy(), block[best, 1].copy())
 
-    for x, y in extra_pairs:
-        probe(game.as_profile(x), game.as_profile(y))
-    for _ in range(pairs):
-        probe(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    extra = [(game.as_profile(x), game.as_profile(y)) for x, y in extra_pairs]
+    rows = block_rows(2 * size)
+    for start in range(0, len(extra), rows):
+        probe(np.array(extra[start : start + rows]))
+    # ``uniform`` draws finite points from a finite box (it raises on any
+    # other), so the random points need no profile check.
+    for start in range(0, pairs, rows):
+        probe(rng.uniform(lo, hi, (min(rows, pairs - start), 2, n)))
 
     passed = evaluated > 0 and min_inner > 0.0
     return MonotonicityReport(
@@ -373,11 +411,14 @@ class AuditPlan:
     when one support holds both.  The columns are colored greedily in index
     order, so no support holds two columns of one class, and perturbing a
     whole class in one cost-kernel call moves each cost, and each of its
-    partials, along one column at most.
+    partials, along one column at most.  ``colors`` holds each column's
+    class, numbered from 0.
 
     ``classes`` and ``singletons`` are partitions of the columns into
-    ``(columns, slots, costs)``: a class's columns, the slots of their
-    partials, and the profile index of each slot's cost.  ``singletons``
+    ``(colors, slots, at, starts)``: each column's class; the slots in
+    class order; the position of each of these slots' cost among the costs
+    of every class, class by class (``class * n + cost``); and where each
+    class's slots start in that order, then their count.  ``singletons``
     holds one column per class, in column order."""
 
     def __init__(self, game: Game):
@@ -399,26 +440,37 @@ class AuditPlan:
         self.classes = self._partition(self.colors)
 
     @cached_property
-    def singletons(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def singletons(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self._partition(np.arange(len(self.colors)))
 
-    def _partition(self, colors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        def groups(keys: np.ndarray) -> list[np.ndarray]:
-            return np.split(np.argsort(keys, kind="stable"), np.cumsum(np.bincount(keys))[:-1])
+    def _partition(self, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        slot_class = colors[self._slot_col]
+        slots = np.argsort(slot_class, kind="stable")
+        starts = np.searchsorted(slot_class[slots], np.arange(colors.max() + 2))
+        return colors, slots, (slot_class * colors.size + self._slot_cost)[slots], starts
 
-        slots = groups(colors[self._slot_col])
-        return [(cols, s, self._slot_cost[s]) for cols, s in zip(groups(colors), slots)]
 
-
-def _difference_audit(game: Game, x: np.ndarray, sym: np.ndarray, classes, h: float) -> float:
-    """The audit over a partition of the columns: each class moved by +h and
-    by -h in one cost-kernel call each, in class order."""
+def _difference_audit(game: Game, x: np.ndarray, sym: np.ndarray, partition, h: float) -> float:
+    """The audit over a partition of the columns (see ``AuditPlan``): each
+    class moved by +h and by -h in one cost-kernel call each, in class
+    order, a block of classes at a time (``block_rows``)."""
+    colors, slots, at, starts = partition
+    n = x.size
+    up, down = x + h, x - h
     fd = np.empty_like(sym)
-    for cols, slots, costs in classes:
-        xp, xm = x.copy(), x.copy()
-        xp[cols] += h
-        xm[cols] -= h
-        fd[slots] = (game.cost_kernel(xp)[costs] - game.cost_kernel(xm)[costs]) / (2.0 * h)
+    count = starts.size - 1
+    rows = block_rows(n)
+    for first in range(0, count, rows):
+        last = min(first + rows, count)
+        moved = colors == np.arange(first, last)[:, None]
+        xp, xm = np.where(moved, up, x), np.where(moved, down, x)
+        fp, fm = np.empty(xp.shape), np.empty(xm.shape)
+        for r in range(last - first):
+            fp[r] = game.cost_kernel(xp[r])[:n]
+            fm[r] = game.cost_kernel(xm[r])[:n]
+        block = slice(starts[first], starts[last])
+        cost = at[block] - first * n
+        fd[slots[block]] = (fp.take(cost) - fm.take(cost)) / (2.0 * h)
     return float((np.abs(sym - fd) / np.maximum(1.0, np.abs(sym))).max())
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from coalseek.corpus import random_quadratic_game
-from coalseek.expr import evaluate
+from coalseek.expr import evaluate, parse
+from coalseek.game import Coalition, Game, infer_interference_graph
 from coalseek.scenario import load_scenario
 
 
@@ -35,6 +36,25 @@ def quadratic_corpus():
     """20 strongly monotone quadratic games with pinned seeds."""
     rng = np.random.default_rng(20240517)
     return [random_quadratic_game(rng) for _ in range(20)]
+
+
+def ring_game(agents=40, coalitions=4):
+    """Rings of the benchmark generator's form: agent (i, j) reads its ring
+    neighbors and agent j of the next coalition."""
+    m = agents // coalitions
+    out = []
+    for i in range(1, coalitions + 1):
+        nxt = i % coalitions + 1
+        costs = []
+        for j in range(1, m + 1):
+            prev, succ = (j - 2) % m + 1, j % m + 1
+            costs.append(parse(
+                f"5*x{i}_{j}^2 + 0.5*x{i}_{j} + 0.2*x{i}_{j}*(x{i}_{prev} + x{i}_{succ})"
+                f" + 0.03*x{i}_{j}*x{nxt}_{j}"
+            ))
+        ring = infer_interference_graph(costs, i)
+        out.append(Coalition(tuple(costs), (1.0,) * m, ring, ring))
+    return Game(tuple(out))
 
 
 STATIONARY_SECOND = np.array([49.0, 14.0, 7.0, 0.0, 98.0, 0.0, 0.0, 0.0, 0.0, 0.0])

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from coalseek.game import (
     split_action_name,
 )
 from coalseek.graphs import Graph
+from coalseek.scenario import load_scenario
 from conftest import (
     STATIONARY_SECOND,
     assignment,
@@ -321,3 +324,19 @@ def test_cross_coalition_coupling_allowed():
     assert "x2_1" in render(game.coalitions[0].costs[0])
     # cross-coalition sharing does not create intra-coalition edges
     assert game.coalitions[0].interference.edges == ()
+
+
+@pytest.mark.parametrize("kernel", ["kernel", "cost_kernel"])
+def test_a_game_with_a_compiled_kernel_is_freed_without_the_collector(kernel):
+    # The kernel names its outputs through the game's names and slot keys,
+    # not through the game, so no cycle holds a dead game.
+    game = load_scenario("example2").game
+    with pytest.raises(DomainError, match=r"non-finite value in the cost of agent \(1,1\)\Z"):
+        getattr(game, kernel)(np.array([np.inf] + [0.0] * 9))
+    ref = weakref.ref(game)
+    gc.disable()
+    try:
+        del game
+        assert ref() is None
+    finally:
+        gc.enable()

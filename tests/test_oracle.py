@@ -14,7 +14,6 @@ from coalseek.game import (
     FlowAgent,
     Game,
     build_congestion_game,
-    infer_interference_graph,
     pseudo_gradient,
 )
 from coalseek.graphs import Graph
@@ -26,7 +25,7 @@ from coalseek.oracle import (
     verify_nash,
 )
 from coalseek.scenario import load_scenario
-from conftest import STATIONARY_SECOND
+from conftest import STATIONARY_SECOND, ring_game
 
 
 def _quadratic_single(cost="(x1_1 - 3)^2"):
@@ -208,7 +207,7 @@ def test_newton_gmres_matches_dense_on_quadratic_games(seed):
 
 
 def test_newton_on_a_thousand_agent_ring_holds_no_dense_jacobian():
-    game = _ring_game(agents=1000)  # the benchmark's form, four rings of 250
+    game = ring_game(agents=1000)  # the benchmark's form, four rings of 250
     game.partials  # the symbolic partials belong to the game
     tracemalloc.start()
     try:
@@ -436,7 +435,7 @@ def test_colored_audit_matches_columns_where_one_cost_reads_every_column():
             Coalition(tuple(map(parse, other)), (1.0,) * 3, g, g),
         )
     )
-    assert len(game.audit_plan.classes) == game.n_actions
+    assert game.audit_plan.colors.max() + 1 == game.n_actions
     rng = np.random.default_rng(2)
     points = [rng.uniform(-1.0, 1.0, game.n_actions) for _ in range(10)]
     points.append(np.array([0.0, 0.0, -2.0 + 5e-7, 0.0, 0.0, 0.0]))
@@ -480,54 +479,40 @@ def test_colored_audit_matches_columns_where_a_cost_fails_only_at_the_start():
 # --- the audit's coloring -------------------------------------------------------------
 
 
-def _ring_game(agents=40, coalitions=4):
-    """Rings of the benchmark generator's form: agent (i, j) reads its ring
-    neighbors and agent j of the next coalition."""
-    m = agents // coalitions
-    out = []
-    for i in range(1, coalitions + 1):
-        nxt = i % coalitions + 1
-        costs = []
-        for j in range(1, m + 1):
-            prev, succ = (j - 2) % m + 1, j % m + 1
-            costs.append(parse(
-                f"5*x{i}_{j}^2 + 0.5*x{i}_{j} + 0.2*x{i}_{j}*(x{i}_{prev} + x{i}_{succ})"
-                f" + 0.03*x{i}_{j}*x{nxt}_{j}"
-            ))
-        ring = infer_interference_graph(costs, i)
-        out.append(Coalition(tuple(costs), (1.0,) * m, ring, ring))
-    return Game(tuple(out))
-
-
 def _assert_plan_partitions(game):
     plan = game.audit_plan
     n, size = game.n_actions, game.layout.size
-    cols = np.concatenate([c for c, _, _ in plan.classes])
-    slots = np.concatenate([s for _, s, _ in plan.classes])
-    assert sorted(cols.tolist()) == list(range(n))
+    colors, slots, at, starts = plan.classes
+    assert colors is plan.colors
+    assert sorted(set(colors.tolist())) == list(range(starts.size - 1))
     assert sorted(slots.tolist()) == list(range(size))
-    for f in game.costs:
-        reads = [game.var_index[name] for name in free_variables(f)]
-        assert len(set(plan.colors[reads].tolist())) == len(reads)
-    for c, (cols, slots, costs) in enumerate(plan.classes):
-        assert (plan.colors[cols] == c).all()
-        for slot, cost in zip(slots.tolist(), costs.tolist()):
-            i, j, k = list(game.layout.slots)[slot]
-            assert plan.colors[game.action_index(i, k)] == c
-            assert cost == game.action_index(i, j)
+    layout = game.layout
+    for cost, f in enumerate(game.costs):
+        # No support (the columns a cost reads and those of its stored
+        # partials) holds two columns of one class.
+        support = {game.var_index[name] for name in free_variables(f)}
+        support |= set(layout.column[layout.owner == cost].tolist())
+        assert len(set(colors[sorted(support)].tolist())) == len(support)
+    keys = list(layout.slots)
+    for c in range(starts.size - 1):
+        part = slice(starts[c], starts[c + 1])
+        for slot, pos in zip(slots[part].tolist(), at[part].tolist()):
+            i, j, k = keys[slot]
+            assert colors[game.action_index(i, k)] == c
+            assert pos == c * n + game.action_index(i, j)
 
 
 @pytest.mark.parametrize("preset, classes", [("example2", 10), ("congestion-demo", 6), ("coalition1-fig1", 4)])
 def test_audit_plan_colors_presets(preset, classes):
     game = load_scenario(preset).game
     _assert_plan_partitions(game)
-    assert len(game.audit_plan.classes) == classes
+    assert game.audit_plan.colors.max() + 1 == classes
 
 
 def test_audit_plan_colors_a_ring_with_six_classes():
-    game = _ring_game()
+    game = ring_game()
     _assert_plan_partitions(game)
-    assert len(game.audit_plan.classes) == 6
+    assert game.audit_plan.colors.max() + 1 == 6
     assert _assert_same_audit(game, [np.random.default_rng(3).uniform(-1.0, 1.0, 40)]) == 0
 
 
@@ -547,4 +532,4 @@ def test_an_audit_in_the_domain_makes_one_call_per_class_and_sign_and_one_at_x()
 
     game.__dict__["cost_kernel"] = counting
     gradient_check(game, np.full(game.n_actions, 0.3))
-    assert len(calls) == 1 + 2 * len(game.audit_plan.classes) == 13
+    assert len(calls) == 1 + 2 * (game.audit_plan.colors.max() + 1) == 13
