@@ -9,8 +9,8 @@ and ``congestion-net`` documents that ``bench/generators.py`` of this
 checkout writes for ``--seed``.
 
 First, one subprocess per tree runs ``run``, ``solve``, ``check`` and
-``costs`` (``--format kv``) on every input, and the commands that fail on
-purpose on four documents of one-agent coalitions: a start outside the
+``costs`` (``--format kv``) and ``costs --format text`` on every input,
+and the commands that fail on purpose on four documents of one-agent coalitions: a start outside the
 domain (``log(x1_1)`` at ``x1_1 = -1``) on ``run``, ``solve`` and ``check``; a
 Newton Jacobian that leaves the domain (``x1_1^1.5 + x1_1`` from 0) on
 ``solve``; and, on ``run``, ``solve`` and ``check``, two games whose domain
@@ -25,9 +25,9 @@ of the five inputs, ``repr`` of the loaded game's cost trees, of its
 partial trees and of its Newton second derivatives
 (``oracle._jacobian_exprs``), and the sources that compiling its kernel,
 its cost kernel and its Newton Jacobian passes to ``compile``, with the
-arrays each compiled function reads from its namespace, 138 digests in
-all.  Any digest that differs
-between the trees ends the script with exit code 1.
+arrays each compiled function reads from its namespace, 153 digests in
+all.  Any digest that differs between the trees ends the script with exit
+code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -38,13 +38,14 @@ initial profile, the best of 25 batches of up to 200 calls) and one
 up to 20 audits, each batch sized to run about 50 ms), one ``check`` audit
 set at the initial profile (its 20 gradient audits, its monotonicity probe
 and its 50 deviation spot checks: ``cli._cmd_check`` on the loaded scenario,
-its report discarded; batched the same way) and one
-``oracle.solve_stationary`` from the input's start, Jacobian compile
-included (batched the same way).  Per input the script prints the median
+its report discarded; batched the same way), one cost report
+(``analysis.cost_accounting`` on the loaded game and its ``render_kv``;
+batched the same way) and one ``oracle.solve_stationary`` from the
+input's start, Jacobian compile included (batched the same way).  Per input the script prints the median
 and IQR of the integrate wall time on each side, the change's relative
 move, how many pairs the change won, the median microseconds per kernel
-call and the median milliseconds per audit, per ``check`` audit set and
-per solve.  Each also times
+call and the median milliseconds per audit, per ``check`` audit set, per
+cost report and per solve.  Each also times
 loading: ``Seeker(load_scenario(source).game)``, batched as the audits are;
 per input the script prints its median and IQR on each side, the change's
 relative move and how many pairs the change won.
@@ -181,8 +182,8 @@ def _digests(docs: Path, seed: int) -> dict:
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
     runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
     for label, source, commands in runs:
-        for command in commands:
-            argv = [command, source, "--format", "kv"]
+        for command, fmt in [(c, "kv") for c in commands] + [("costs", "text")] * ("costs" in commands):
+            argv = [command, source, "--format", fmt]
             csv = docs / f"{label}.{os.getpid()}.csv"
             if command == "run":
                 argv += ["--out", str(csv)]
@@ -191,9 +192,10 @@ def _digests(docs: Path, seed: int) -> dict:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
-            out[f"{label} {command} exit"] = str(code)
-            out[f"{label} {command} report"] = _sha256(stdout.getvalue())
-            out[f"{label} {command} stderr"] = _sha256(stderr.getvalue())
+            name = command if fmt == "kv" else f"{command} {fmt}"
+            out[f"{label} {name} exit"] = str(code)
+            out[f"{label} {name} report"] = _sha256(stdout.getvalue())
+            out[f"{label} {name} stderr"] = _sha256(stderr.getvalue())
             if command == "run":
                 # A run that fails writes no trajectory.
                 out[f"{label} run csv"] = _sha256(csv.read_bytes()) if csv.exists() else "absent"
@@ -237,6 +239,7 @@ def _check_audits(scenario) -> None:
 
 def _times(docs: Path, repeats: int) -> dict:
     import numpy as np
+    from coalseek.analysis import cost_accounting
     from coalseek.dynamics import Seeker
     from coalseek.oracle import gradient_check, solve_stationary
     from coalseek.scenario import load_scenario
@@ -260,6 +263,7 @@ def _times(docs: Path, repeats: int) -> dict:
             # The first audit builds its plan.
             "audit_ms": _best_batch_ms(lambda: gradient_check(scenario.game, x)),
             "check_ms": _best_batch_ms(lambda: _check_audits(scenario)),
+            "costs_ms": _best_batch_ms(lambda: cost_accounting(scenario.game).render_kv()),
             "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
             "setup_ms": _best_batch_ms(lambda: Seeker(load_scenario(source).game)),
             "rhs_evals": trajectory.rhs_evals,
@@ -322,7 +326,7 @@ def main() -> int:
                 runs[side].append(_call(sides[side], "times", str(docs), str(args.repeats)))
 
     print(f"{'input':<16} {'parent s (IQR)':>20} {'change s (IQR)':>20} {'move':>7} "
-          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'check ms':>18} {'solve ms':>18} "
+          f"{'wins':>6} {'kernel us':>16} {'audit ms':>16} {'check ms':>18} {'costs ms':>18} {'solve ms':>18} "
           f"{'rhs_evals':>9}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["integrate_s"] for r in runs["parent"]]
@@ -332,12 +336,13 @@ def main() -> int:
         kernel = [statistics.median(r[label]["kernel_us"] for r in runs[side]) for side in sides]
         audit = [statistics.median(r[label]["audit_ms"] for r in runs[side]) for side in sides]
         check = [statistics.median(r[label]["check_ms"] for r in runs[side]) for side in sides]
+        costs = [statistics.median(r[label]["costs_ms"] for r in runs[side]) for side in sides]
         solve = [statistics.median(r[label]["solve_ms"] for r in runs[side]) for side in sides]
         evals = {r[label]["rhs_evals"] for side in sides for r in runs[side]}
         print(f"{label:<16} {f'{pm:.4f} ({piqr:.4f})':>20} {f'{cm:.4f} ({ciqr:.4f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
               f"{f'{kernel[0]:.1f} -> {kernel[1]:.1f}':>16} {f'{audit[0]:.2f} -> {audit[1]:.2f}':>16} "
-              f"{f'{check[0]:.2f} -> {check[1]:.2f}':>18} "
+              f"{f'{check[0]:.2f} -> {check[1]:.2f}':>18} {f'{costs[0]:.2f} -> {costs[1]:.2f}':>18} "
               f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
     print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6}")

@@ -5,6 +5,8 @@ dense-estimation baseline."""
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +207,41 @@ class AgentCost:
     aux_baseline: int
     tx_proposed: int
     tx_baseline: int
-    dropped: tuple[int, ...]  # components the agent does not estimate
+    held: tuple[int, ...]  # components the agent estimates, ascending
+    coalition_size: int
+
+    @property
+    def dropped(self) -> tuple[int, ...]:
+        """Components the agent does not estimate, ascending."""
+        held = set(self.held)
+        return tuple(k for k in range(1, self.coalition_size + 1) if k not in held)
+
+
+class _Labels:
+    """The text ``"1,2,...,m,"`` of one coalition size ``m``, with
+    ``starts[k - 1]`` the offset of label ``k`` and ``starts[m]`` its
+    length, so that any run of consecutive labels is one slice."""
+
+    def __init__(self, m: int):
+        labels = [f"{k}," for k in range(1, m + 1)]
+        self.text = "".join(labels)
+        self.starts = [0, *itertools.accumulate(map(len, labels))]
+
+    def unheld(self, held: tuple[int, ...]) -> list[str]:
+        """Slices of ``text`` that spell, comma-separated, the labels not in
+        ``held`` (ascending): one slice per gap between held components."""
+        text, starts = self.text, self.starts
+        out = []
+        p = 0  # the last held component, 0 before the first
+        for k in held:
+            if k > p + 1:
+                out.append(text[starts[p] : starts[k - 1]])
+            p = k
+        if p + 1 < len(starts):
+            out.append(text[starts[p] : -1])  # the tail, less its final comma
+        elif out:
+            out[-1] = out[-1][:-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,38 +257,50 @@ class CostReport:
             acc[3] += a.tx_baseline
         return tuple(acc)
 
-    def render_text(self) -> str:
-        header = f"{'agent':>8} {'aux':>9} {'aux-full':>9} {'tx/step':>9} {'tx-full':>9}  dropped"
-        lines = [header, "-" * len(header)]
+    def _dropped(self) -> Iterator[tuple[AgentCost, list[str]]]:
+        """Each agent with the slices that spell its dropped components."""
+        labels: dict[int, _Labels] = {}
         for a in self.agents:
-            dropped = ",".join(map(str, a.dropped)) if a.dropped else "-"
-            lines.append(
-                f"({a.coalition},{a.agent})".rjust(8)
-                + f" {a.aux_proposed:>9} {a.aux_baseline:>9}"
-                + f" {a.tx_proposed:>9} {a.tx_baseline:>9}  {dropped}"
+            if a.coalition_size not in labels:
+                labels[a.coalition_size] = _Labels(a.coalition_size)
+            yield a, labels[a.coalition_size].unheld(a.held)
+
+    def text_chunks(self) -> Iterator[str]:
+        """The text report: the header, one row per agent, then the totals,
+        each chunk ending in a newline."""
+        header = f"{'agent':>8} {'aux':>9} {'aux-full':>9} {'tx/step':>9} {'tx-full':>9}  dropped"
+        rule = "-" * len(header)
+        yield f"{header}\n{rule}\n"
+        for a, dropped in self._dropped():
+            head = (
+                f"{f'({a.coalition},{a.agent})':>8} {a.aux_proposed:>9} {a.aux_baseline:>9}"
+                f" {a.tx_proposed:>9} {a.tx_baseline:>9}  "
             )
+            yield "".join([head, *(dropped or ["-"]), "\n"])
         tot = self.totals()
-        lines.append("-" * len(header))
-        lines.append(
-            f"{'total':>8} {tot[0]:>9} {tot[1]:>9} {tot[2]:>9} {tot[3]:>9}"
+        yield f"{rule}\n{'total':>8} {tot[0]:>9} {tot[1]:>9} {tot[2]:>9} {tot[3]:>9}\n"
+
+    def kv_chunks(self) -> Iterator[str]:
+        """The kv report: five lines per agent, then the totals, each chunk
+        ending in a newline."""
+        for a, dropped in self._dropped():
+            p = f"agent.{a.coalition}_{a.agent}"
+            head = (
+                f"{p}.aux_proposed={a.aux_proposed}\n{p}.aux_baseline={a.aux_baseline}\n"
+                f"{p}.tx_proposed={a.tx_proposed}\n{p}.tx_baseline={a.tx_baseline}\n{p}.dropped="
+            )
+            yield "".join([head, *dropped, "\n"])
+        tot = self.totals()
+        yield (
+            f"total.aux_proposed={tot[0]}\ntotal.aux_baseline={tot[1]}\n"
+            f"total.tx_proposed={tot[2]}\ntotal.tx_baseline={tot[3]}\n"
         )
-        return "\n".join(lines)
+
+    def render_text(self) -> str:
+        return "".join(self.text_chunks())[:-1]
 
     def render_kv(self) -> str:
-        lines = []
-        for a in self.agents:
-            prefix = f"agent.{a.coalition}_{a.agent}"
-            lines.append(f"{prefix}.aux_proposed={a.aux_proposed}")
-            lines.append(f"{prefix}.aux_baseline={a.aux_baseline}")
-            lines.append(f"{prefix}.tx_proposed={a.tx_proposed}")
-            lines.append(f"{prefix}.tx_baseline={a.tx_baseline}")
-            lines.append(f"{prefix}.dropped={','.join(map(str, a.dropped))}")
-        tot = self.totals()
-        lines.append(f"total.aux_proposed={tot[0]}")
-        lines.append(f"total.aux_baseline={tot[1]}")
-        lines.append(f"total.tx_proposed={tot[2]}")
-        lines.append(f"total.tx_baseline={tot[3]}")
-        return "\n".join(lines)
+        return "".join(self.kv_chunks())[:-1]
 
 
 def cost_accounting(game: Game) -> CostReport:
@@ -265,13 +313,16 @@ def cost_accounting(game: Game) -> CostReport:
     Baseline: the same scheme on complete interference graphs, the strategy
     the reduced one is measured against: a pair per component of the whole
     coalition, and each estimate sent to every communication neighbor.
+
+    Each agent keeps the components it holds, O(slots) in all, where the
+    ones it drops would be O(agents * coalition size).
     """
     layout = game.layout
-    held = np.bincount(layout.owner, minlength=game.n_actions).tolist()
+    slots = np.bincount(layout.owner, minlength=game.n_actions).tolist()
     sent = np.bincount(layout.owner[layout.edges[0]], minlength=game.n_actions).tolist()
-    # estimated[a, k]: agent a (profile order) estimates component k.
-    estimated = np.zeros((game.n_actions, max(game.sizes) + 1), dtype=bool)
-    estimated[layout.owner, [k for _, _, k in layout.keys]] = True
+    # Slot keys (i, j, k), grouped by agent; k ascends within each.
+    components = [layout.keys[s][2] for s in np.argsort(layout.owner, kind="stable").tolist()]
+    ends = list(itertools.accumulate(slots))
     agents = []
     for i, c in enumerate(game.coalitions, start=1):
         for j in range(1, c.m + 1):
@@ -280,11 +331,12 @@ def cost_accounting(game: Game) -> CostReport:
                 AgentCost(
                     coalition=i,
                     agent=j,
-                    aux_proposed=2 * held[a],
+                    aux_proposed=2 * slots[a],
                     aux_baseline=2 * c.m,
                     tx_proposed=sent[a],
                     tx_baseline=c.m * c.comm.degree(j),
-                    dropped=tuple((np.flatnonzero(~estimated[a, 1 : c.m + 1]) + 1).tolist()),
+                    held=tuple(components[ends[a] - slots[a] : ends[a]]),
+                    coalition_size=c.m,
                 )
             )
     return CostReport(agents=tuple(agents))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -40,7 +41,10 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: ``parse_args`` makes a fresh
+    namespace each call and never changes the parser."""
     parser = _Parser(prog="coalseek", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,8 +214,8 @@ def _cmd_graphs(args) -> int:
 def _cmd_costs(args) -> int:
     scenario = _load(args)
     report = analysis.cost_accounting(scenario.game)
-    fmt = args.format or "text"
-    print(report.render_kv() if fmt == "kv" else report.render_text())
+    # One chunk per agent: the report is O(agents * coalition size) bytes.
+    sys.stdout.writelines(report.kv_chunks() if args.format == "kv" else report.text_chunks())
     return 0
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import coalseek
+from coalseek import cli
 from coalseek.cli import main
 from coalseek.expr import MAX_HEIGHT, compile_vector_function, evaluate
 from coalseek.scenario import (
@@ -286,6 +287,48 @@ def test_cli_bad_override_is_usage_error(capsys):
     assert main(["solve", "coalition1-fig1", "--delta", "0"]) == 1
     assert main(["check", "coalition1-fig1", "--seed", "-1"]) == 1
     assert capsys.readouterr().err.count("usage error") == 3
+
+
+def _fresh_main(argv):
+    """``main`` on a parser built anew."""
+    cli._build_parser.cache_clear()
+    return main(argv)
+
+
+def test_cli_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("override", [["--delta", "2"], ["--format", "kv"]])
+def test_cli_reused_parser_forgets_an_override(capsys, override):
+    fresh = _fresh_main(["solve", "example2"]), capsys.readouterr()
+    main(["solve", "example2", *override])
+    capsys.readouterr()
+    assert (main(["solve", "example2"]), capsys.readouterr()) == fresh
+
+
+def test_cli_reused_parser_still_reports_a_usage_error(capsys):
+    assert _fresh_main(["costs", "coalition1-fig1"]) == 0
+    capsys.readouterr()
+    for argv in (["solve"], ["costs", "coalition1-fig1", "--format", "csv"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_reused_parser_does_not_carry_an_output_path(tmp_path, capsys):
+    fresh = _fresh_main(["solve", "coalition1-fig1"]), capsys.readouterr()
+    csv = tmp_path / "t.csv"
+    assert main(["run", "coalition1-fig1", "--horizon", "0.5", "--out", str(csv)]) == 0
+    written = csv.read_text()
+    capsys.readouterr()
+    assert "out" not in vars(cli._build_parser().parse_args(["solve", "coalition1-fig1"]))
+    assert (main(["solve", "coalition1-fig1"]), capsys.readouterr()) == fresh
+    # A later run with no --out writes its trajectory to stdout.
+    csv.unlink()
+    assert main(["run", "coalition1-fig1", "--horizon", "0.5"]) == 0
+    assert capsys.readouterr().out == written and not csv.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "solve", "check"])
