@@ -19,14 +19,16 @@ cost of agent (1,1) has no partial: from ``x2_1 = -1`` it fails at the
 start, and from ``x2_1 = 0.5`` the dynamics and Newton descend into it.
 It also runs ``run``, ``solve`` and ``check`` on a fifth such document,
 whose costs raise their actions to the integer powers 4, -1 and -2, which
-the compiler evaluates with ``math.pow``.  It hashes with SHA-256 each exit
-code, each report, each stderr text and each trajectory CSV, and, for each
-of the five inputs, ``repr`` of the loaded game's cost trees, of its
-partial trees and of its Newton second derivatives
-(``oracle._jacobian_exprs``), and the sources that compiling its kernel,
-its cost kernel and its Newton Jacobian passes to ``compile``, with the
-arrays each compiled function reads from its namespace, 153 digests in
-all.  Any digest that differs between the trees ends the script with exit
+the compiler evaluates with ``math.pow``, and on a ring of 300 agents that
+fails on purpose in vector mode: every partial in an agent's own action is
+one shape with a division, and the start zeroes one denominator.  It
+hashes with SHA-256 each exit code, each report, each stderr text and each
+trajectory CSV, and, for each of the five inputs, ``repr`` of the loaded
+game's cost trees, of its partial trees and of its Newton second
+derivatives (``oracle._jacobian_exprs``), and the sources that compiling
+its kernel, its cost kernel and its Newton Jacobian passes to ``compile``,
+with the arrays each compiled function reads from its namespace, 163
+digests in all.  Any digest that differs between the trees ends the script with exit
 code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
@@ -85,6 +87,29 @@ ONE_AGENT = {
 }
 
 
+# A ring of VECTOR_RING agents: agent j pays x_j^2 + c_j x_j / (x_(j+1) + 2),
+# so the partials in the agents' own actions are one vector-mode shape with a
+# division.  The start puts agent 137 at -2, a zero denominator.
+VECTOR_RING = 300
+VECTOR_FAILURE = {
+    "schema": "coalseek/scenario-v1",
+    "name": "vector-division",
+    "coalitions": [
+        {
+            "costs": [
+                f"x1_{j}^2 + {0.5 + j % 7}*x1_{j}/(x1_{j % VECTOR_RING + 1} + 2)"
+                for j in range(1, VECTOR_RING + 1)
+            ],
+            "communication": [[j, j % VECTOR_RING + 1] for j in range(1, VECTOR_RING + 1)],
+        }
+    ],
+    "initial_x": [-2.0 if j == 137 else 1.0 for j in range(1, VECTOR_RING + 1)],
+}
+# The documents that fail on purpose, and the commands each runs.
+FAILING = {label: commands for label, (_, _, commands) in ONE_AGENT.items()}
+FAILING["vector-division"] = ("run", "solve", "check")
+
+
 def _inputs(docs: Path) -> list[tuple[str, str]]:
     return [(name, name) for name in PRESETS] + [
         (label, str(docs / f"{label}.json")) for label in ("ring-sparse", "congestion-net")
@@ -130,6 +155,7 @@ def _write_docs(docs: Path, seed: int) -> dict:
             "coalitions": [{"costs": [cost], "communication": []} for cost in costs],
             "initial_x": start,
         }
+    docs_by_label["vector-division"] = VECTOR_FAILURE
     for label, doc in docs_by_label.items():
         (docs / f"{label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return {}
@@ -180,7 +206,7 @@ def _digests(docs: Path, seed: int) -> dict:
         out[f"{label} cost kernel source"] = _compiled(lambda: game.cost_kernel)
         out[f"{label} jacobian source"] = _compiled(lambda: _jacobian_function(game)[2])
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
-    runs += [(label, str(docs / f"{label}.json"), commands) for label, (_, _, commands) in ONE_AGENT.items()]
+    runs += [(label, str(docs / f"{label}.json"), commands) for label, commands in FAILING.items()]
     for label, source, commands in runs:
         for command, fmt in [(c, "kv") for c in commands] + [("costs", "text")] * ("costs" in commands):
             argv = [command, source, "--format", fmt]

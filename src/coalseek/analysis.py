@@ -315,11 +315,19 @@ def cost_accounting(game: Game) -> CostReport:
     coalition, and each estimate sent to every communication neighbor.
 
     Each agent keeps the components it holds, O(slots) in all, where the
-    ones it drops would be O(agents * coalition size).
+    ones it drops would be O(agents * coalition size).  Its sends are
+    counted from its communication neighbors in each of its blocks, with no
+    edge weight read (``Layout.edges`` holds the same edges, weighted).
     """
     layout = game.layout
     slots = np.bincount(layout.owner, minlength=game.n_actions).tolist()
-    sent = np.bincount(layout.owner[layout.edges[0]], minlength=game.n_actions).tolist()
+    sent = [0] * game.n_actions
+    owner = layout.owner.tolist()
+    adjacent = [{j: set(c.comm.neighbors(j)) for j in c.comm.vertices} for c in game.coalitions]
+    for b in layout.blocks:
+        members, neighbors = set(b.members), adjacent[b.coalition - 1]
+        for slot, j in enumerate(b.members, start=b.start):
+            sent[owner[slot]] += len(neighbors[j] & members)
     # Slot keys (i, j, k), grouped by agent; k ascends within each.
     components = [layout.keys[s][2] for s in np.argsort(layout.owner, kind="stable").tolist()]
     ends = list(itertools.accumulate(slots))

@@ -244,8 +244,8 @@ class Trajectory:
             header.append("gbar_norm")
             columns.append(self.gbar_norm)
             fh.write(",".join(header) + "\n")
-            for row in zip(*columns):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in np.column_stack(columns):
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
         finally:
             if close:
                 fh.close()

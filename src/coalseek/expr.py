@@ -20,8 +20,8 @@ import math
 import re
 import struct
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "product_power",
     "differentiate",
     "gradient",
-    "gradient_shaped",
     "template_key",
     "templates_for",
     "free_variables",
@@ -609,21 +608,22 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 class _OutsideDomain(DomainError):
-    """A compiled evaluation of ``exprs`` left its domain at ``x``.  The
-    message names the failed operation and ``label(pos)`` of the first
-    expression that the reference ``evaluate`` rejects; it applies the
-    compiled domain rule, so that is the first one outside the domain.  The
-    message is worked out only when read: the callers that catch this and
-    retry (step halving, sampling probes) pay nothing for it."""
+    """A compiled evaluation of ``guarded`` and ``exprs`` left its domain
+    at ``x``.  The message names the failed operation and ``label(pos)`` of
+    the first expression that the reference ``evaluate`` rejects; it
+    applies the compiled domain rule, so that is the first one outside the
+    domain.  The message is worked out only when read, and ``rows.Rows``
+    build their trees only then: the callers that catch this and retry
+    (step halving, sampling probes) pay nothing for it."""
 
-    def __init__(self, exprs, var_names, x, label):
+    def __init__(self, guarded, exprs, var_names, x, label):
         super().__init__()
-        self._exprs, self._var_names, self._label = exprs, var_names, label
+        self._guarded, self._exprs, self._var_names, self._label = guarded, exprs, var_names, label
         self._x = np.array(x, dtype=float)
 
     def __str__(self) -> str:
         env = dict(zip(self._var_names, self._x.tolist()))
-        for pos, e in enumerate(self._exprs):
+        for pos, e in enumerate(itertools.chain(self._guarded, self._exprs)):
             try:
                 evaluate(e, env)
             except DomainError as err:
@@ -688,25 +688,22 @@ _SCALAR = {
 _GUARDS = {"log": "0.0 < {} < 1e999", "div": "{} != 0.0"}
 
 
-def _vector_source(
-    e: Expression, lift: Callable[[Expression, str], str], depth: int = 0, path: str = ""
-) -> str | None:
-    """Vector-mode source for ``e``, each leaf rendered by ``lift`` from it
-    and its attribute path, ``.left.arg`` say: the operands are numpy
-    arrays and a division checks its denominator; None where vector mode
-    does not cover ``e`` or ``e`` sits ``depth`` operations deep, which
-    must stay below ``MAX_INLINE_DEPTH``."""
+def _vector_source(e: Expression, lift: Callable[[Expression], str], depth: int = 0) -> str | None:
+    """Vector-mode source for ``e``, each leaf rendered by ``lift``, left
+    to right: the operands are numpy arrays and a division checks its
+    denominator; None where vector mode does not cover ``e`` or ``e`` sits
+    ``depth`` operations deep, which must stay below ``MAX_INLINE_DEPTH``."""
     if isinstance(e, (Const, Var)):
-        return lift(e, path)
+        return lift(e)
     depth += 1
     if depth >= MAX_INLINE_DEPTH:
         return None
     if isinstance(e, Unary):
         if e.op != "neg":
             return None
-        inner = _vector_source(e.arg, lift, depth, path + ".arg")
+        inner = _vector_source(e.arg, lift, depth)
         return None if inner is None else f"(-{inner})"
-    left = _vector_source(e.left, lift, depth, path + ".left")
+    left = _vector_source(e.left, lift, depth)
     if left is None:
         return None
     if e.op == "pow":
@@ -715,7 +712,7 @@ def _vector_source(
             return None
         # ``_t`` is read right after it is bound, so nesting cannot clobber it.
         return f"((_t := {left}){' * _t' * (power - 1)})"
-    right = _vector_source(e.right, lift, depth, path + ".right")
+    right = _vector_source(e.right, lift, depth)
     if right is None:
         return None
     if e.op == "div":
@@ -729,36 +726,55 @@ def _nonzero(den: np.ndarray) -> np.ndarray:
     return den
 
 
-def _lift(
-    e: Expression, slot_of: dict[str, int]
-) -> tuple[str | None, Callable[[list[Expression]], tuple[np.ndarray, np.ndarray]]]:
+def _lift(e: Expression) -> tuple[str | None, list[Const], list[Var]]:
     """Vector-mode source of ``e`` with its leaves renamed ``c<n>`` and
     ``g<n>`` in order (the shape), None where vector mode does not cover
-    ``e``; and a function of trees of ``e``'s structure that returns the
-    constants and slots at those leaves, one row per tree, read with one
-    ``attrgetter`` of their paths."""
-    paths: dict[type, list[str]] = {Const: [], Var: []}
+    ``e``; and its constant and its variable leaves in that order, which is
+    a template's leaf order (see ``rows.Template``)."""
+    leaves: dict[type, list] = {Const: [], Var: []}
 
-    def lift(leaf: Expression, path: str) -> str:
-        found = paths[type(leaf)]
-        found.append(f"{path}.value"[1:] if type(leaf) is Const else f"{path}.name"[1:])
+    def lift(leaf: Expression) -> str:
+        found = leaves[type(leaf)]
+        found.append(leaf)
         return f"{'c' if type(leaf) is Const else 'g'}{len(found) - 1}"
 
-    def read(kind: type, trees: list[Expression]) -> list:
-        at = paths[kind]
-        if len(at) < 2:  # ``attrgetter`` of one path returns the value itself
-            return list(map(attrgetter(*at), trees)) if at else []
-        return list(itertools.chain.from_iterable(map(attrgetter(*at), trees)))
+    return _vector_source(e, lift), leaves[Const], leaves[Var]
 
-    def leaves(trees: list[Expression]) -> tuple[np.ndarray, np.ndarray]:
-        consts, names = len(paths[Const]), len(paths[Var])
-        slots = list(map(slot_of.__getitem__, read(Var, trees)))
-        return (
-            np.array(read(Const, trees)).reshape(len(trees), consts),
-            np.array(slots).reshape(len(trees), names),
-        )
 
-    return _vector_source(e, lift), leaves
+def _leaf_columns(
+    template,
+    consts: list[Const],
+    names: list[Var],
+    rows: np.ndarray | None,
+    slot_of: dict[str, int],
+    gather: Callable[[bool], np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The constant and slot columns, one entry per row of ``rows``, of
+    the leaves ``consts`` and ``names`` lifted from ``template``'s tree: a
+    kept leaf's own value or slot, and else the literal, signed, or the
+    name's slot that its leaf map reads from each row.  ``rows[r, t]``
+    is the form of part ``t`` of row ``r``, a row of the matrices of
+    ``gather`` (see ``rows.Forms``): of the literals, and, with True, of
+    the slots.  A tree with no template keeps every leaf, so it is its own
+    one row."""
+    n = 1 if rows is None else len(rows)
+    at_consts, at_names = (itertools.repeat(None),) * 2 if template is None else template.leaves
+    columns = []
+    for leaf, at in zip(consts, at_consts):
+        if at is None:
+            columns.append(np.full(n, leaf.value, dtype=float))
+        else:
+            t, j, sign = at
+            column = gather(False)[rows[:, t], j]
+            columns.append(column if sign > 0 else -column)
+    slots = []
+    for leaf, at in zip(names, at_names):
+        if at is None:
+            slots.append(np.full(n, slot_of[leaf.name]))
+        else:
+            t, j = at
+            slots.append(gather(True)[rows[:, t], j])
+    return columns, slots
 
 
 # A value in the scalar-mode DAG: a leaf is its own source text, an interior
@@ -779,16 +795,19 @@ class _Dag:
         self._number: dict[tuple, int] = {}
         # Interior nodes by tree-node identity: the frozen dataclasses hash
         # recursively, so keying on the trees themselves would rehash every
-        # subtree.
+        # subtree.  The trees are kept, so that no id is reused: ``rows.Rows``
+        # may build a tree on each read.
         self._seen: dict[int, int] = {}
+        self._trees: list[Expression] = []
 
     def output(self, e: Expression) -> _Ref:
+        self._trees.append(e)
         ref = self._ref(e)
         if isinstance(ref, int):
             self.uses[ref] += 1
         return ref
 
-    def guards(self, trees: Iterable[Expression], keys: Iterable = ()) -> list[tuple[str, _Ref]]:
+    def guards(self, trees: Sequence[Expression]) -> list[tuple[str, _Ref]]:
         """Guards for the operations of ``trees`` that can fail, in tree
         order: ``("log", u)`` for ``log(u)``, ``("div", d)`` for a
         denominator ``d``, and ``("call", e)`` for an exp or a power ``e``
@@ -796,14 +815,14 @@ class _Dag:
         DAG as a use, so an exp or a power the DAG evaluates already is its
         temp, and its guard emits nothing.  No ``("div", d)`` guard is
         returned where the DAG divides by ``d`` or by ``d*d``: that division
-        raises already wherever ``d`` is zero.  Trees of one key (see
-        ``compile_vector_function``) have the same operations, so where the
-        first has none that can fail, the others are not walked."""
+        raises already wherever ``d`` is zero.  Trees of one template of
+        ``rows.Rows`` have the same operations, so where the first has none
+        that can fail, the others are not read."""
         found: dict[tuple[str, _Ref], None] = {}
-        fails: dict = {}  # key -> whether its first tree has an operation that can fail
-        for tree, key in itertools.zip_longest(trees, keys):
+        fails: dict = {}  # template -> whether its first tree has an operation that can fail
+        for pos, key in enumerate(_keys(trees)):
             if fails.get(key, True):
-                can_fail = self._guard_walk(tree, found)
+                can_fail = self._guard_walk(trees[pos], found)
                 if key is not None:
                     fails.setdefault(key, can_fail)
         divided = set()
@@ -825,6 +844,7 @@ class _Dag:
         """Add the guards of ``tree``'s operations that can fail to
         ``found``, in tree order; whether it has any."""
         can_fail = False
+        self._trees.append(tree)
         stack = [tree]
         while stack:
             e = stack.pop()
@@ -956,43 +976,58 @@ def _output_label(pos: int) -> str:
     return f"output {pos}"
 
 
+def _keys(exprs: Sequence[Expression]) -> list:
+    """Each expression's template, where ``exprs`` are ``rows.Rows``, or
+    None, its own."""
+    return exprs.keys() if hasattr(exprs, "groups") else [None] * len(exprs)
+
+
 def _vector_groups(
-    exprs: list[Expression], keys: list, slot_of: dict[str, int]
-) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    exprs: Sequence[Expression], slot_of: dict[str, int]
+) -> list[tuple[str, np.ndarray, list[np.ndarray], list[np.ndarray]]]:
     """The shapes of ``exprs`` (see ``_lift``) that at least
     ``VECTOR_MIN_INSTANCES`` of them share, in the order of their first
-    expression, each with its expressions' positions, and their constants
-    and slots by row, in position order.  Of the trees of a key of
-    ``keys`` (see ``compile_vector_function``) only the first is lifted,
-    the largest keys first, and none once the trees left could not bring
-    a shape to vector mode.  The trees of a shape that reaches it are
-    read for their leaves with no walk (see ``_lift``)."""
-    by_key: dict = {}
-    for pos, key in enumerate(keys):
-        by_key.setdefault(object() if key is None else key, []).append(pos)
-    shapes: dict[str, list] = {}  # shape -> the positions and leaf reader of each of its keys
+    expression, each with its expressions' positions, and their constant
+    and slot columns, in position order.  Of the expressions of a template
+    (see ``rows.Rows``) only its tree is lifted, the largest templates
+    first, and none once the expressions left could not bring a shape to
+    vector mode.  The expressions of a template that reaches it are gathered from
+    their rows, and none is built."""
+    keyed: list[tuple[list[int], object, np.ndarray | None]]  # positions, template, rows
+    keyed = [([pos], None, None) for pos, key in enumerate(_keys(exprs)) if key is None]
+    if hasattr(exprs, "groups"):
+        keyed += [(positions.tolist(), template, rows) for template, positions, rows in exprs.groups]
+    keyed.sort(key=lambda part: (-len(part[0]), part[0][0]))  # the largest first, then in position order
+    shapes: dict[str, list] = {}  # shape -> its parts: the positions, template, rows and lifted leaves of a key
     counts: Counter = Counter()
-    largest = 0  # the most trees lifted into one shape
-    left = len(exprs)  # the trees not lifted
-    for positions in sorted(by_key.values(), key=len, reverse=True):
+    largest = 0  # the most expressions lifted into one shape
+    left = len(exprs)  # the expressions not lifted
+    for positions, template, rows in keyed:
         if largest + left < VECTOR_MIN_INSTANCES:
             break
         left -= len(positions)
-        shape, leaves = _lift(exprs[positions[0]], slot_of)
+        shape, consts, names = _lift(exprs[positions[0]] if template is None else template.tree)
         if shape is not None:
-            shapes.setdefault(shape, []).append((positions, leaves))
+            shapes.setdefault(shape, []).append((positions, template, rows, consts, names))
             counts[shape] += len(positions)
             largest = max(largest, counts[shape])
+    matrices: dict[bool, np.ndarray] = {}
+
+    def gather(slots: bool) -> np.ndarray:
+        if slots not in matrices:
+            matrices[slots] = exprs.forms.slots(slot_of) if slots else exprs.forms.literals()
+        return matrices[slots]
+
     groups = []
     for shape, parts in shapes.items():
         if counts[shape] < VECTOR_MIN_INSTANCES:
             continue
-        read = [leaves([exprs[pos] for pos in part]) for part, leaves in parts]
-        positions = np.array([pos for part, _ in parts for pos in part])
-        consts = np.concatenate([consts for consts, _ in read])
-        slots = np.concatenate([slots for _, slots in read])
+        read = [_leaf_columns(t, consts, names, rows, slot_of, gather) for _, t, rows, consts, names in parts]
+        positions = np.array([pos for part in parts for pos in part[0]])
         order = np.argsort(positions, kind="stable")
-        groups.append((shape, positions[order], consts[order], slots[order]))
+        consts = [np.concatenate(column)[order] for column in zip(*[c for c, _ in read])]
+        slots = [np.concatenate(column)[order] for column in zip(*[s for _, s in read])]
+        groups.append((shape, positions[order], consts, slots))
     return sorted(groups, key=lambda group: group[1][0])
 
 
@@ -1001,7 +1036,6 @@ def compile_vector_function(
     names: tuple[str, ...],
     label: Callable[[int], str] = _output_label,
     guarded: Iterable[Expression] = (),
-    keys: Iterable | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into one function of the point ``x`` (a float
     array in ``names`` order) that returns their values as one array, in
@@ -1020,20 +1054,18 @@ def compile_vector_function(
     failing operation, the function may return.  The message positions
     count the guarded expressions first.
 
-    ``keys`` holds a key for each expression, the guarded first, in label
-    order, or is None.  Expressions of one key must be one tree up to the
-    values of their constants other than pow exponents and the names in
-    their variables, as a template's trees are (see ``gradient_shaped``);
-    a None key is an expression's own.  The compiler lifts the first tree
-    of each key alone, and walks the others for guards only where the
-    first has an operation that can fail."""
-    exprs = list(exprs)
-    guarded = list(guarded)
-    keys = [None] * (len(guarded) + len(exprs)) if keys is None else list(keys)
+    Either set may be ``rows.Rows``, whose expressions of one template are
+    its tree with other literals and names.  The compiler lifts each
+    template's tree alone, reads the constants and slots of a template
+    that reaches vector mode from its rows, builds the trees of the others
+    only, and walks the guarded trees of a template for guards only where
+    the first has an operation that can fail."""
+    exprs = exprs if isinstance(exprs, Sequence) else list(exprs)
+    guarded = guarded if isinstance(guarded, Sequence) else list(guarded)
     slot_of = {name: i for i, name in enumerate(names)}
     vector_groups = []
     if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode
-        vector_groups = _vector_groups(exprs, keys[len(guarded) :], slot_of)
+        vector_groups = _vector_groups(exprs, slot_of)
 
     namespace = {
         "_exp": math.exp,
@@ -1045,7 +1077,7 @@ def compile_vector_function(
         "_errstate": np.errstate,
         "_finite": all_finite,
         "_fail": DomainError,
-        "_outside": lambda x: _OutsideDomain(guarded + exprs, names, x, label),
+        "_outside": lambda x: _OutsideDomain(guarded, exprs, names, x, label),
     }
     lines = []
     if vector_groups:
@@ -1053,11 +1085,11 @@ def compile_vector_function(
     vectorized: set[int] = set()
     for q, (shape, positions, consts, slots) in enumerate(vector_groups):
         namespace[f"_p{q}"] = positions
-        for n, column in enumerate(consts.T):
+        for n, column in enumerate(consts):
             # A constant shared by every instance enters as a numpy scalar.
             bits = column.view(np.int64)
             namespace[f"_c{q}_{n}"] = column[0] if (bits == bits[0]).all() else column
-        for n, column in enumerate(slots.T):
+        for n, column in enumerate(slots):
             namespace[f"_i{q}_{n}"] = column
         body = re.sub(r"\bc(\d+)\b", rf"_c{q}_\1", shape)
         body = re.sub(r"\bg(\d+)\b", rf"x[_i{q}_\1]", body)
@@ -1070,8 +1102,8 @@ def compile_vector_function(
     # the outputs.  A temp is local to its piece, so sharing stops at a
     # piece boundary.
     dag = _Dag(slot_of)
-    scalar = [(pos, dag.output(e)) for pos, e in enumerate(exprs) if pos not in vectorized]
-    guards = dag.guards(guarded, keys[: len(guarded)])
+    scalar = [(pos, dag.output(exprs[pos])) for pos in range(len(exprs)) if pos not in vectorized]
+    guards = dag.guards(guarded)
     pieces: list[_Piece] = []
 
     def tail() -> _Piece:
@@ -1235,9 +1267,12 @@ def differentiate(e: Expression, name: str) -> Expression:
 # constants its rules simplify on: 0 and 1 of either sign, and each pow
 # exponent c, of which they make c and c - 1.  Every other constant is a
 # hole, which the rules carry or negate.  So a copy of a tree with a marker
-# in each hole, a value no rule makes, is differentiated once, and builds
-# the derivatives of every tree of its template: a node of the copy is the
-# tree's node at the same place, and a negated marker the negated hole.
+# in each hole, a value no rule makes, and a label in each name is
+# differentiated once, and stands for the derivatives of every tree of its
+# template: a marker is the hole, a negated marker the negated hole, and a
+# label the name.  Its derivatives differentiate again the same way.  The
+# templates, and the rows of literals and names that they stand for, are
+# ``coalseek.rows``; here are the keys of their trees.
 # ---------------------------------------------------------------------------
 
 
@@ -1278,7 +1313,7 @@ def shape(e: Expression) -> tuple[str, tuple, tuple]:
 
 def template_key(form: tuple[str, tuple, tuple], wrt: Container[str], powers: dict) -> tuple:
     """The key of the template of a tree of shape ``form`` differentiated in
-    the names of ``wrt`` (see ``gradient_shaped``): its skeleton, each
+    the names of ``wrt`` (see ``rows.template``): its skeleton, each
     literal that is no hole (None for a hole), the first leaf of each
     leaf's name, and which leaves are in ``wrt``.  ``powers`` is the
     caller's table of the places of each skeleton's pow exponents."""
@@ -1298,88 +1333,12 @@ TEMPLATE_MIN_TREES = 4
 
 
 def templates_for(keys: Iterable) -> dict:
-    """The table ``gradient_shaped`` reads for a set of trees of ``keys``:
-    each key of at least ``TEMPLATE_MIN_TREES`` of them but None, the key
-    of no template, with no template until its first tree builds one."""
+    """A table of the keys of a set of trees of ``keys`` that make a
+    template: each key of at least ``TEMPLATE_MIN_TREES`` of them but None,
+    the key of no template, with no template until its first tree makes
+    one (see ``rows.template``)."""
     counts = Counter(keys)
     return dict.fromkeys(k for k, n in counts.items() if n >= TEMPLATE_MIN_TREES and k is not None)
-
-
-def gradient_shaped(
-    e: Expression, names: Container[str], key, templates: dict, differentiate: Callable
-) -> tuple[dict[str, Expression], Expression]:
-    """``gradient(e, names)``, where ``differentiate`` is ``gradient`` as the
-    caller binds it, and ``key`` determines ``e``'s tree up to the values
-    of its holes and the names in its leaves, which leaves are one name,
-    and which are in ``names``.  A tree of a key in ``templates`` (see
-    ``templates_for``) is built from the key's template, which its first
-    tree makes with one differentiation; any other tree is differentiated."""
-    if key not in templates:
-        return differentiate(e, names)
-    entry = templates[key]
-    if entry is None:
-        entry = templates[key] = _gradient_builder(e, names, differentiate)
-    return entry(e)
-
-
-def _gradient_builder(tree: Expression, names: Container[str], differentiate: Callable):
-    """A function of a tree of ``tree``'s template that builds its
-    ``gradient``, from one call of ``differentiate`` on a marked copy."""
-    # No marker is a constant of the copy or one the rules make: 0, 1, 2
-    # (a squared denominator), and c and c - 1 of each exponent c.
-    avoid = {0.0, 1.0, 2.0}
-    for node in _walk(tree):
-        if type(node) is Binary and node.op == "pow" and type(node.right) is Const:
-            avoid.update((abs(node.right.value), abs(node.right.value - 1.0)))
-    markers = (m for m in itertools.count(3.0) if m not in avoid)
-    at: dict[int, str] = {}  # node of the copy -> its attribute path from the root
-    holes: dict[float, tuple[str, float]] = {}  # marker -> (path, value in the copy)
-    labels: dict[str, str] = {}  # name -> its name in the copy
-    first: dict[str, str] = {}  # name in the copy -> the path of its first leaf
-    wrt = set()
-
-    def copy(e: Expression, path: str, power: bool = False) -> Expression:
-        if type(e) is Const:
-            if _kept(e.value, power):
-                t = Const(e.value)
-            else:
-                t = Const(math.copysign(next(markers), e.value))
-                holes[abs(t.value)] = path, t.value
-        elif type(e) is Var:
-            t = Var(labels.setdefault(e.name, f"h{len(labels)}"))
-            first.setdefault(t.name, path)
-            if e.name in names:
-                wrt.add(t.name)
-        elif type(e) is Unary:
-            t = Unary(e.op, copy(e.arg, path + ".arg"))
-        else:
-            t = Binary(e.op, copy(e.left, path + ".left"), copy(e.right, path + ".right", e.op == "pow"))
-        at[id(t)] = path
-        return t
-
-    template = copy(tree, "")  # alive while ``at`` is read, so no id is reused
-    derivs, zero = differentiate(template, wrt)
-
-    def get(path: str) -> Callable[[Expression], Expression]:
-        return attrgetter(path[1:]) if path else lambda r: r
-
-    def build(d: Expression) -> Callable[[Expression], Expression]:
-        if id(d) in at:
-            return get(at[id(d)])
-        if type(d) is Const:
-            if abs(d.value) not in holes:
-                return lambda r: d
-            path, value = holes[abs(d.value)]
-            hole = get(path)
-            return hole if d.value == value else lambda r: Const(-hole(r).value)
-        if type(d) is Unary:
-            arg = build(d.arg)
-            return lambda r: Unary(d.op, arg(r))
-        left, right = build(d.left), build(d.right)
-        return lambda r: Binary(d.op, left(r), right(r))
-
-    parts = [(get(first[label] + ".name"), build(d)) for label, d in derivs.items()]
-    return lambda r: ({name(r): part(r) for name, part in parts}, zero)
 
 
 def _walk(e: Expression) -> Iterator[Expression]:

@@ -15,6 +15,7 @@ the compiler's rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -36,12 +37,12 @@ from .expr import (
     free_variables,
     # Bound as ``differentiate``: ``bench/tracing.py`` times each pass by that name.
     gradient as differentiate,
-    gradient_shaped,
     shape,
     template_key,
     templates_for,
 )
 from .graphs import Graph, laplacian
+from .rows import Forms, Rows, template
 
 __all__ = [
     "Coalition",
@@ -237,37 +238,81 @@ class Game:
         return tuple([number.setdefault(key, len(number) - 1) for key in out])
 
     @cached_property
-    def partial_templates(self) -> tuple[tuple | None, ...]:
-        """For each partial, in slot order, the key of its template: its
-        cost's key in ``templates`` and the first leaf of the name it is
-        differentiated in (None where the cost reads no such name), or
-        None where its cost has no key."""
-        templates, names = self.templates, self.var_names
-        leaves = [names for c in self.coalitions for *_, names in c.forms]
-        columns = map(names.__getitem__, self.layout.column.tolist())
-        return tuple([
-            None if templates[owner] is None
-            else (templates[owner], leaves[owner].index(name) if name in leaves[owner] else None)
-            for owner, name in zip(self.layout.owner.tolist(), columns)
-        ])
+    def cost_rows(self) -> Rows:
+        """Every cost, in profile order, as ``rows.Rows`` over the costs'
+        forms and trees: its tree and, where it has a template, made from
+        the first cost of each key in ``templates`` of at least
+        ``expr.TEMPLATE_MIN_TREES`` costs, that and its form."""
+        literals_and_names = [(literals, names) for c in self.coalitions for _, literals, names in c.forms]
+        forms = Forms(literals_and_names, list(self.costs))
+        made = templates_for(self.templates)
+        positions: dict = {}
+        for pos, (key, cost) in enumerate(zip(self.templates, self.costs)):
+            if key in made:
+                if made[key] is None:
+                    made[key] = template(cost, forms.rows[pos][0])
+                positions.setdefault(key, []).append(pos)
+        groups = []
+        for key, at in positions.items():
+            at = np.array(at, dtype=np.intp)
+            groups.append((made[key], at, at[:, None]))
+        return Rows(forms, list(self.costs), groups)
+
+    @cached_property
+    def partial_rows(self) -> Rows:
+        """Every partial d f_ij / d x_ik, in slot order (``Layout.keys``),
+        as ``rows.Rows`` over the costs' forms, sharing the nodes of
+        ``cost_rows``: where its cost has a template, the template of the
+        derivative in the name, from one differentiation of the cost's
+        template in its coalition's names, and its cost's form; else its
+        tree, from a differentiation of its cost."""
+        costs = self.cost_rows
+        owner, column = self.layout.owner, self.layout.column
+        names = self.var_names
+        starts = [0, *itertools.accumulate(self.sizes)]
+        own = [set(names[a:b]) for a, b in zip(starts, starts[1:])]  # each coalition's names
+        coalition = [i for i, c in enumerate(self.coalitions) for _ in range(c.m)]  # each cost's
+        of_cost = np.full(self.n_actions, -1, dtype=np.intp)  # each cost's group in ``costs``
+        for g, (_, at, _) in enumerate(costs.groups):
+            of_cost[at] = g
+        of_slot = of_cost[owner]
+        groups = []
+        if costs.groups:
+            # Each slot's template: its cost's group, and one more than the
+            # first place of its name among its cost's names (0 where it
+            # reads none).
+            read = costs.forms.slots(self.var_index)[owner]
+            match = read == column[:, None]
+            width = read.shape[1] + 1
+            place = np.where(match.any(axis=1), match.argmax(axis=1) + 1, 0)
+            code = np.where(of_slot < 0, -1, of_slot * width + place)
+            made = []  # each group's derivative templates, by the name's first place, and its zero
+            for cost_template, at, _ in costs.groups:
+                first = int(at[0])
+                wrt = {j for j, name in enumerate(costs.forms.rows[first][1]) if name in own[coalition[first]]}
+                made.append(cost_template.gradient(differentiate, wrt))
+            for c in np.flatnonzero(np.bincount(code + 1)[1:]).tolist():
+                g, j = divmod(c, width)
+                at = np.flatnonzero(code == c)
+                derivs, zero = made[g]
+                groups.append((derivs.get(j - 1, zero) if j else zero, at, owner[at, None]))
+        trees: list = [None] * self.layout.size
+        grads: dict[int, tuple] = {}  # cost -> its gradient in its coalition's names
+        owners, columns = owner.tolist(), column.tolist()
+        for slot in np.flatnonzero(of_slot < 0).tolist():
+            cost = owners[slot]
+            if cost not in grads:
+                grads[cost] = differentiate(costs.trees[cost], own[coalition[cost]])
+            derivs, zero = grads[cost]
+            trees[slot] = derivs.get(names[columns[slot]], zero)
+        return Rows(costs.forms, trees, groups, costs.memos)
 
     @cached_property
     def partials(self) -> dict[tuple[int, int, int], Expression]:
         """Symbolic d f_ij / d x_ik for every stored estimate index (i, j, k),
-        in slot order (``Layout.keys``), each cost differentiated in its
-        coalition's names once per template."""
-        seen = templates_for(self.templates)
-        templates = iter(self.templates)
-        grads = []
-        for i, c in enumerate(self.coalitions, start=1):
-            own = {action_name(i, k) for k in range(1, c.m + 1)}
-            grads += [gradient_shaped(f, own, next(templates), seen, differentiate) for f in c.costs]
-        names, layout = self.var_names, self.layout
-        out = {}
-        for key, owner, column in zip(layout.keys, layout.owner.tolist(), layout.column.tolist()):
-            derivs, zero = grads[owner]
-            out[key] = derivs.get(names[column], zero)
-        return out
+        in slot order (``Layout.keys``), built on first read from
+        ``partial_rows``; the kernels read those rows, not these trees."""
+        return dict(zip(self.layout.keys, self.partial_rows))
 
     @cached_property
     def layout(self) -> "Layout":
@@ -288,9 +333,8 @@ class Game:
         non-finite value with no failing operation (see
         ``compile_vector_function``)."""
         return compile_vector_function(
-            tuple(self.partials.values()), self.var_names,
-            partial(_kernel_label, self.var_names, self.layout.keys), guarded=self.costs,
-            keys=self.templates + self.partial_templates,
+            self.partial_rows, self.var_names,
+            partial(_kernel_label, self.var_names, self.layout.keys), guarded=self.cost_rows,
         )
 
     @cached_property
@@ -301,9 +345,8 @@ class Game:
         cost or a partial is not finite.  Compiled on first use, so
         integrating or solving never builds it."""
         return compile_vector_function(
-            self.costs + tuple(self.partials.values()), self.var_names,
+            self.cost_rows + self.partial_rows, self.var_names,
             partial(_kernel_label, self.var_names, self.layout.keys),
-            keys=self.templates + self.partial_templates,
         )
 
     @cached_property

@@ -6,14 +6,16 @@ gradients."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .expr import DomainError, compile_vector_function, gradient_shaped, templates_for
+from .expr import DomainError, compile_vector_function
 from .expr import gradient as differentiate  # ``bench/tracing.py`` times it by this name
 from .game import Game, coalition_cost, pseudo_gradient
+from .rows import Rows
 
 __all__ = [
     "AuditPlan",
@@ -36,35 +38,104 @@ class StationaryReport:
     message: str = ""
 
 
-def _jacobian_exprs(game: Game, keys: list | None = None):
-    """Second-derivative expressions of each pseudo-gradient component, keyed
-    (row index, column index); absent keys are identically zero.  Rows sum
-    their partials in slot order, each partial's columns in ascending order.
-    Each partial is differentiated in every name, once per template.  Where
-    ``keys`` is given, each entry's key for ``compile_vector_function`` is
-    appended to it, in entry order: one number per sequence of its terms'
-    keys, each its partial's template and the first leaf of its name in
-    the cost, and None where a partial has no template."""
+def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
+    """The second-derivative expressions of each pseudo-gradient component:
+    their row and column indices, and the expressions as ``rows.Rows``
+    over the costs' forms; absent positions are identically zero.  The
+    positions are in order of first appearance as the partials are read in
+    slot order, each one's columns in ascending order, and an entry sums
+    its terms in that order.  A partial with a template (see
+    ``Game.partial_rows``) is differentiated in every name once per
+    template, any other on its own.  An entry whose terms all have
+    templates is the sum of their templates, with their costs' forms side
+    by side; any other is its tree."""
     index = game.var_index
-    leaves = [names for c in game.coalitions for *_, names in c.forms]
-    templates = game.partial_templates
-    seen = templates_for(templates)
-    out = {}
-    codes: dict[tuple[int, int], int | None] = {}
-    chain: dict[tuple, int] = {}  # (the number of some terms, the next term's key) -> theirs
-    for row, owner, template, partial in zip(
-        game.layout.column.tolist(), game.layout.owner.tolist(), templates, game.partials.values()
-    ):
-        derivs = gradient_shaped(partial, index, template, seen, differentiate)[0]
-        for name in sorted(derivs, key=index.__getitem__):
-            key = (row, index[name])
-            out[key] = derivs[name] if key not in out else out[key] + derivs[name]
-            prev = codes.get(key, -1)
-            term = (prev, template, leaves[owner].index(name))
-            codes[key] = None if None in term else chain.setdefault(term, len(chain))
-    if keys is not None:
-        keys += codes.values()
-    return out
+    partials = game.partial_rows
+    forms = partials.forms
+    # Every term: its slot, its column, its template's number or, where it
+    # has none, -1 - the number of its tree, and its cost.  The terms of a
+    # template are arrays, and those of no template one array at the end.
+    terms: list[tuple] = []
+    seconds: list = []  # the terms' templates
+    loose: list = []  # the trees of the terms of no template
+    if partials.groups:
+        read = forms.slots(index)
+    for partial_template, at, owners in partials.groups:
+        for j, second in partial_template.gradient(differentiate)[0].items():
+            terms.append((at, read[owners[:, 0], j], np.full(len(at), len(seconds)), owners[:, 0]))
+            seconds.append(second)
+    by_slot: list[tuple] = []
+    for slot, key in enumerate(partials.keys()):
+        if key is None:
+            for name, d in differentiate(partials.trees[slot], index)[0].items():
+                by_slot.append((slot, index[name], -1 - len(loose), -1))
+                loose.append(d)
+    if by_slot:
+        terms.append(tuple(np.array(column, dtype=np.intp) for column in zip(*by_slot)))
+    if not terms:
+        return np.empty(0, np.intp), np.empty(0, np.intp), Rows(forms, [], [])
+    slots, cols, kinds, costs = (np.concatenate(column).astype(np.intp) for column in zip(*terms))
+    n = game.n_actions
+    order = np.argsort(slots * n + cols, kind="stable")  # reading order
+    rows, cols, kinds, costs = game.layout.column[slots[order]], cols[order], kinds[order], costs[order]
+    # The entries in order of first appearance, and each term's entry.
+    first, entry = _numbered(rows * n + cols)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(appearance))
+    entry = rank[entry]
+    order = np.argsort(entry, kind="stable")  # each entry's terms in reading order
+    entry, kinds, costs = entry[order], kinds[order], costs[order]
+    counts = np.bincount(entry)
+    starts = np.cumsum(counts) - counts
+    # Number each entry's sequence of term templates, one term at a time;
+    # -1 marks an entry with a term of no template.
+    chain = np.full(len(starts), -1, dtype=np.intp)
+    if seconds:
+        chain[:] = 0
+        for t in range(int(counts.max())):
+            longer = counts > t
+            pairs = chain[longer] * (len(seconds) + len(loose)) + kinds[starts[longer] + t] + len(loose)
+            chain[longer] = _numbered(pairs)[1] + chain.max() + 1
+        chain[np.bincount(entry[kinds < 0], minlength=len(starts)) > 0] = -1
+    trees: list = [None] * len(starts)
+    # The nodes built from each cost's form, the partials' to start with: a
+    # table of this Jacobian's own, as it is keyed by its templates' nodes.
+    memos = partials.derived_memos()
+    kinds_of, costs_of, starts_of = kinds.tolist(), costs.tolist(), starts.tolist()
+    for e in np.flatnonzero(chain < 0).tolist():
+        at = slice(starts_of[e], starts_of[e] + int(counts[e]))
+        kind_cost = zip(kinds_of[at], costs_of[at])
+        built = [loose[-1 - k] if k < 0 else seconds[k].build((c,), forms, memos) for k, c in kind_cost]
+        trees[e] = reduce(operator.add, built)
+    groups = []
+    templated = np.flatnonzero(chain >= 0)
+    number = _numbered(chain[templated])[1]
+    for g in range(int(number.max(initial=-1)) + 1):
+        at = templated[number == g]
+        parts = starts[at][:, None] + np.arange(counts[at[0]])
+        groups.append((reduce(operator.add, [seconds[k] for k in kinds[parts[0]].tolist()]), at, costs[parts]))
+    firsts = first[appearance]
+    return rows[firsts], cols[firsts], Rows(forms, trees, groups, memos)
+
+
+def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first place of each distinct value of the integers ``codes``, in
+    value order, and each code's number in that order: what ``np.unique``
+    returns, which imports ``numpy.ma`` (20 ms) on its first call."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    number = np.empty(len(codes), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
+def _jacobian_exprs(game: Game) -> dict:
+    """The trees of ``_jacobian_rows``, keyed (row index, column index)."""
+    rows, cols, exprs = _jacobian_rows(game)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), exprs))
 
 
 def _jacobian_function(game: Game):
@@ -73,16 +144,13 @@ def _jacobian_function(game: Game):
     the entries at ``(rows, cols)`` and raising DomainError, naming the
     entry and the operation, where an entry is not finite.  No position is
     listed twice."""
-    keys: list = []
-    exprs = _jacobian_exprs(game, keys)
+    rows, cols, exprs = _jacobian_rows(game)
     names = game.var_names
-    rows = np.array([row for row, _ in exprs], dtype=np.intp)
-    cols = np.array([col for _, col in exprs], dtype=np.intp)
 
     def label(pos: int) -> str:
         return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
 
-    return rows, cols, compile_vector_function(exprs.values(), names, label, keys=keys)
+    return rows, cols, compile_vector_function(exprs, names, label)
 
 
 # Restarted GMRES for the Newton step (Saad & Schultz, *SIAM J. Sci. Stat.

@@ -19,8 +19,8 @@ from coalseek.dynamics import IntegrateParams, Seeker, SeekerState
 from coalseek.expr import parse
 from coalseek.game import Coalition, Game, Layout
 from coalseek.graphs import Graph, orthonormal_complement
-from coalseek.scenario import available_presets, load_scenario
-from conftest import tree_walk_partials
+from coalseek.scenario import available_presets, load_scenario, parse_scenario
+from conftest import bench_generators, tree_walk_partials
 
 
 def _consensus_w(game, x):
@@ -416,3 +416,32 @@ def test_report_renderers(example2_game):
     kv = report.render_kv()
     assert "agent.3_4.dropped=1,5,6" in kv
     assert f"total.aux_proposed={report.totals()[0]}" in kv
+
+
+# --- sends per agent -------------------------------------------------------------------
+
+
+def _assert_sends_are_the_block_edges(game):
+    # The counts ``cost_accounting`` reads off the blocks, against the edges
+    # of ``Layout.edges`` that each agent heads.
+    layout = game.layout
+    by_edges = np.bincount(layout.owner[layout.edges[0]], minlength=game.n_actions).tolist()
+    assert [agent.tx_proposed for agent in cost_accounting(game).agents] == by_edges
+
+
+@pytest.mark.parametrize("name", available_presets())
+def test_sends_are_the_block_edges_on_the_presets(name):
+    _assert_sends_are_the_block_edges(load_scenario(name).game)
+
+
+@pytest.mark.parametrize("name", ["ring_game", "congestion_network"])
+def test_sends_are_the_block_edges_on_the_benchmark_documents(name):
+    made = getattr(bench_generators(), name)(5)
+    _assert_sends_are_the_block_edges(parse_scenario(made.doc if name == "ring_game" else made).game)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_sends_are_the_block_edges_on_corpus_games(seed):
+    game = random_quadratic_game(np.random.default_rng(seed), max_coalitions=3, max_agents=8).game
+    _assert_sends_are_the_block_edges(game)

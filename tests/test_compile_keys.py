@@ -1,7 +1,9 @@
-"""The compiler works per template key: it lifts the first tree of each key
-and walks the others of a key for guards only where the first has an
-operation that can fail.  Compiling with keys must emit the sources and
-the namespace arrays of compiling every tree on its own, byte for byte."""
+"""The compiler works per template: it lifts each template's tree alone,
+reads the expressions of a template that reaches vector mode from their
+rows, and walks the guarded trees of a template for guards only where the
+first has an operation that can fail.  Compiling a game's ``Rows`` must
+emit the sources and the namespace arrays of compiling every tree on its
+own, byte for byte."""
 
 import math
 
@@ -12,12 +14,13 @@ from hypothesis import strategies as st
 
 from coalseek import expr
 from coalseek.expr import VECTOR_MIN_INSTANCES, Binary, Const, DomainError, Unary, Var, compile_vector_function, render
-from coalseek.oracle import _jacobian_exprs
+from coalseek.oracle import _jacobian_rows
+from coalseek.rows import Forms, Rows, template
 from coalseek.scenario import SCHEMA_KEY, parse_scenario
 from conftest import bench_generators
 
 
-def _compiled(exprs, names, guarded=(), keys=None):
+def _compiled(exprs, names, guarded=()):
     """The sources ``compile_vector_function`` compiles, and each array of
     the compiled function's namespace by name, with its dtype and bytes."""
     sources = []
@@ -28,7 +31,7 @@ def _compiled(exprs, names, guarded=(), keys=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "compile", capture, raising=False)
-        function = compile_vector_function(exprs, names, guarded=guarded, keys=keys)
+        function = compile_vector_function(exprs, names, guarded=guarded)
     arrays = {
         name: (value.dtype.str, value.shape, value.tobytes())
         for name, value in function.__globals__.items()
@@ -38,23 +41,19 @@ def _compiled(exprs, names, guarded=(), keys=None):
 
 
 def _compiles(game):
-    """The game's three compiles, each as (outputs, guarded, keys)."""
-    partials = tuple(game.partials.values())
-    keys = game.templates + game.partial_templates
-    jacobian_keys = []
-    jacobian = tuple(_jacobian_exprs(game, jacobian_keys).values())
+    """The game's three compiles, each as (outputs, guarded), both ``Rows``
+    as the game hands them to the compiler."""
     return {
-        "kernel": (partials, game.costs, keys),
-        "cost kernel": (game.costs + partials, (), keys),
-        "jacobian": (jacobian, (), jacobian_keys),
+        "kernel": (game.partial_rows, game.cost_rows),
+        "cost kernel": (game.cost_rows + game.partial_rows, ()),
+        "jacobian": (_jacobian_rows(game)[2], ()),
     }
 
 
 def _assert_keys_change_no_byte(game):
-    for label, (exprs, guarded, keys) in _compiles(game).items():
-        assert len(keys) == len(guarded) + len(exprs), label
-        keyed = _compiled(exprs, game.var_names, guarded, keys)
-        own = _compiled(exprs, game.var_names, guarded, [None] * len(keys))
+    for label, (exprs, guarded) in _compiles(game).items():
+        keyed = _compiled(exprs, game.var_names, guarded)
+        own = _compiled(list(exprs), game.var_names, list(guarded))
         assert keyed == own, label
 
 
@@ -138,10 +137,10 @@ def test_each_key_is_lifted_and_guard_walked_once(monkeypatch):
     # 300 costs of one template; each has three partials, in its own
     # action, its successor's and (zero) its predecessor's, one key each.
     game = parse_scenario(_ring_document(300, "{c}*{x}^2 + {x}*{y} - {x}")).game
-    assert len(set(game.templates)) == 1 and len(set(game.partial_templates)) == 3
+    assert len(set(game.templates)) == 1 and len(game.partial_rows.groups) == 3
     lifts, walks = [], []
     lift, walk = expr._lift, expr._Dag._guard_walk
-    monkeypatch.setattr(expr, "_lift", lambda e, slot_of: lifts.append(e) or lift(e, slot_of))
+    monkeypatch.setattr(expr, "_lift", lambda e: lifts.append(e) or lift(e))
     monkeypatch.setattr(expr._Dag, "_guard_walk", lambda dag, e, found: walks.append(e) or walk(dag, e, found))
     game.kernel
     # No cost can fail, so the first one alone is walked.
@@ -157,21 +156,23 @@ def test_each_key_is_lifted_and_guard_walked_once(monkeypatch):
 
 
 def test_no_tree_is_lifted_where_no_shape_can_reach_vector_mode(monkeypatch):
-    # 300 outputs of 30 keys, 10 trees each: once the trees not lifted and
-    # the largest shape lifted are fewer than VECTOR_MIN_INSTANCES, no
-    # shape can reach vector mode, and the rest is not lifted.
+    # 300 outputs of 30 templates, 10 rows each: once the expressions not
+    # lifted and the largest shape lifted are fewer than
+    # VECTOR_MIN_INSTANCES, no shape can reach vector mode, and the rest
+    # is not lifted.
     names = tuple(f"x1_{j}" for j in range(1, 301))
-    exprs, keys = [], []
-    for j, name in enumerate(names):
-        tree = Var(name)
-        for _ in range(j // 10):
-            tree = Binary("add", tree, Const(float(j)))
-        exprs.append(tree)
-        keys.append(j // 10)
+    rows = [((float(j),) * (j // 10), (name,)) for j, name in enumerate(names)]
+    groups = []
+    for first in range(0, 300, 10):
+        tree = Var(names[first])
+        for value in rows[first][0]:
+            tree = Binary("add", tree, Const(value))
+        at = np.arange(first, first + 10)
+        groups.append((template(tree, rows[first][0]), at, at[:, None]))
     lifts = []
     lift = expr._lift
-    monkeypatch.setattr(expr, "_lift", lambda e, slot_of: lifts.append(e) or lift(e, slot_of))
-    function = compile_vector_function(exprs, names, keys=keys)
+    monkeypatch.setattr(expr, "_lift", lambda e: lifts.append(e) or lift(e))
+    function = compile_vector_function(Rows(Forms(rows), [None] * 300, groups), names)
     assert len(lifts) == 6
     x = np.arange(300.0)
     assert function(x).tolist() == [x[j] + j * (j // 10) for j in range(300)]

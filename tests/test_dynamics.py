@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from coalseek.dynamics import (
     Seeker,
     SeekerState,
     StepLimitError,
+    Trajectory,
     check_step_budget,
 )
 from coalseek.corpus import random_quadratic_game
@@ -378,6 +381,37 @@ def test_strictly_increasing_sample_times(example2):
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(5.0, abs=1e-9)
+
+
+def _per_cell_csv(traj) -> str:
+    """The CSV text of ``traj`` as each field was once formatted, one
+    ``repr(float(v))`` per cell."""
+    header = ["t", *traj.var_names, "pgnorm"] + ["V"] * (traj.lyapunov is not None) + ["gbar_norm"]
+    columns = [traj.times, *traj.states.T, traj.pg_norm]
+    columns += [traj.lyapunov] * (traj.lyapunov is not None) + [traj.gbar_norm]
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in [",".join(header), *rows])
+
+
+@pytest.mark.parametrize("lyapunov", [True, False])
+def test_csv_bytes_match_per_cell_formatting(lyapunov):
+    # Signed zeros, infinities, a NaN, subnormals, integral values and
+    # shortest round trips in every column, the V column with or without.
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1.0, -3.0, 0.1, 1e16, 1 / 3]
+    rng = np.random.default_rng(3)
+    rows = len(special)
+    traj = Trajectory(
+        var_names=("x1_1", "x1_2", "x2_1"),
+        times=np.array(special[::-1]),
+        states=np.column_stack([special, np.roll(special, 5), rng.normal(size=rows)]),
+        pg_norm=np.roll(special, 2),
+        gbar_norm=np.roll(special, 7),
+        lyapunov=np.roll(special, 3) if lyapunov else None,
+    )
+    out = io.StringIO()
+    traj.write_csv(out)
+    assert out.getvalue() == _per_cell_csv(traj)
+    assert ("-0.0" in out.getvalue()) and ("nan" in out.getvalue()) and ("5e-324" in out.getvalue())
 
 
 def test_csv_round_trip(tmp_path, example2):

@@ -129,7 +129,6 @@ def _bits(values):
 def test_vector_mode_matches_scalar_mode_and_evaluate(tree, point):
     x = np.array(point)
     instances = _instances(tree)
-    slot_of = {name: i for i, name in enumerate(NAMES)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         singles = [_run(compile_vector_function([e], NAMES), x) for e in instances]
@@ -137,7 +136,7 @@ def test_vector_mode_matches_scalar_mode_and_evaluate(tree, point):
             [instances[k % 4] for k in range(VECTOR_MIN_INSTANCES)], NAMES
         )
         repeated = _run(batch, x)
-    vectorizable = _lift(tree, slot_of)[0] is not None
+    vectorizable = _lift(tree)[0] is not None
     assert ("_p0" in batch.__globals__) == vectorizable
 
     if any(single is None for single in singles):
@@ -423,8 +422,7 @@ def test_vector_mode_leaves_a_deep_shape_to_scalar_mode():
         parse(" + ".join(f"{(k + j) % 7 + 1}*x1_{j % 4 + 1}" for j in range(terms)))
         for k in range(VECTOR_MIN_INSTANCES)
     ]
-    slot_of = {name: i for i, name in enumerate(NAMES)}
-    assert _lift(exprs[0], slot_of)[0] is None
+    assert _lift(exprs[0])[0] is None
     fn = compile_vector_function(exprs, NAMES)
     assert "_p0" not in fn.__globals__
     x = np.array([0.5, -1.0, 2.0, 0.25])

@@ -1,0 +1,112 @@
+"""A game's templated partials and Newton Jacobian entries are compiled from
+the rows of its costs' literals and names (``coalseek.rows``): no tree of an
+instance is built where vector mode reads the rows, and a domain error
+builds the trees it names only when its message is read."""
+
+import functools
+
+import numpy as np
+import pytest
+
+import coalseek.game
+import coalseek.oracle
+from coalseek import rows
+from coalseek.dynamics import Seeker
+from coalseek.expr import VECTOR_MIN_INSTANCES, DomainError, Var, evaluate, gradient
+from coalseek.game import _kernel_label
+from coalseek.oracle import _jacobian_exprs, _jacobian_function
+from coalseek.scenario import SCHEMA_KEY, parse_scenario
+from conftest import bench_generators
+
+
+def _counted_gradient(monkeypatch) -> list:
+    """Every tree ``expr.gradient`` runs on, where ``game`` and ``oracle``
+    bind it."""
+    trees = []
+
+    def counted(e, names):
+        trees.append(e)
+        return gradient(e, names)
+
+    monkeypatch.setattr(coalseek.game, "differentiate", counted)
+    monkeypatch.setattr(coalseek.oracle, "differentiate", counted)
+    return trees
+
+
+def _labels_only(tree) -> bool:
+    """Whether every name of ``tree`` is a template's label, not an action."""
+    stack = [tree]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var) and not e.name.startswith("h"):
+            return False
+        stack += [getattr(e, a) for a in ("arg", "left", "right") if hasattr(e, a)]
+    return True
+
+
+def test_the_ring_builds_no_tree_of_an_instance(monkeypatch):
+    # The benchmark's 1000-agent ring: 1000 costs of 2 templates, every
+    # partial and Jacobian entry in vector mode.
+    game = parse_scenario(bench_generators().ring_game(5).doc).game
+    trees = _counted_gradient(monkeypatch)
+    Seeker(game)
+    assert "partials" not in vars(game)
+    assert len(trees) == 2 and all(map(_labels_only, trees))
+    _jacobian_function(game)
+    assert "partials" not in vars(game)
+    assert len(trees) == 2 + 6 and all(map(_labels_only, trees))
+
+
+M = 300  # agents of the division ring, more than VECTOR_MIN_INSTANCES
+
+
+def _division_ring():
+    """Agent j pays x_j^2 + c_j x_j / (x_(j+1) + 2): every partial in x_j,
+    2 x_j + c_j / (x_(j+1) + 2), is one vector-mode shape with a division."""
+    costs = [f"x1_{j}^2 + {0.5 + j % 7}*x1_{j}/(x1_{j % M + 1} + 2)" for j in range(1, M + 1)]
+    return parse_scenario({"schema": SCHEMA_KEY, "coalitions": [{"costs": costs}]}).game
+
+
+def _first_failure(exprs, label, x) -> str:
+    """The message of the first expression ``expr.evaluate`` rejects at ``x``."""
+    env = dict(zip([f"x1_{j}" for j in range(1, M + 1)], x.tolist()))
+    for pos, e in enumerate(exprs):
+        try:
+            evaluate(e, env)
+        except DomainError as err:
+            return f"{err} in {label(pos)}"
+    raise AssertionError("no expression fails")
+
+
+@pytest.mark.parametrize("agent", [1, 137, M])
+def test_a_vector_mode_domain_error_names_the_first_failure_of_evaluate(monkeypatch, agent):
+    game = _division_ring()
+    assert VECTOR_MIN_INSTANCES <= M and "_p0" in game.kernel.__globals__
+    x = np.ones(M)
+    x[agent - 1] = -2.0  # the denominator of the cost of the agent before
+    functions = {"kernel": game.kernel, "cost kernel": game.cost_kernel, "jacobian": _jacobian_function(game)[2]}
+    builds = []
+    build = rows.Template.build
+    monkeypatch.setattr(rows.Template, "build", lambda *a: builds.append(a) or build(*a))
+    raised = {}
+    for name, function in functions.items():
+        with pytest.raises(DomainError) as info:
+            function(x)
+        raised[name] = info.value
+    assert builds == []  # no tree is built until a message is read
+    messages = {name: str(err) for name, err in raised.items()}
+    assert builds and "_p0" in functions["jacobian"].__globals__  # the Jacobian's message built its entries
+    label = functools.partial(_kernel_label, game.var_names, game.layout.keys)
+    partials = list(game.partials.values())
+    assert messages["kernel"] == _first_failure(list(game.costs) + partials, label, x)
+    assert messages["cost kernel"] == messages["kernel"]
+    entries = _jacobian_exprs(game)
+    positions = list(entries)
+    names = game.var_names
+
+    def entry(pos):
+        row, col = positions[pos]
+        return f"the jacobian entry d/d{names[col]} of component {names[row]}"
+
+    assert messages["jacobian"] == _first_failure(list(entries.values()), entry, x)
+    assert messages["kernel"] == f"division by zero in the cost of agent (1,{(agent - 2) % M + 1})"
