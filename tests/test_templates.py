@@ -163,11 +163,13 @@ CASES = {
         "-(-{c}*{x} - -{d}) + {y}",
     ],
     # Literals equal to the markers a template picks for its holes: 3, 4
-    # and 5, or past an exponent c, which the rules make c and c - 1 of.
+    # and 5, or past an exponent c, which the rules make c and c - 1 of,
+    # and c - 2 in a second derivative (x^5 makes x^3).
     "marker values": [
         "3*{x}^2 + 4*{x}*{y} + 5*{x}*{z} + {c}*{x}",
         "3*{x}^3 + 4*{x}*{y} + -5*{x} + {c}*{y}",
         "{x}^4 * 3 + 4/({x} + 5) + {d}*{y}",
+        "{c}*{x}^5 + {d}*{x}*{y} + {c}*{z}",
     ],
 }
 
