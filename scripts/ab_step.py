@@ -27,9 +27,9 @@ trajectory CSV, and, for each of the five inputs, ``repr`` of the loaded
 game's cost trees, of its partial trees and of its Newton second
 derivatives (``oracle._jacobian_exprs``), and the sources that compiling
 its kernel, its cost kernel and its Newton Jacobian passes to ``compile``,
-with the arrays each compiled function reads from its namespace, 163
-digests in all.  Any digest that differs between the trees ends the script with exit
-code 1.
+with the arrays each compiled function and its scalar pieces read from
+their namespaces, 163 digests in all.  Any digest that differs between the
+trees ends the script with exit code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -168,7 +168,8 @@ def _sha256(text: str | bytes) -> str:
 def _compiled(build) -> str:
     """SHA-256 of the sources that ``build()`` passes to ``compile`` in
     ``coalseek.expr``, and of each array in the namespace of the function
-    it returns, by name, dtype, shape and bytes."""
+    it returns or of a scalar piece ``_s<c>`` it calls, by name, dtype,
+    shape and bytes."""
     import numpy as np
     from coalseek import expr
 
@@ -183,9 +184,13 @@ def _compiled(build) -> str:
         function = build()
     finally:
         del expr.compile
+    namespace = dict(function.__globals__)
+    for name, value in function.__globals__.items():
+        if name.startswith("_s"):
+            namespace.update(value.__globals__)
     arrays = [
         (name, str(value.dtype), value.shape, np.ascontiguousarray(value).tobytes())
-        for name, value in sorted(function.__globals__.items())
+        for name, value in sorted(namespace.items())
         if isinstance(value, (np.ndarray, np.generic))
     ]
     return _sha256(repr((sources, arrays)))

@@ -36,7 +36,6 @@ __all__ = [
     "DomainError",
     "MissingVariableError",
     "parse",
-    "parse_shaped",
     "shape",
     "render",
     "evaluate",
@@ -393,68 +392,6 @@ class _Parser:
 
     def _found(self, i: int) -> str:
         return self._token(i)[:1] or "end of input"
-
-
-# ---------------------------------------------------------------------------
-# Parsing many texts of one shape
-#
-# The costs of a graphical game repeat a few forms over different
-# neighbours.  A text's skeleton is its token key (see ``_tokens``): its
-# operators and parentheses, and the kind of each leaf.  What the parser
-# builds depends on the skeleton alone, but for two checks on single
-# tokens: a literal that overflows, and a malformed ``x<digit>`` name,
-# which is a token of its own kind, as a stray character is, so no
-# skeleton the parser accepts has one.  So the first text of a skeleton is
-# parsed, and every later one is built from that tree with its own
-# literals and names in the leaves.
-# ---------------------------------------------------------------------------
-
-
-def parse_shaped(text: str, shapes: dict) -> tuple[Expression, tuple[str, tuple, tuple]]:
-    """``parse(text)`` and its shape (see ``shape``): its skeleton, its
-    literals and its names, from one pass of the token pattern.  ``shapes``
-    is the caller's table of the skeletons seen so far, kept for a set of
-    texts: a skeleton's first text is parsed, and each later one is built
-    from that tree.  A later text with an overflowing literal is parsed
-    too, which raises the parser's ``ParseError``."""
-    key, literals, names = _tokens(text)
-    # Tuples of numbers and strings, which the garbage collector stops tracking.
-    form = key, tuple(literals), tuple(names)
-    tree = shapes.get(key)
-    if tree is None or math.inf in literals:  # the parser raises on the latter
-        tree = shapes[key] = _Parser(text, *form).tree()
-        return tree, form
-    if isinstance(tree, _Node):
-        tree = shapes[key] = _shape_builder(tree)
-    return tree(literals, names), form
-
-
-def _shape_builder(tree: Expression) -> Callable[[list[float], list[str]], Expression]:
-    """A function of a skeleton's literals and names, in text order, that
-    builds its tree; ``tree`` is one of them.  Its leaves are the holes in
-    text order, and a constant whose sign is not its literal's, as ``-2``
-    and ``^-1`` make, is the negated literal.  The function is one closure
-    per node of ``tree``."""
-    count = {Const: 0, Var: 0}
-
-    def builder(e: Expression) -> Callable[[list[float], list[str]], Expression]:
-        kind = type(e)
-        if kind is Const or kind is Var:
-            n = count[kind]
-            count[kind] += 1
-            if kind is Var:
-                return lambda c, v: Var(v[n])
-            if math.copysign(1.0, e.value) < 0:
-                return lambda c, v: Const(-c[n])
-            return lambda c, v: Const(c[n])
-        op = e.op
-        if kind is Unary:
-            arg = builder(e.arg)
-            return lambda c, v: Unary(op, arg(c, v))
-        left, right = builder(e.left), builder(e.right)
-        return lambda c, v: Binary(op, left(c, v), right(c, v))
-
-    return builder(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1004,7 @@ def compile_vector_function(
     if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode
         vector_groups = _vector_groups(exprs, slot_of)
 
-    namespace = {
+    helpers = {
         "_exp": math.exp,
         "_log": math.log,
         "_pw": math.pow,
@@ -1077,8 +1014,10 @@ def compile_vector_function(
         "_errstate": np.errstate,
         "_finite": all_finite,
         "_fail": DomainError,
-        "_outside": lambda x: _OutsideDomain(guarded, exprs, names, x, label),
     }
+    # No function's globals hold it, so reference counting frees a compiled
+    # function and the trees ``_outside`` reads.
+    namespace = dict(helpers, _outside=lambda x: _OutsideDomain(guarded, exprs, names, x, label))
     lines = []
     if vector_groups:
         lines.append('with _errstate(all="ignore"):')
@@ -1117,8 +1056,10 @@ def compile_vector_function(
         tail().guard(dag, kind, ref)
     whole = len(pieces) == 1 and len(scalar) == len(exprs) > 0
     for c, piece in enumerate(pieces):
-        code = piece.function_source(c, len(names), namespace)
-        exec(compile(code, "<coalseek-compiled>", "exec"), namespace)
+        scope = dict(helpers)
+        code = piece.function_source(c, len(names), scope)
+        exec(compile(code, "<coalseek-compiled>", "exec"), scope)
+        namespace[f"_s{c}"] = scope.pop(f"_s{c}")
         if not piece.outputs:
             lines.append(f"_s{c}(x)")
         elif whole:
@@ -1138,7 +1079,7 @@ def compile_vector_function(
         + "    raise _outside(x)\n"
     )
     exec(compile(source, "<coalseek-compiled>", "exec"), namespace)
-    return namespace["_fn"]
+    return namespace.pop("_fn")
 
 
 # ---------------------------------------------------------------------------
@@ -1283,9 +1224,10 @@ def _kept(value: float, power: bool) -> bool:
 
 def shape(e: Expression) -> tuple[str, tuple, tuple]:
     """``e``'s skeleton, literals and names in leaf order, from one walk:
-    what ``parse_shaped`` reads from a text's tokens.  The skeleton is a
-    postfix form of its own, which no text's equals, and, as in a text,
-    a constant pow exponent stands right after '^'."""
+    what ``rows.parse_shaped`` reads from a text's tokens.  The skeleton is
+    a postfix form of its own, which no text's equals, and, as in a text,
+    a literal is unsigned, its sign a '-' before its '#', and a constant
+    pow exponent stands right after '^'."""
     ops: list[str] = ["!"]
     literals: list[float] = []
     names: list[str] = []
@@ -1293,7 +1235,7 @@ def shape(e: Expression) -> tuple[str, tuple, tuple]:
     def walk(e: Expression) -> None:
         if type(e) is Const:
             ops.append("-#" if math.copysign(1.0, e.value) < 0 else "#")
-            literals.append(e.value)
+            literals.append(abs(e.value))
         elif type(e) is Var:
             ops.append("$")
             names.append(e.name)

@@ -250,7 +250,7 @@ class Game:
         for pos, (key, cost) in enumerate(zip(self.templates, self.costs)):
             if key in made:
                 if made[key] is None:
-                    made[key] = template(cost, forms.rows[pos][0])
+                    made[key] = template(cost)
                 positions.setdefault(key, []).append(pos)
         groups = []
         for key, at in positions.items():

@@ -99,9 +99,9 @@ def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
             chain[longer] = _numbered(pairs)[1] + chain.max() + 1
         chain[np.bincount(entry[kinds < 0], minlength=len(starts)) > 0] = -1
     trees: list = [None] * len(starts)
-    # The nodes built from each cost's form, the partials' to start with: a
-    # table of this Jacobian's own, as it is keyed by its templates' nodes.
-    memos = partials.derived_memos()
+    # The trees built from each cost's form, the partials' to start with,
+    # which the second derivatives read: a table of this Jacobian's own.
+    memos = {k: dict(memo) for k, memo in partials.memos.items()}
     kinds_of, costs_of, starts_of = kinds.tolist(), costs.tolist(), starts.tolist()
     for e in np.flatnonzero(chain < 0).tolist():
         at = slice(starts_of[e], starts_of[e] + int(counts[e]))

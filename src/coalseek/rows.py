@@ -10,6 +10,9 @@ is a row: the literals and the names of a form for each of its parts.
 forms (``Forms``), and build an expression's tree only when it is read.
 ``expr.compile_vector_function`` gathers the constants and slots of a
 template that reaches vector mode from the rows, with no tree built.
+
+One builder, ``program`` and ``run``, makes every tree from a form: the
+trees of templates, and each later cost of a skeleton at load.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from functools import reduce
-from operator import attrgetter
+from functools import partial, reduce
 from typing import Callable, Container, Iterator, Mapping
 
 import numpy as np
 
-from .expr import Binary, Const, Expression, Unary, Var, _kept
+from .expr import Binary, Const, Expression, Unary, Var, _kept, _Parser, _tokens, _walk
 
-__all__ = ["Template", "template", "Forms", "Rows"]
+__all__ = ["Template", "template", "program", "run", "parse_shaped", "Forms", "Rows"]
 
 
 class Template:
@@ -39,14 +41,15 @@ class Template:
     is kept (None) or literal ``j`` of part ``t`` times ``sign``
     (``(t, j, sign)``), and a name is name ``j`` of part ``t`` (``(t, j)``)."""
 
-    __slots__ = ("tree", "parts", "_marks", "_shared", "_build", "_leaves")
+    __slots__ = ("tree", "parts", "_marks", "_shared", "_program", "_sources", "_leaves")
 
-    def __init__(self, tree: Expression, parts: tuple = (), marks=None, shared: frozenset = frozenset()):
+    def __init__(self, tree: Expression, parts: tuple = (), marks=None, shared: dict | None = None):
         self.tree, self.parts = tree, parts
-        # Of a marked copy: marker -> (literal, sign), label -> name, and its interior nodes' ids.
-        self._marks = marks
-        self._shared = shared  # the ids of its ancestors' operations, which the trees of a form share
-        self._build = None
+        self._marks = marks  # of a marked copy: its ``hole``, label -> name, and a form's sizes
+        # Its ancestors' operations, which the trees of a form share (see
+        # ``program``); None for a marked copy, whose trees are its forms'.
+        self._shared = shared
+        self._program = self._sources = None
         self._leaves = None
 
     @property
@@ -55,7 +58,7 @@ class Template:
         first read."""
         if self._leaves is None:
             if not self.parts:
-                self._leaves = _leaf_map(self.tree, *self._marks[:2])
+                self._leaves = _leaf_map(self.tree, self._marks[0])
             else:
                 consts, names = [], []
                 for t, part in enumerate(self.parts):
@@ -67,21 +70,29 @@ class Template:
     def build(self, row: Sequence[int], forms: "Forms", memos: dict) -> Expression:
         """The sum of trees of the row whose parts are ``forms.rows[k]``
         for each ``k`` of ``row``.  ``memos`` holds a table per form of the
-        trees built from it, by template, and of their nodes, so that a
-        tree is built once and the trees of one form share the nodes they
-        take from the templates they derive from, the form's own tree's
-        among them where ``forms`` has it."""
+        trees built from it, by template, so that a tree is built once, and
+        reads the nodes it shares with the trees of the templates it
+        derives from, the form's own tree among them where ``forms`` has
+        it."""
         if self.parts:
             return reduce(_add_node, [t.build((k,), forms, memos) for t, k in zip(self.parts, row)])
-        if self._build is None:
-            self._build = _builder(self.tree, self._marks, self._shared)
         (k,) = row
         memo = memos.get(k)
         if memo is None:
-            memo = memos[k] = {_OWN: forms.trees[k] if forms.trees else None}
+            memo = memos[k] = {_LEAVES: _leaf_nodes(*forms.rows[k])}
         tree = memo.get(self)
-        if tree is None:
-            tree = memo[self] = self._build(*forms.rows[k], memo)
+        if tree is not None:
+            return tree
+        if self._shared is None and forms.trees:  # a marked copy, whose trees are its forms'
+            tree = memo[self] = forms.trees[k]
+            return tree
+        if self._program is None:
+            hole, _, sizes = self._marks
+            self._program = program(self.tree, hole, sizes, self._shared or {})
+            self._sources = {arg for code, arg, *_ in self._program[1] if code == _READ}
+        for source in self._sources:
+            source.build(row, forms, memos)
+        tree = memo[self] = run(self._program, memo[_LEAVES], memo)
         return tree
 
     def gradient(self, differentiate: Callable, wrt: Container[int] | None = None):
@@ -94,13 +105,10 @@ class Template:
         if wrt is not None:
             wrt = {label for label, j in labels.items() if j in wrt}
         derivs, zero = differentiate(self.tree, labels if wrt is None else wrt)
-        marks, shared = self._marks, self._shared
+        shared = self._shared or {}
         if id(self.tree) not in shared:  # a shared root's operations are all shared
-            shared = shared.union(map(id, _interior(self.tree)))
-
-        def derived(d: Expression) -> Template:
-            return Template(d, marks=marks, shared=shared)
-
+            shared = {**_paths(self.tree, self), **shared}
+        derived = partial(Template, marks=self._marks, shared=shared)
         return {labels[label]: derived(d) for label, d in derivs.items()}, derived(zero)
 
     def __add__(self, other: "Template") -> "Template":
@@ -111,34 +119,36 @@ def _add_node(left: Expression, right: Expression) -> Expression:
     return Binary("add", left, right)
 
 
-def template(tree: Expression, literals: Sequence[float]) -> Template:
+def template(tree: Expression) -> Template:
     """The template of the trees of ``tree``'s key (see ``template_key``),
-    made from ``tree``, whose literals in leaf order are ``literals``:
-    loaded texts give them unsigned, where a hole's sign is its tree's,
-    and ``shape`` signed.  Its one term is a copy of ``tree`` with a marker
-    in each hole and a label ``h<n>`` in each name."""
+    made from ``tree``.  Its one term is a copy of ``tree`` with a marker
+    in each hole, signed as the hole's constant is, and a label ``h<n>`` in
+    each name: a form's literals are unsigned, and a leaf of the copy is
+    its literal times the sign of its marker."""
     # No marker is a constant of the copy or one the rules make: 0, 1, 2
     # (a squared denominator), and c, c - 1 and c - 2 of each exponent c.
     avoid = {0.0, 1.0, 2.0}
-    for node in _interior(tree):
+    for node in _walk(tree):
         if type(node) is Binary and node.op == "pow" and type(node.right) is Const:
             c = node.right.value
             avoid.update((abs(c), abs(c - 1.0), abs(c - 2.0)))
     markers = (m for m in itertools.count(3.0) if m not in avoid)
-    holes: dict[float, tuple[int, float]] = {}  # marker -> its literal, and the sign of the marker's hole
+    holes: dict[float, int] = {}  # marker -> its literal
     labels: dict[str, int] = {}  # label -> its name's first place
     label_of: dict[str, str] = {}  # name -> its label
     count = {Const: itertools.count(), Var: itertools.count()}
-    paths: dict[int, str] = {}  # an operation of the copy -> its attribute path from the root
 
-    def copy(e: Expression, path: str = "", power: bool = False) -> Expression:
+    def hole(leaf: Expression) -> int | None:
+        return labels[leaf.name] if type(leaf) is Var else holes.get(abs(leaf.value))
+
+    def copy(e: Expression, power: bool = False) -> Expression:
         kind = type(e)
         if kind is Const:
             j = next(count[Const])
             if _kept(e.value, power):
                 return e
             marker = next(markers)
-            holes[marker] = j, math.copysign(1.0, literals[j])
+            holes[marker] = j
             return Const(math.copysign(marker, e.value))
         if kind is Var:
             j = next(count[Var])
@@ -147,22 +157,36 @@ def template(tree: Expression, literals: Sequence[float]) -> Template:
                 labels[label_of[e.name]] = j
             return Var(label_of[e.name])
         if kind is Unary:
-            node = Unary(e.op, copy(e.arg, path + ".arg"))
+            return Unary(e.op, copy(e.arg))
+        return Binary(e.op, copy(e.left), copy(e.right, e.op == "pow"))
+
+    marked = copy(tree)
+    return Template(marked, marks=(hole, labels, (next(count[Const]), next(count[Var]))))
+
+
+# The key, in a form's table of built trees, of its leaves (see ``_leaf_nodes``).
+_LEAVES = object()
+
+
+def _paths(tree: Expression, source: Template) -> dict[int, tuple]:
+    """The operations of ``tree`` by id, each with ``source`` and a path of
+    attributes to it from the root."""
+    out: dict[int, tuple] = {}
+    todo = [(tree, ())]
+    while todo:
+        e, path = todo.pop()
+        if type(e) is Binary:
+            todo += [(e.right, path + ("right",)), (e.left, path + ("left",))]
+        elif type(e) is Unary:
+            todo.append((e.arg, path + ("arg",)))
         else:
-            node = Binary(e.op, copy(e.left, path + ".left"), copy(e.right, path + ".right", e.op == "pow"))
-        paths[id(node)] = path
-        return node
-
-    marked = copy(tree)  # kept by the template, so no id of ``paths`` is reused
-    return Template(marked, marks=(holes, labels, paths), shared=frozenset(paths))
+            continue
+        out.setdefault(id(e), (source, path))
+    return out
 
 
-# The key, in a form's table of built nodes, of the form's own tree.
-_OWN = object()
-
-
-def _leaf_map(tree: Expression, holes: dict, labels: dict) -> tuple[tuple, tuple]:
-    """The leaf map of ``tree``, a tree of a marked copy's markers and labels."""
+def _leaf_map(tree: Expression, hole: Callable[[Expression], int | None]) -> tuple[tuple, tuple]:
+    """The leaf map of ``tree``, whose leaves' places in a row are ``hole``'s."""
     consts, names = [], []
     stack = [(tree, False)]
     while stack:
@@ -170,10 +194,10 @@ def _leaf_map(tree: Expression, holes: dict, labels: dict) -> tuple[tuple, tuple
         kind = type(e)
         if kind is Const:
             if not power:
-                at = holes.get(abs(e.value))
-                consts.append(None if at is None else (0, at[0], at[1] if e.value > 0 else -at[1]))
+                j = hole(e)
+                consts.append(None if j is None else (0, j, math.copysign(1.0, e.value)))
         elif kind is Var:
-            names.append((0, labels[e.name]))
+            names.append((0, hole(e)))
         elif kind is Unary:
             stack.append((e.arg, False))
         else:
@@ -182,63 +206,121 @@ def _leaf_map(tree: Expression, holes: dict, labels: dict) -> tuple[tuple, tuple
     return tuple(consts), tuple(names)
 
 
-def _builder(tree: Expression, marks: tuple, shared: frozenset) -> Callable[[Sequence, Sequence, dict], Expression]:
-    """A function of a form's literals and names, and its table of built
-    nodes, that builds the tree of ``tree``, a tree of a marked copy's
-    ``marks``: its markers, labels and operations.  A kept leaf is the
-    template's own node.  An operation of ``shared`` is looked up in the
-    table, and else read from the form's own tree where it is one of the
-    copy's and the form has one, or built, its operands' functions made
-    on its first build.  The function is one closure per node of
-    ``tree``."""
-    holes, labels, paths = marks
-    kind = type(tree)
-    if kind is Const:
-        at = holes.get(abs(tree.value))
-        if at is None:
-            return lambda c, v, m: tree
-        j, sign = at
-        if (sign > 0) == (tree.value > 0):
-            return lambda c, v, m: Const(c[j])
-        return lambda c, v, m: Const(-c[j])
-    if kind is Var:
-        j = labels[tree.name]
-        return lambda c, v, m: Var(v[j])
-    if id(tree) not in shared:
-        return _operation(tree, marks, shared)
-    key, build = id(tree), None  # the template keeps ``tree``, so no id is reused
-    path = paths.get(key)
-    read = None if path is None else attrgetter(path[1:]) if path else _itself
+# ---------------------------------------------------------------------------
+# Building trees from a form
+#
+# A later cost of a skeleton at load and each tree of a template are one
+# structure with a form's literals and names in its leaves.  ``run`` builds
+# it in one loop over a flat post-order list of instructions, one per
+# operation, with no recursion.  Its registers are the form's leaves (a
+# constant per literal, then a variable per name, shared by every tree
+# built from the form), the structure's kept constants, and one per
+# instruction.  An operation of a tree built before from the form, the
+# form's own tree among them, is read from that tree, so that the trees of
+# a form share their nodes.
+# ---------------------------------------------------------------------------
 
-    def once(c, v, m):
-        nonlocal build
-        node = m.get(key)
-        if node is None:
-            own = m[_OWN]
-            if read is not None and own is not None:
-                node = read(own)
+_BINARY, _UNARY, _NEGATED, _READ = range(4)
+
+
+def program(tree: Expression, hole: Callable, sizes: tuple[int, int], shared: Mapping[int, tuple]) -> tuple:
+    """The registers after the leaves of a form of ``sizes`` literals and
+    names, the instructions ``(code, argument, operand, operand, register)``
+    and the root's register that build ``tree``'s structure.  ``hole(leaf)``
+    is a leaf's index among the literals or names, or None to keep a
+    constant; a negative leaf negates its literal.  ``shared`` maps the ids
+    of the operations read from the tree of another template to it and
+    their paths of attributes in it."""
+    literals, first = sizes[0], sum(sizes)
+    tail: list = []
+    out: list[tuple] = []
+    done: list[int] = []  # the registers of the values no operation has read yet
+    todo: list = [tree]
+
+    def register(value: Expression | None = None) -> int:
+        tail.append(value)
+        done.append(first + len(tail) - 1)
+        return done[-1]
+
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is tuple:  # an operation after its operands
+            code, op = e
+            b = done.pop() if code == _BINARY else None
+            out.append((code, op, done.pop(), b, register()))
+        elif kind is Var:
+            done.append(literals + hole(e))
+        elif kind is Const:
+            j = hole(e)
+            if j is None:
+                register(e)
+            elif math.copysign(1.0, e.value) > 0:
+                done.append(j)
             else:
-                if build is None:
-                    build = _operation(tree, marks, shared)
-                node = build(c, v, m)
-            m[key] = node
-        return node
-
-    return once
-
-
-def _itself(e: Expression) -> Expression:
-    return e
+                out.append((_NEGATED, None, j, None, register()))
+        elif id(e) in shared:
+            out.append((_READ, *shared[id(e)], None, register()))
+        else:
+            todo += [(_UNARY, e.op), e.arg] if kind is Unary else [(_BINARY, e.op), e.right, e.left]
+    return tail, out, done[0]
 
 
-def _operation(tree: Expression, marks: tuple, shared: frozenset) -> Callable:
-    """``_builder`` of the operation ``tree``, which it builds every time."""
-    op = tree.op
-    if type(tree) is Unary:
-        arg = _builder(tree.arg, marks, shared)
-        return lambda c, v, m: Unary(op, arg(c, v, m))
-    left, right = _builder(tree.left, marks, shared), _builder(tree.right, marks, shared)
-    return lambda c, v, m: Binary(op, left(c, v, m), right(c, v, m))
+def _leaf_nodes(literals: Sequence[float], names: Sequence[str]) -> list[Expression]:
+    return [*map(Const, literals), *map(Var, names)]
+
+
+def run(program: tuple, leaves: list[Expression], memo: dict | None = None) -> Expression:
+    """The tree ``program`` builds from a form's ``leaves``, where ``memo``
+    holds the trees it reads, by template."""
+    tail, instructions, root = program
+    registers = leaves + tail
+    for code, arg, a, b, k in instructions:
+        if code == _BINARY:
+            registers[k] = Binary(arg, registers[a], registers[b])
+        elif code == _UNARY:
+            registers[k] = Unary(arg, registers[a])
+        elif code == _READ:
+            registers[k] = reduce(getattr, a, memo[arg])
+        else:  # _NEGATED
+            registers[k] = Const(-registers[a].value)
+    return registers[root]
+
+
+# ---------------------------------------------------------------------------
+# Parsing many texts of one shape
+#
+# The costs of a graphical game repeat a few forms over different
+# neighbours.  A text's skeleton is its token key (see ``expr._tokens``):
+# its operators and parentheses, and the kind of each leaf.  What the
+# parser builds depends on the skeleton alone, but for two checks on single
+# tokens: a literal that overflows, and a malformed ``x<digit>`` name,
+# which is a token of its own kind, as a stray character is, so no
+# skeleton the parser accepts has one.  So the first text of a skeleton is
+# parsed, and every later one is built from that tree with its own
+# literals and names in the leaves.
+# ---------------------------------------------------------------------------
+
+
+def parse_shaped(text: str, shapes: dict) -> tuple[Expression, tuple[str, tuple, tuple]]:
+    """``parse(text)`` and its shape (see ``shape``): its skeleton, its
+    literals and its names, from one pass of the token pattern.  ``shapes``
+    is the caller's table of the skeletons seen so far, kept for a set of
+    texts: a skeleton's first text is parsed, and each later one is built
+    by ``run`` from that tree, every literal, pow exponents included, and
+    every name a hole in text order.  A later text with an overflowing
+    literal is parsed too, which raises the parser's ``ParseError``."""
+    key, literals, names = _tokens(text)
+    # Tuples of numbers and strings, which the garbage collector stops tracking.
+    form = key, tuple(literals), tuple(names)
+    built = shapes.get(key)
+    if built is None or math.inf in literals:  # the parser raises on the latter
+        tree = shapes[key] = _Parser(text, *form).tree()
+        return tree, form
+    if type(built) is not tuple:
+        count = {Const: itertools.count(), Var: itertools.count()}
+        built = shapes[key] = program(built, lambda leaf: next(count[type(leaf)]), (len(literals), len(names)), {})
+    return run(built, _leaf_nodes(literals, names)), form
 
 
 class Forms:
@@ -316,21 +398,6 @@ class Rows(Sequence):
         groups = [(template, positions + shift, rows) for template, positions, rows in other.groups]
         return Rows(self.forms, self.trees + other.trees, self.groups + groups, self.memos)
 
-    def derived_memos(self) -> dict:
-        """A copy of ``memos`` for the trees of templates derived from these
-        (see ``Template.gradient``): each tree built so far is found there
-        by its template's nodes too."""
-        out: dict = {}
-        nodes: dict[Template, list[int]] = {}  # a template -> its operations' ids
-        for k, memo in self.memos.items():
-            out[k] = copy = dict(memo)
-            for template, tree in memo.items():
-                if isinstance(template, Template):
-                    if template not in nodes:
-                        nodes[template] = list(map(id, _interior(template.tree)))
-                    copy.update(zip(nodes[template], _interior(tree)))
-        return out
-
     def keys(self) -> list:
         """Each expression's template, or None."""
         keys = [None] * len(self)
@@ -338,14 +405,3 @@ class Rows(Sequence):
             for pos in positions.tolist():
                 keys[pos] = template
         return keys
-
-
-def _interior(e: Expression) -> list[Expression]:
-    """The operations of ``e``, breadth first: one order for every tree of
-    one structure."""
-    nodes = [] if type(e) is Const or type(e) is Var else [e]
-    for node in nodes:  # the loop reads what it appends
-        for child in (node.left, node.right) if type(node) is Binary else (node.arg,):
-            if type(child) is Binary or type(child) is Unary:
-                nodes.append(child)
-    return nodes

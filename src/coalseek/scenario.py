@@ -19,10 +19,11 @@ from typing import Any
 import numpy as np
 
 from .dynamics import IntegrateParams, Seeker, SeekerState
-# Bound as ``parse``: ``bench/tracing.py`` times each cost's parse by that name.
-from .expr import ParseError, parse_shaped as parse
+from .expr import ParseError
 from .game import Coalition, Game, GameError, infer_interference_graph
 from .graphs import ContainmentReport, Graph, GraphError, validate_containment
+# Bound as ``parse``: ``bench/tracing.py`` times each cost's parse by that name.
+from .rows import parse_shaped as parse
 
 __all__ = [
     "Scenario",
@@ -149,7 +150,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
     warnings: list[str] = []
     coalitions = []
     verdicts: dict[int, ContainmentReport] = {}
-    shapes: dict = {}  # one document's cost skeletons (see ``expr.parse_shaped``)
+    shapes: dict = {}  # one document's cost skeletons (see ``rows.parse_shaped``)
     for ci, raw in enumerate(raw_coalitions, start=1):
         path = f"$.coalitions[{ci - 1}]"
         if not isinstance(raw, dict):

@@ -22,7 +22,8 @@ from conftest import bench_generators
 
 def _compiled(exprs, names, guarded=()):
     """The sources ``compile_vector_function`` compiles, and each array of
-    the compiled function's namespace by name, with its dtype and bytes."""
+    the compiled function's namespace and of its scalar pieces' (``_s<c>``)
+    by name, with its dtype and bytes."""
     sources = []
 
     def capture(source, *args):
@@ -32,9 +33,12 @@ def _compiled(exprs, names, guarded=()):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "compile", capture, raising=False)
         function = compile_vector_function(exprs, names, guarded=guarded)
+    namespace = function.__globals__
+    scopes = [namespace] + [value.__globals__ for name, value in namespace.items() if name.startswith("_s")]
     arrays = {
         name: (value.dtype.str, value.shape, value.tobytes())
-        for name, value in function.__globals__.items()
+        for scope in scopes
+        for name, value in scope.items()
         if isinstance(value, (np.ndarray, np.generic))
     }
     return sources, arrays
@@ -168,7 +172,7 @@ def test_no_tree_is_lifted_where_no_shape_can_reach_vector_mode(monkeypatch):
         for value in rows[first][0]:
             tree = Binary("add", tree, Const(value))
         at = np.arange(first, first + 10)
-        groups.append((template(tree, rows[first][0]), at, at[:, None]))
+        groups.append((template(tree), at, at[:, None]))
     lifts = []
     lift = expr._lift
     monkeypatch.setattr(expr, "_lift", lambda e: lifts.append(e) or lift(e))

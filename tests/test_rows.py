@@ -4,6 +4,7 @@ instance is built where vector mode reads the rows, and a domain error
 builds the trees it names only when its message is read."""
 
 import functools
+import gc
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ import coalseek.game
 import coalseek.oracle
 from coalseek import rows
 from coalseek.dynamics import Seeker
-from coalseek.expr import VECTOR_MIN_INSTANCES, DomainError, Var, evaluate, gradient
+from coalseek.expr import VECTOR_MIN_INSTANCES, Binary, Const, DomainError, Unary, Var, evaluate, gradient
 from coalseek.game import _kernel_label
 from coalseek.oracle import _jacobian_exprs, _jacobian_function
 from coalseek.scenario import SCHEMA_KEY, parse_scenario
-from conftest import bench_generators
+from conftest import bench_generators, ring_game
 
 
 def _counted_gradient(monkeypatch) -> list:
@@ -110,3 +111,23 @@ def test_a_vector_mode_domain_error_names_the_first_failure_of_evaluate(monkeypa
 
     assert messages["jacobian"] == _first_failure(list(entries.values()), entry, x)
     assert messages["kernel"] == f"division by zero in the cost of agent (1,{(agent - 2) % M + 1})"
+
+
+def test_a_dropped_game_leaves_no_tree_in_cycle_garbage():
+    # A compiled function holds the trees its domain errors name; with no
+    # reference cycle through its namespace, reference counting frees them
+    # with the game, and the collector finds none.
+    gc.collect()
+    gc.disable()
+    try:
+        game = ring_game()
+        game.kernel, game.cost_kernel, _jacobian_function(game)
+        del game
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        nodes = [o for o in gc.garbage if type(o) in (Binary, Unary, Var, Const)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert nodes == []

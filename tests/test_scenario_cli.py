@@ -13,7 +13,7 @@ import pytest
 import coalseek
 from coalseek import cli
 from coalseek.cli import main
-from coalseek.expr import MAX_HEIGHT, compile_vector_function, evaluate
+from coalseek.expr import MAX_HEIGHT, TEMPLATE_MIN_TREES, compile_vector_function, evaluate
 from coalseek.scenario import (
     SCHEMA_KEY,
     ScenarioError,
@@ -1078,13 +1078,29 @@ def test_cli_too_deep_a_cost_is_one_validation_line(tmp_path, capsys, cost, mess
     )
 
 
-@pytest.mark.parametrize("command", ["run", "solve", "check"])
-def test_cli_runs_a_division_chain_of_the_greatest_height(tmp_path, capsys, command):
-    # Every division of the chain depends on x1_1, so each level of the cost
-    # adds levels to its first and second derivatives, which the compiler
-    # and the Newton Jacobian walk recursively.
-    cost = "x1_1" + "".join(f"/({j + 2} + x1_1)" for j in range(MAX_HEIGHT - 1))
-    argv = [command, _one_agent_file(tmp_path, cost, 0.5), "--format", "kv", "--horizon", "1"]
+@pytest.mark.parametrize(
+    "command, coalitions",
+    [
+        pytest.param(command, n, id=command if n == 1 else f"{command}-templated")
+        for n in (1, TEMPLATE_MIN_TREES)
+        for command in ("run", "solve", "check")
+    ],
+)
+def test_cli_runs_a_division_chain_of_the_greatest_height(tmp_path, capsys, command, coalitions):
+    # Every division of the chain depends on x<i>_1, so each level of the
+    # cost adds levels to its first and second derivatives, which the
+    # compiler and the Newton Jacobian walk recursively.  With one chain per
+    # coalition in as many coalitions as a template needs, the loader
+    # builds the later costs, and the templates every partial and entry.
+    costs = ["x{i}_1" + "".join(f"/({j + 2} + x{{i}}_1)" for j in range(MAX_HEIGHT - 1))] * coalitions
+    doc = {
+        "schema": SCHEMA_KEY,
+        "coalitions": [{"costs": [cost.format(i=i)]} for i, cost in enumerate(costs, start=1)],
+        "initial_x": [0.5] * coalitions,
+    }
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), "--format", "kv", "--horizon", "1"]
     if command == "run":
         argv += ["--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0

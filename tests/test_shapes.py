@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coalseek.expr import (
     _TOKEN_RE,
+    MAX_HEIGHT,
     Binary,
     Const,
     ParseError,
@@ -76,6 +77,15 @@ def test_costs_of_one_skeleton_load_as_parsed(tree, data):
         assert repr(cost) == repr(parse(text))
     reads = [names for c in game.coalitions for names in c.reads]
     assert reads == [free_variables(parse(text)) for text in texts]
+
+
+def test_costs_of_a_skeleton_of_the_greatest_height_load_as_parsed():
+    # A division chain in each agent's action: every later cost of the
+    # skeleton is built from the first one's tree, MAX_HEIGHT levels high.
+    chain = "{x}" + "".join(f"/({j + 2} + {{x}})" for j in range(MAX_HEIGHT - 1))
+    texts = [chain.format(x=name) for name in NAMES]
+    game = parse_scenario(_document(texts)).game
+    assert [repr(cost) for cost in game.costs] == [repr(parse(text)) for text in texts]
 
 
 GOOD = [
