@@ -47,16 +47,21 @@ input's start, Jacobian compile included (batched the same way).  Per input the 
 and IQR of the integrate wall time on each side, the change's relative
 move, how many pairs the change won, the median microseconds per kernel
 call and the median milliseconds per audit, per ``check`` audit set, per
-cost report and per solve.  Each also times
-loading: ``Seeker(load_scenario(source).game)``, batched as the audits are;
-per input the script prints its median and IQR on each side, the change's
-relative move and how many pairs the change won.
+cost report and per solve.  Each batch keeps its results until its clock
+stops, so no call's time includes freeing an earlier result.  Each also
+times loading: ``Seeker(load_scenario(source).game)``, batched as the audits
+are, and counts the expression nodes (``Binary``, ``Unary``, ``Var`` and
+``Const`` objects the garbage collector tracks) that one ``load_scenario``
+leaves alive.  Per input the script prints the load's median and IQR on
+each side, the change's relative move, how many pairs the change won and
+the node count on each side.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -204,12 +209,14 @@ def _digests(docs: Path, seed: int) -> dict:
     out = {}
     for label, source in _inputs(docs):
         game = load_scenario(source).game
-        out[f"{label} cost trees"] = _sha256(repr(game.costs))
-        out[f"{label} partial trees"] = _sha256(repr(tuple(game.partials.items())))
-        out[f"{label} jacobian trees"] = _sha256(repr(tuple(_jacobian_exprs(game).items())))
+        # The kernels compile before any tree is read for its digest, so
+        # they build the cost trees that the loader leaves unbuilt themselves.
         out[f"{label} kernel source"] = _compiled(lambda: game.kernel)
         out[f"{label} cost kernel source"] = _compiled(lambda: game.cost_kernel)
         out[f"{label} jacobian source"] = _compiled(lambda: _jacobian_function(game)[2])
+        out[f"{label} cost trees"] = _sha256(repr(tuple(game.costs)))
+        out[f"{label} partial trees"] = _sha256(repr(tuple(game.partials.items())))
+        out[f"{label} jacobian trees"] = _sha256(repr(tuple(_jacobian_exprs(game).items())))
     runs = [(label, source, COMMANDS) for label, source in _inputs(docs)]
     runs += [(label, str(docs / f"{label}.json"), commands) for label, commands in FAILING.items()]
     for label, source, commands in runs:
@@ -248,11 +255,34 @@ def _best_per_call(call, calls: int, batches: int) -> float:
 
 def _best_batch_ms(call) -> float:
     """Milliseconds per call of ``call()``: the best of 5 batches of up to
-    20 calls, each batch sized by a first call to run about 50 ms."""
+    20 calls, each batch sized by a first call to run about 50 ms.  A batch
+    keeps its results until its clock stops, so no call's time includes
+    freeing an earlier call's result."""
     start = time.perf_counter()
     call()
     calls = max(1, min(20, int(0.05 / (time.perf_counter() - start))))
-    return _best_per_call(call, calls, 5) * 1e3
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        kept = [call() for _ in range(calls)]
+        best = min(best, time.perf_counter() - start)
+        del kept
+    return best / calls * 1e3
+
+
+def _nodes_after_load(source: str) -> int:
+    """The expression nodes that one ``load_scenario(source)`` leaves alive:
+    its ``Binary``, ``Unary``, ``Var`` and ``Const`` objects among those
+    the garbage collector tracks."""
+    from coalseek.expr import Binary, Const, Unary, Var
+    from coalseek.scenario import load_scenario
+
+    kinds = (Binary, Unary, Var, Const)
+    before = sum(type(o) in kinds for o in gc.get_objects())
+    scenario = load_scenario(source)
+    after = sum(type(o) in kinds for o in gc.get_objects())
+    del scenario
+    return after - before
 
 
 def _check_audits(scenario) -> None:
@@ -277,6 +307,7 @@ def _times(docs: Path, repeats: int) -> dict:
 
     out = {}
     for label, source in _inputs(docs):
+        nodes = _nodes_after_load(source)
         scenario = load_scenario(source)
         seeker = Seeker(scenario.game)
         state = scenario.initial_state(seeker)
@@ -298,6 +329,7 @@ def _times(docs: Path, repeats: int) -> dict:
             "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
             "setup_ms": _best_batch_ms(lambda: Seeker(load_scenario(source).game)),
             "rhs_evals": trajectory.rhs_evals,
+            "nodes": nodes,
         }
     return out
 
@@ -376,14 +408,17 @@ def main() -> int:
               f"{f'{check[0]:.2f} -> {check[1]:.2f}':>18} {f'{costs[0]:.2f} -> {costs[1]:.2f}':>18} "
               f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
-    print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6}")
+    print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6} "
+          f"{'tree nodes after a load':>24}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["setup_ms"] for r in runs["parent"]]
         change = [r[label]["setup_ms"] for r in runs["change"]]
         (pm, piqr), (cm, ciqr) = _quartiles(parent), _quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
+        nodes = [statistics.median(r[label]["nodes"] for r in runs[side]) for side in sides]
         print(f"{label:<16} {f'{pm:.2f} ({piqr:.2f})':>22} {f'{cm:.2f} ({ciqr:.2f})':>20} "
-              f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6}")
+              f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
+              f"{f'{nodes[0]:.0f} -> {nodes[1]:.0f}':>24}")
     return 0
 
 

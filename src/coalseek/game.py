@@ -42,7 +42,7 @@ from .expr import (
     templates_for,
 )
 from .graphs import Graph, laplacian
-from .rows import Forms, Rows, template
+from .rows import Forms, Rows, Trees, template
 
 __all__ = [
     "Coalition",
@@ -82,13 +82,15 @@ def split_action_name(name: str) -> tuple[int, int] | None:
 class Coalition:
     """One coalition: per-agent costs, gains and graphs on agents 1..m.
 
-    ``forms`` holds each cost's shape (see ``expr.shape``), in cost order:
-    the ``shapes`` passed where the caller has them (loading reads them
-    from each cost's tokens), else one walk of each tree.
-    ``dataclasses.replace`` passes no ``shapes``, so it derives them from
-    the new costs."""
+    ``costs`` is any sequence of trees.  Loading gives ``rows.Trees``,
+    which holds the first tree of each skeleton and builds every other
+    cost's tree on its first read, from its form.  ``forms`` holds each
+    cost's shape (see ``expr.shape``), in cost order: the ``shapes`` passed
+    where the caller has them (loading reads them from each cost's
+    tokens), else one walk of each tree.  ``dataclasses.replace`` passes
+    no ``shapes``, so it derives them from the new costs."""
 
-    costs: tuple[Expression, ...]
+    costs: Sequence[Expression]
     dbar: tuple[float, ...]
     comm: Graph
     interference: Graph
@@ -242,21 +244,25 @@ class Game:
         """Every cost, in profile order, as ``rows.Rows`` over the costs'
         forms and trees: its tree and, where it has a template, made from
         the first cost of each key in ``templates`` of at least
-        ``expr.TEMPLATE_MIN_TREES`` costs, that and its form."""
+        ``expr.TEMPLATE_MIN_TREES`` costs, that and its form.  Only the
+        first cost of each template and the costs of none are read here."""
         literals_and_names = [(literals, names) for c in self.coalitions for _, literals, names in c.forms]
-        forms = Forms(literals_and_names, list(self.costs))
+        costs = self.costs
         made = templates_for(self.templates)
+        trees: list = [None] * len(costs)
         positions: dict = {}
-        for pos, (key, cost) in enumerate(zip(self.templates, self.costs)):
-            if key in made:
-                if made[key] is None:
-                    made[key] = template(cost)
-                positions.setdefault(key, []).append(pos)
+        for pos, key in enumerate(self.templates):
+            if key not in made:
+                trees[pos] = costs[pos]
+                continue
+            if made[key] is None:
+                made[key] = template(costs[pos])
+            positions.setdefault(key, []).append(pos)
         groups = []
         for key, at in positions.items():
             at = np.array(at, dtype=np.intp)
             groups.append((made[key], at, at[:, None]))
-        return Rows(forms, list(self.costs), groups)
+        return Rows(Forms(literals_and_names, costs), trees, groups)
 
     @cached_property
     def partial_rows(self) -> Rows:
@@ -319,9 +325,12 @@ class Game:
         return Layout(self.coalitions)
 
     @cached_property
-    def costs(self) -> tuple[Expression, ...]:
-        """Every cost, in profile order."""
-        return tuple(f for c in self.coalitions for f in c.costs)
+    def costs(self) -> Trees:
+        """Every cost, in profile order, read from its coalition's
+        ``costs`` on its first read, so that a tree the loader left to be
+        built is built then."""
+        at = [(c.costs, j) for c in self.coalitions for j in range(c.m)]
+        return Trees([None] * len(at), lambda k: at[k][0][at[k][1]])
 
     @cached_property
     def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -426,14 +435,14 @@ class Layout:
         tail: list[int] = []
         weight: list[float] = []
         for b in self.blocks:
-            comm = self.coalitions[b.coalition - 1].comm
+            adjacency = self.coalitions[b.coalition - 1].comm.adjacency
             slot_of = {j: b.start + pos for pos, j in enumerate(b.members)}
             for j in b.members:
-                for l in comm.neighbors(j):
+                for l, w in adjacency[j].items():
                     if l in slot_of:
                         head.append(slot_of[j])
                         tail.append(slot_of[l])
-                        weight.append(comm.weight(j, l))
+                        weight.append(w)
         return (
             np.array(head, dtype=np.intp),
             np.array(tail, dtype=np.intp),

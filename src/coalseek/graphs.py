@@ -90,7 +90,10 @@ class Graph:
         return len(self.vertices)
 
     @cached_property
-    def _adjacency(self) -> dict[int, dict[int, float]]:
+    def adjacency(self) -> dict[int, dict[int, float]]:
+        """Each vertex's neighbours, each with its edge's weight.  The
+        edges are sorted with ``j < l``, so each vertex's neighbours are in
+        ascending order."""
         adj: dict[int, dict[int, float]] = {v: {} for v in self.vertices}
         for j, l, w in self.edges:
             adj[j][l] = w
@@ -98,17 +101,17 @@ class Graph:
         return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adjacency[v]))
+        return tuple(self.adjacency[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return len(self.adjacency[v])
 
     def has_edge(self, j: int, l: int) -> bool:
-        return l in self._adjacency.get(j, ())
+        return l in self.adjacency.get(j, ())
 
     def weight(self, j: int, l: int) -> float:
         """Adjacency entry; 0.0 when (j, l) is not an edge."""
-        return self._adjacency.get(j, {}).get(l, 0.0)
+        return self.adjacency.get(j, {}).get(l, 0.0)
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((j, l) for j, l, _ in self.edges)

@@ -12,7 +12,8 @@ forms (``Forms``), and build an expression's tree only when it is read.
 template that reaches vector mode from the rows, with no tree built.
 
 One builder, ``program`` and ``run``, makes every tree from a form: the
-trees of templates, and each later cost of a skeleton at load.
+trees of templates, and each later cost of a skeleton, on its first read
+(``Trees``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .expr import Binary, Const, Expression, Unary, Var, _kept, _Parser, _tokens, _walk
 
-__all__ = ["Template", "template", "program", "run", "parse_shaped", "Forms", "Rows"]
+__all__ = ["Template", "template", "program", "run", "parse_shaped", "shaped", "Trees", "Forms", "Rows"]
 
 
 class Template:
@@ -209,7 +210,7 @@ def _leaf_map(tree: Expression, hole: Callable[[Expression], int | None]) -> tup
 # ---------------------------------------------------------------------------
 # Building trees from a form
 #
-# A later cost of a skeleton at load and each tree of a template are one
+# A later cost of a skeleton and each tree of a template are one
 # structure with a form's literals and names in its leaves.  ``run`` builds
 # it in one loop over a flat post-order list of instructions, one per
 # operation, with no recursion.  Its registers are the form's leaves (a
@@ -297,30 +298,65 @@ def run(program: tuple, leaves: list[Expression], memo: dict | None = None) -> E
 # tokens: a literal that overflows, and a malformed ``x<digit>`` name,
 # which is a token of its own kind, as a stray character is, so no
 # skeleton the parser accepts has one.  So the first text of a skeleton is
-# parsed, and every later one is built from that tree with its own
-# literals and names in the leaves.
+# parsed, and every later one is only tokenized: its tree is that tree
+# with the text's own literals and names in the leaves, which ``shaped``
+# builds on its first read.
 # ---------------------------------------------------------------------------
 
 
-def parse_shaped(text: str, shapes: dict) -> tuple[Expression, tuple[str, tuple, tuple]]:
-    """``parse(text)`` and its shape (see ``shape``): its skeleton, its
-    literals and its names, from one pass of the token pattern.  ``shapes``
-    is the caller's table of the skeletons seen so far, kept for a set of
-    texts: a skeleton's first text is parsed, and each later one is built
-    by ``run`` from that tree, every literal, pow exponents included, and
-    every name a hole in text order.  A later text with an overflowing
-    literal is parsed too, which raises the parser's ``ParseError``."""
+def parse_shaped(text: str, shapes: dict) -> tuple[Expression | None, tuple[str, tuple, tuple]]:
+    """``text``'s shape (see ``shape``), its skeleton, its literals and its
+    names, from one pass of the token pattern, after ``parse(text)`` where
+    the text is the first of its skeleton in ``shapes``, else None.
+    ``shapes`` is the caller's table of the first tree of each skeleton
+    seen so far, kept for a set of texts.  A later text with an
+    overflowing literal is parsed too, which raises the parser's
+    ``ParseError``."""
     key, literals, names = _tokens(text)
     # Tuples of numbers and strings, which the garbage collector stops tracking.
     form = key, tuple(literals), tuple(names)
-    built = shapes.get(key)
-    if built is None or math.inf in literals:  # the parser raises on the latter
-        tree = shapes[key] = _Parser(text, *form).tree()
-        return tree, form
-    if type(built) is not tuple:
+    if key in shapes and math.inf not in literals:  # the parser raises on the latter
+        return None, form
+    tree = shapes[key] = _Parser(text, *form).tree()
+    return tree, form
+
+
+def shaped(forms: Sequence[tuple], shapes: Mapping, programs: dict, j: int) -> Expression:
+    """The tree of ``forms[j]``, a later text of its skeleton (see
+    ``parse_shaped``), built by ``run`` from the first tree of the
+    skeleton in ``shapes``, every literal, pow exponents included, and
+    every name a hole in text order.  ``programs`` holds the program of
+    each skeleton, made on its first use."""
+    key, literals, names = forms[j]
+    built = programs.get(key)
+    if built is None:
         count = {Const: itertools.count(), Var: itertools.count()}
-        built = shapes[key] = program(built, lambda leaf: next(count[type(leaf)]), (len(literals), len(names)), {})
-    return run(built, _leaf_nodes(literals, names)), form
+        built = programs[key] = program(
+            shapes[key], lambda leaf: next(count[type(leaf)]), (len(literals), len(names)), {}
+        )
+    return run(built, _leaf_nodes(literals, names))
+
+
+class Trees(Sequence):
+    """Trees each built on its first read, which every later read returns:
+    ``trees[j]`` where it is not None, else ``build(j)``.  A slice is a
+    tuple of trees."""
+
+    __slots__ = ("_trees", "_build")
+
+    def __init__(self, trees: list, build: Callable[[int], Expression]):
+        self._trees, self._build = trees, build
+
+    def __len__(self) -> int:
+        return len(self._trees)
+
+    def __getitem__(self, j):
+        if type(j) is slice:
+            return tuple(map(self.__getitem__, range(len(self))[j]))
+        tree = self._trees[j]
+        if tree is None:
+            tree = self._trees[j] = self._build(j)
+        return tree
 
 
 class Forms:

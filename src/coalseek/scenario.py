@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -22,6 +23,7 @@ from .dynamics import IntegrateParams, Seeker, SeekerState
 from .expr import ParseError
 from .game import Coalition, Game, GameError, infer_interference_graph
 from .graphs import ContainmentReport, Graph, GraphError, validate_containment
+from .rows import Trees, shaped
 # Bound as ``parse``: ``bench/tracing.py`` times each cost's parse by that name.
 from .rows import parse_shaped as parse
 
@@ -150,7 +152,11 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
     warnings: list[str] = []
     coalitions = []
     verdicts: dict[int, ContainmentReport] = {}
-    shapes: dict = {}  # one document's cost skeletons (see ``rows.parse_shaped``)
+    # One document's cost skeletons: the first tree of each (see
+    # ``rows.parse_shaped``), and the program that builds its later trees,
+    # each on its first read (see ``rows.shaped``).
+    shapes: dict = {}
+    programs: dict = {}
     for ci, raw in enumerate(raw_coalitions, start=1):
         path = f"$.coalitions[{ci - 1}]"
         if not isinstance(raw, dict):
@@ -158,7 +164,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
         cost_strings = _expect(raw, "costs", list, path)
         if not cost_strings:
             raise ScenarioError(f"{path}.costs: must not be empty")
-        costs = []
+        costs = []  # each cost's tree, or None where its skeleton's first tree builds it
         forms = []  # each cost's shape: its skeleton, literals and names
         for jpos, text in enumerate(cost_strings):
             if not isinstance(text, str):
@@ -194,7 +200,7 @@ def parse_scenario(doc: dict, fallback_name: str = "scenario") -> Scenario:
                 )
         coalitions.append(
             Coalition(
-                costs=tuple(costs),
+                costs=Trees(costs, partial(shaped, forms, shapes, programs)),
                 dbar=dbar,
                 comm=comm,
                 interference=interference,

@@ -13,19 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalseek.analysis import cost_accounting
-from coalseek.corpus import random_quadratic_game
+from coalseek.corpus import random_containment_pair, random_quadratic_game
 from coalseek.dynamics import IntegrateParams, Seeker
 from coalseek.expr import Binary, Const, Var
 from coalseek.game import (
     Coalition,
     FlowAgent,
     Game,
+    Layout,
     action_name,
     build_congestion_game,
     pseudo_gradient,
 )
 from coalseek.graphs import Graph, interference_to_k_graph
-from conftest import rhs_arrays, tree_walk_pseudo_gradient
+from coalseek.scenario import parse_scenario
+from conftest import bench_generators, rhs_arrays, tree_walk_pseudo_gradient
 
 
 def _congestion_network():
@@ -91,6 +93,45 @@ def _check_operators(game, rng, span):
     head, tail, weight = layout.edges
     assert len(head) == len(tail) == len(weight) == cost_accounting(game).totals()[2]
     assert np.count_nonzero(dense - np.diag(np.diag(dense))) == len(head)
+
+
+def _edges_by_sorting(layout):
+    """Reference for ``Layout.edges``: each block's directed communication
+    edges, from its graph's edge list, sorted by head slot then tail slot."""
+    out = []
+    for b in layout.blocks:
+        slot_of = {j: b.start + pos for pos, j in enumerate(b.members)}
+        edges = layout.coalitions[b.coalition - 1].comm.edges
+        both = [(j, l, w) for j, l, w in edges] + [(l, j, w) for j, l, w in edges]
+        out += sorted((slot_of[j], slot_of[l], w) for j, l, w in both if j in slot_of and l in slot_of)
+    head, tail, weight = zip(*out) if out else ((), (), ())
+    return np.array(head, dtype=np.intp), np.array(tail, dtype=np.intp), np.array(weight, dtype=float)
+
+
+def _assert_edges_pinned(layout):
+    for got, want in zip(layout.edges, _edges_by_sorting(layout)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example2", "congestion-demo", "coalition1-fig1", "network"])
+def test_layout_edges_are_the_sorted_block_edges(games, name):
+    _assert_edges_pinned(games[name].layout)
+
+
+def test_layout_edges_of_the_congestion_net_are_the_sorted_block_edges():
+    _assert_edges_pinned(parse_scenario(bench_generators().congestion_network(5)).game.layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_layout_edges_of_containment_pairs_are_the_sorted_block_edges(seed, sizes):
+    rng = np.random.default_rng(seed)
+    coalitions = []
+    for m in sizes:
+        interference, comm = random_containment_pair(rng, m)
+        weighted = Graph.build(comm.vertices, [(j, l, rng.uniform(0.5, 2.0)) for j, l in comm.edge_pairs()])
+        coalitions.append(Coalition((Const(0.0),) * m, (1.0,) * m, weighted, interference))
+    _assert_edges_pinned(Layout(coalitions))
 
 
 @pytest.mark.parametrize("name", ["example2", "congestion-demo", "coalition1-fig1", "network"])

@@ -1,6 +1,7 @@
-"""Loading parses each cost skeleton once per document and builds every
-later cost of that skeleton from its tree: the trees, the names each cost
-reads and every load error must be those of a per-cost ``expr.parse``."""
+"""Loading parses each cost skeleton once per document and only tokenizes
+every later cost of that skeleton, whose tree is built from the first one's
+on its first read: the trees, the names each cost reads and every load
+error must be those of a per-cost ``expr.parse``."""
 
 import re
 import sys
@@ -23,6 +24,7 @@ from coalseek.expr import (
     render,
 )
 from coalseek.scenario import SCHEMA_KEY, ScenarioError, parse_scenario
+from conftest import bench_generators
 
 M = 4  # agents in each of the document's two coalitions
 NAMES = [f"x{i}_{j}" for i in (1, 2) for j in range(1, M + 1)]
@@ -73,8 +75,19 @@ def test_costs_of_one_skeleton_load_as_parsed(tree, data):
     texts = [render(tree)] + [render(_relabel(tree, data.draw)) for _ in range(2 * M - 1)]
     game = parse_scenario(_document(texts)).game
     assert len(game.costs) == len(texts)
-    for text, cost in zip(texts, game.costs):
-        assert repr(cost) == repr(parse(text))
+    # The costs and the partials read in a drawn order: a partial of a
+    # template reads the tree of its cost, which may not be built yet.
+    partials = game.partial_rows
+    reads = [("cost", j) for j in range(len(texts))] + [("partial", s) for s in range(len(partials))]
+    first = {}
+    for kind, at in data.draw(st.permutations(reads)):
+        if kind == "cost":
+            first[at] = game.coalitions[at // M].costs[at % M] if at % 2 else game.costs[at]
+        else:
+            partials[at]
+    for j, text in enumerate(texts):
+        assert repr(first[j]) == repr(parse(text))
+        assert game.costs[j] is first[j] and game.coalitions[j // M].costs[j % M] is first[j]
     reads = [names for c in game.coalitions for names in c.reads]
     assert reads == [free_variables(parse(text)) for text in texts]
 
@@ -188,3 +201,24 @@ def test_loading_walks_no_tree_for_its_names(monkeypatch):
     game = parse_scenario(_document(GOOD + [_swap_coalitions(text) for text in GOOD])).game
     assert game.supports[0] == (0, 1, 3, 4)
     assert len(game.partials) == 24
+
+
+def test_the_ring_builds_no_cost_tree_it_does_not_read(monkeypatch):
+    # The ring's costs have two skeletons and reach vector mode: its kernel,
+    # its Newton Jacobian and its cost report read the first cost of each
+    # template, and gather the others' literals and names from their forms.
+    import coalseek.rows
+    from coalseek.analysis import cost_accounting
+    from coalseek.dynamics import Seeker
+    from coalseek.oracle import solve_stationary
+
+    built = []
+    run = coalseek.rows.run
+    monkeypatch.setattr(coalseek.rows, "run", lambda *args: built.append(args) or run(*args))
+    scenario = parse_scenario(bench_generators().ring_game(5).doc)
+    game = scenario.game
+    Seeker(game)
+    solve_stationary(game, scenario.initial_x)
+    cost_accounting(game).render_kv()
+    assert game.n_actions == 1000
+    assert len(built) <= len(game.cost_rows.groups) == 2
