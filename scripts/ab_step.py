@@ -28,8 +28,10 @@ game's cost trees, of its partial trees and of its Newton second
 derivatives (``oracle._jacobian_exprs``), and the sources that compiling
 its kernel, its cost kernel and its Newton Jacobian passes to ``compile``,
 with the arrays each compiled function and its scalar pieces read from
-their namespaces, 163 digests in all.  Any digest that differs between the
-trees ends the script with exit code 1.
+their namespaces (for a Jacobian that sums the terms of one compiled
+function, that function's), 163 digests in all.  The script prints each
+digest that differs between the trees and times the pairs all the same;
+it then exits with code 1.
 
 Then ``--pairs`` pairs of subprocesses, one per tree, run in alternating order
 (the parent first in even pairs).  Each builds a ``Seeker`` per input, times
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -189,6 +192,8 @@ def _compiled(build) -> str:
         function = build()
     finally:
         del expr.compile
+    if isinstance(function, functools.partial):  # a Jacobian over its compiled terms
+        function = function.args[0]
     namespace = dict(function.__globals__)
     for name, value in function.__globals__.items():
         if name.startswith("_s"):
@@ -378,9 +383,8 @@ def main() -> int:
         differ = sorted(k for k in digests["parent"] if digests["parent"][k] != digests["change"].get(k))
         for key in differ:
             print(f"DIFFERS: {key}")
-        if differ:
-            return 1
-        print(f"digests: all {len(digests['parent'])} trajectories, reports, stderr texts and exit codes match")
+        if not differ:
+            print(f"digests: all {len(digests['parent'])} trajectories, reports, stderr texts and exit codes match")
 
         runs = {side: [] for side in sides}
         for pair in range(args.pairs):
@@ -419,7 +423,7 @@ def main() -> int:
         print(f"{label:<16} {f'{pm:.2f} ({piqr:.2f})':>22} {f'{cm:.2f} ({ciqr:.2f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
               f"{f'{nodes[0]:.0f} -> {nodes[1]:.0f}':>24}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -689,11 +689,10 @@ def _leaf_columns(
     """The constant and slot columns, one entry per row of ``rows``, of
     the leaves ``consts`` and ``names`` lifted from ``template``'s tree: a
     kept leaf's own value or slot, and else the literal, signed, or the
-    name's slot that its leaf map reads from each row.  ``rows[r, t]``
-    is the form of part ``t`` of row ``r``, a row of the matrices of
-    ``gather`` (see ``rows.Forms``): of the literals, and, with True, of
-    the slots.  A tree with no template keeps every leaf, so it is its own
-    one row."""
+    name's slot that its leaf map reads from each row.  ``rows[r]`` is the
+    form of row ``r``, a row of the matrices of ``gather`` (see
+    ``rows.Forms``): of the literals, and, with True, of the slots.  A
+    tree with no template keeps every leaf, so it is its own one row."""
     n = 1 if rows is None else len(rows)
     at_consts, at_names = (itertools.repeat(None),) * 2 if template is None else template.leaves
     columns = []
@@ -701,16 +700,12 @@ def _leaf_columns(
         if at is None:
             columns.append(np.full(n, leaf.value, dtype=float))
         else:
-            t, j, sign = at
-            column = gather(False)[rows[:, t], j]
+            j, sign = at
+            column = gather(False)[rows, j]
             columns.append(column if sign > 0 else -column)
     slots = []
-    for leaf, at in zip(names, at_names):
-        if at is None:
-            slots.append(np.full(n, slot_of[leaf.name]))
-        else:
-            t, j = at
-            slots.append(gather(True)[rows[:, t], j])
+    for leaf, j in zip(names, at_names):
+        slots.append(np.full(n, slot_of[leaf.name]) if j is None else gather(True)[rows, j])
     return columns, slots
 
 

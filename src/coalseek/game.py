@@ -261,7 +261,7 @@ class Game:
         groups = []
         for key, at in positions.items():
             at = np.array(at, dtype=np.intp)
-            groups.append((made[key], at, at[:, None]))
+            groups.append((made[key], at, at))
         return Rows(Forms(literals_and_names, costs), trees, groups)
 
     @cached_property
@@ -301,7 +301,7 @@ class Game:
                 g, j = divmod(c, width)
                 at = np.flatnonzero(code == c)
                 derivs, zero = made[g]
-                groups.append((derivs.get(j - 1, zero) if j else zero, at, owner[at, None]))
+                groups.append((derivs.get(j - 1, zero) if j else zero, at, owner[at]))
         trees: list = [None] * self.layout.size
         grads: dict[int, tuple] = {}  # cost -> its gradient in its coalition's names
         owners, columns = owner.tolist(), column.tolist()

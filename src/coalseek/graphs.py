@@ -140,11 +140,12 @@ def laplacian(g: Graph) -> np.ndarray:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
+    adjacency = g.adjacency
     seen = {g.vertices[0]}
     stack = [g.vertices[0]]
     while stack:
         v = stack.pop()
-        for u in g.neighbors(v):
+        for u in adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -230,10 +231,10 @@ def validate_containment(g_interference: Graph, g_comm: Graph) -> ContainmentRep
         g_comm.vertices, tuple(e for e in g_comm.edges if (e[0], e[1]) in kernel_pairs)
     )
     spans = is_connected(kernel)
-    adj = {v: set(kernel.neighbors(v)) for v in kernel.vertices}
+    adj = kernel.adjacency
     maximal = all(
-        (j, l) in kernel_pairs or (adj[j] & adj[l])
-        for j, l in g_interference.edge_pairs()
+        (j, l) in kernel_pairs or not adj[j].keys().isdisjoint(adj[l])
+        for j, l, _ in g_interference.edges
     )
     if not spans:
         failures.append("triangle-free kernel of the communication graph is not spanning-connected")

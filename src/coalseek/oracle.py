@@ -6,13 +6,12 @@ gradients."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial
 
 import numpy as np
 
-from .expr import DomainError, compile_vector_function
+from .expr import DomainError, all_finite, compile_vector_function
 from .expr import gradient as differentiate  # ``bench/tracing.py`` times it by this name
 from .game import Game, coalition_cost, pseudo_gradient
 from .rows import Rows
@@ -38,17 +37,17 @@ class StationaryReport:
     message: str = ""
 
 
-def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
-    """The second-derivative expressions of each pseudo-gradient component:
-    their row and column indices, and the expressions as ``rows.Rows``
-    over the costs' forms; absent positions are identically zero.  The
-    positions are in order of first appearance as the partials are read in
-    slot order, each one's columns in ascending order, and an entry sums
-    its terms in that order.  A partial with a template (see
-    ``Game.partial_rows``) is differentiated in every name once per
-    template, any other on its own.  An entry whose terms all have
-    templates is the sum of their templates, with their costs' forms side
-    by side; any other is its tree."""
+def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rows]:
+    """The second-derivative terms of each pseudo-gradient component: the
+    row and column indices of the entries they sum, each term's entry, and
+    the terms as ``rows.Rows`` over the costs' forms; absent entries are
+    identically zero.  The entries are in order of first appearance as the
+    partials are read in slot order, each one's columns in ascending order,
+    and the terms in entry order, each entry's in that reading order.  A
+    partial with a template (see ``Game.partial_rows``) is differentiated
+    in every name once per template, any other on its own: the terms form
+    one group per second-derivative template, with their costs' forms, and
+    the trees of the others."""
     index = game.var_index
     partials = game.partial_rows
     forms = partials.forms
@@ -62,7 +61,7 @@ def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
         read = forms.slots(index)
     for partial_template, at, owners in partials.groups:
         for j, second in partial_template.gradient(differentiate)[0].items():
-            terms.append((at, read[owners[:, 0], j], np.full(len(at), len(seconds)), owners[:, 0]))
+            terms.append((at, read[owners, j], np.full(len(at), len(seconds)), owners))
             seconds.append(second)
     by_slot: list[tuple] = []
     for slot, key in enumerate(partials.keys()):
@@ -73,7 +72,8 @@ def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
     if by_slot:
         terms.append(tuple(np.array(column, dtype=np.intp) for column in zip(*by_slot)))
     if not terms:
-        return np.empty(0, np.intp), np.empty(0, np.intp), Rows(forms, [], [])
+        empty = np.empty(0, np.intp)
+        return empty, empty, empty, Rows(forms, [], [])
     slots, cols, kinds, costs = (np.concatenate(column).astype(np.intp) for column in zip(*terms))
     n = game.n_actions
     order = np.argsort(slots * n + cols, kind="stable")  # reading order
@@ -86,37 +86,17 @@ def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, Rows]:
     entry = rank[entry]
     order = np.argsort(entry, kind="stable")  # each entry's terms in reading order
     entry, kinds, costs = entry[order], kinds[order], costs[order]
-    counts = np.bincount(entry)
-    starts = np.cumsum(counts) - counts
-    # Number each entry's sequence of term templates, one term at a time;
-    # -1 marks an entry with a term of no template.
-    chain = np.full(len(starts), -1, dtype=np.intp)
-    if seconds:
-        chain[:] = 0
-        for t in range(int(counts.max())):
-            longer = counts > t
-            pairs = chain[longer] * (len(seconds) + len(loose)) + kinds[starts[longer] + t] + len(loose)
-            chain[longer] = _numbered(pairs)[1] + chain.max() + 1
-        chain[np.bincount(entry[kinds < 0], minlength=len(starts)) > 0] = -1
-    trees: list = [None] * len(starts)
+    by_kind = np.argsort(kinds, kind="stable")  # the terms of no template, then each template's
+    starts = np.searchsorted(kinds[by_kind], np.arange(len(seconds) + 1))
+    trees: list = [None] * len(entry)
+    for pos in by_kind[: starts[0]].tolist():
+        trees[pos] = loose[-1 - int(kinds[pos])]
+    groups = [(second, at, costs[at]) for second, at in zip(seconds, np.split(by_kind, starts)[1:])]
     # The trees built from each cost's form, the partials' to start with,
     # which the second derivatives read: a table of this Jacobian's own.
     memos = {k: dict(memo) for k, memo in partials.memos.items()}
-    kinds_of, costs_of, starts_of = kinds.tolist(), costs.tolist(), starts.tolist()
-    for e in np.flatnonzero(chain < 0).tolist():
-        at = slice(starts_of[e], starts_of[e] + int(counts[e]))
-        kind_cost = zip(kinds_of[at], costs_of[at])
-        built = [loose[-1 - k] if k < 0 else seconds[k].build((c,), forms, memos) for k, c in kind_cost]
-        trees[e] = reduce(operator.add, built)
-    groups = []
-    templated = np.flatnonzero(chain >= 0)
-    number = _numbered(chain[templated])[1]
-    for g in range(int(number.max(initial=-1)) + 1):
-        at = templated[number == g]
-        parts = starts[at][:, None] + np.arange(counts[at[0]])
-        groups.append((reduce(operator.add, [seconds[k] for k in kinds[parts[0]].tolist()]), at, costs[parts]))
     firsts = first[appearance]
-    return rows[firsts], cols[firsts], Rows(forms, trees, groups, memos)
+    return rows[firsts], cols[firsts], entry, Rows(forms, trees, groups, memos)
 
 
 def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,24 +113,40 @@ def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobian_exprs(game: Game) -> dict:
-    """The trees of ``_jacobian_rows``, keyed (row index, column index)."""
-    rows, cols, exprs = _jacobian_rows(game)
-    return dict(zip(zip(rows.tolist(), cols.tolist()), exprs))
+    """The entries of ``_jacobian_rows`` as trees, keyed (row index,
+    column index): each the sum of its terms, from left to right."""
+    rows, cols, entry, terms = _jacobian_rows(game)
+    sums: list = [None] * len(rows)
+    for e, term in zip(entry.tolist(), terms):
+        sums[e] = term if sums[e] is None else sums[e] + term
+    return dict(zip(zip(rows.tolist(), cols.tolist()), sums))
 
 
 def _jacobian_function(game: Game):
     """The pseudo-gradient Jacobian as triplets: ``(rows, cols, values)``,
-    where ``values`` is a compiled function of the profile ``x`` returning
-    the entries at ``(rows, cols)`` and raising DomainError, naming the
-    entry and the operation, where an entry is not finite.  No position is
+    where ``values`` is a function of the profile ``x`` returning the
+    entries at ``(rows, cols)``: ``_entry_sums`` over one compiled function
+    of the terms of ``_jacobian_rows``, its first argument.  No position is
     listed twice."""
-    rows, cols, exprs = _jacobian_rows(game)
+    rows, cols, entry, terms = _jacobian_rows(game)
     names = game.var_names
 
-    def label(pos: int) -> str:
-        return f"the jacobian entry d/d{names[cols[pos]]} of component {names[rows[pos]]}"
+    def label(e: int) -> str:
+        return f"the jacobian entry d/d{names[cols[e]]} of component {names[rows[e]]}"
 
-    return rows, cols, compile_vector_function(exprs, names, label)
+    compiled = compile_vector_function(terms, names, lambda pos: label(entry[pos]))
+    return rows, cols, partial(_entry_sums, compiled, entry, label)
+
+
+def _entry_sums(terms, entry: np.ndarray, label, x: np.ndarray) -> np.ndarray:
+    """The entries at ``x``: the values of ``terms(x)`` added into their
+    ``entry``, each entry's in order.  ``terms`` raises DomainError, naming
+    the entry of the first term outside the domain and the operation; where
+    finite terms add up to an entry that is not finite, so does this."""
+    out = np.bincount(entry, terms(x))  # every entry has a term
+    if all_finite(out):
+        return out
+    raise DomainError(f"non-finite value in {label(int(np.flatnonzero(~np.isfinite(out))[0]))}")
 
 
 # Restarted GMRES for the Newton step (Saad & Schultz, *SIAM J. Sci. Stat.
@@ -192,6 +188,8 @@ def _gmres(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray) 
     residual, for the merit test to judge.  None where ``J`` maps a Krylov
     vector to 0, an entry is not finite, or no iterate reduces the residual
     at all."""
+    if not rows.size:
+        return None  # J is 0
     n = b.size
     diag = np.ones(n)
     on_diag = rows == cols

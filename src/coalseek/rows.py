@@ -1,11 +1,11 @@
 """Expressions as templates and rows.
 
 A graphical game's costs repeat a few forms over many agents, and so do
-their partials and the entries of the Newton Jacobian.  A ``Template`` is
-one tree that stands for all the trees of a form: a copy of a tree whose
-holes are markers and whose names are labels (see ``expr.template_key``),
-or a derivative of such a copy, or a sum of these.  Each tree it stands for
-is a row: the literals and the names of a form for each of its parts.
+their partials and the second-derivative terms of the Newton Jacobian.  A
+``Template`` is one tree that stands for all the trees of a form: a copy
+of a tree whose holes are markers and whose names are labels (see
+``expr.template_key``), or a derivative of such a copy.  Each tree it
+stands for is a row: one form, whose literals and names fill its holes.
 ``Rows`` hold a set of expressions as templates and rows, over one table of
 forms (``Forms``), and build an expression's tree only when it is read.
 ``expr.compile_vector_function`` gathers the constants and slots of a
@@ -32,20 +32,17 @@ __all__ = ["Template", "template", "program", "run", "parse_shaped", "shaped", "
 
 
 class Template:
-    """A sum of trees, one per part, that stands for one such sum per row.
-    A row holds one part per term, the literals and the names of a form
-    (see ``shape``).  ``template`` makes one of one part, a marked copy of
-    a tree of a key, ``gradient`` the derivatives of such a copy, and
-    ``+`` a sum, whose ``parts`` are the templates of one part it adds
-    (none for a template of one part).  Its leaf map (``leaves``) gives
-    each leaf of the sum but the pow exponents, left to right: a constant
-    is kept (None) or literal ``j`` of part ``t`` times ``sign``
-    (``(t, j, sign)``), and a name is name ``j`` of part ``t`` (``(t, j)``)."""
+    """A tree that stands for one tree per row, a form (see ``shape``).
+    ``template`` makes a marked copy of a tree of a key, and ``gradient``
+    the derivatives of such a copy.  Its leaf map (``leaves``) gives each
+    leaf of the tree but the pow exponents, left to right: a constant is
+    kept (None) or literal ``j`` of the form times ``sign`` (``(j,
+    sign)``), and a name is name ``j`` of the form."""
 
-    __slots__ = ("tree", "parts", "_marks", "_shared", "_program", "_sources", "_leaves")
+    __slots__ = ("tree", "_marks", "_shared", "_program", "_sources", "_leaves")
 
-    def __init__(self, tree: Expression, parts: tuple = (), marks=None, shared: dict | None = None):
-        self.tree, self.parts = tree, parts
+    def __init__(self, tree: Expression, marks=None, shared: dict | None = None):
+        self.tree = tree
         self._marks = marks  # of a marked copy: its ``hole``, label -> name, and a form's sizes
         # Its ancestors' operations, which the trees of a form share (see
         # ``program``); None for a marked copy, whose trees are its forms'.
@@ -58,26 +55,15 @@ class Template:
         """The leaf map, as the constants' and the names', worked out on
         first read."""
         if self._leaves is None:
-            if not self.parts:
-                self._leaves = _leaf_map(self.tree, self._marks[0])
-            else:
-                consts, names = [], []
-                for t, part in enumerate(self.parts):
-                    consts += [None if at is None else (t, *at[1:]) for at in part.leaves[0]]
-                    names += [(t, j) for _, j in part.leaves[1]]
-                self._leaves = tuple(consts), tuple(names)
+            self._leaves = _leaf_map(self.tree, self._marks[0])
         return self._leaves
 
-    def build(self, row: Sequence[int], forms: "Forms", memos: dict) -> Expression:
-        """The sum of trees of the row whose parts are ``forms.rows[k]``
-        for each ``k`` of ``row``.  ``memos`` holds a table per form of the
-        trees built from it, by template, so that a tree is built once, and
-        reads the nodes it shares with the trees of the templates it
-        derives from, the form's own tree among them where ``forms`` has
-        it."""
-        if self.parts:
-            return reduce(_add_node, [t.build((k,), forms, memos) for t, k in zip(self.parts, row)])
-        (k,) = row
+    def build(self, k: int, forms: "Forms", memos: dict) -> Expression:
+        """The tree of the row ``forms.rows[k]``.  ``memos`` holds a table
+        per form of the trees built from it, by template, so that a tree is
+        built once, and reads the nodes it shares with the trees of the
+        templates it derives from, the form's own tree among them where
+        ``forms`` has it."""
         memo = memos.get(k)
         if memo is None:
             memo = memos[k] = {_LEAVES: _leaf_nodes(*forms.rows[k])}
@@ -92,16 +78,16 @@ class Template:
             self._program = program(self.tree, hole, sizes, self._shared or {})
             self._sources = {arg for code, arg, *_ in self._program[1] if code == _READ}
         for source in self._sources:
-            source.build(row, forms, memos)
+            source.build(k, forms, memos)
         tree = memo[self] = run(self._program, memo[_LEAVES], memo)
         return tree
 
     def gradient(self, differentiate: Callable, wrt: Container[int] | None = None):
-        """The templates of ``gradient`` of each of its trees, of one part,
-        in the names ``wrt`` of its rows (all where None), where
-        ``differentiate`` is ``gradient`` as the caller binds it: the
-        derivative in each name the trees read, by the name's first place
-        in a row, and the one in any other name."""
+        """The templates of ``gradient`` of each of its trees in the names
+        ``wrt`` of its rows (all where None), where ``differentiate`` is
+        ``gradient`` as the caller binds it: the derivative in each name
+        the trees read, by the name's first place in a row, and the one in
+        any other name."""
         labels = self._marks[1]
         if wrt is not None:
             wrt = {label for label, j in labels.items() if j in wrt}
@@ -111,13 +97,6 @@ class Template:
             shared = {**_paths(self.tree, self), **shared}
         derived = partial(Template, marks=self._marks, shared=shared)
         return {labels[label]: derived(d) for label, d in derivs.items()}, derived(zero)
-
-    def __add__(self, other: "Template") -> "Template":
-        return Template(Binary("add", self.tree, other.tree), (self.parts or (self,)) + (other.parts or (other,)))
-
-
-def _add_node(left: Expression, right: Expression) -> Expression:
-    return Binary("add", left, right)
 
 
 def template(tree: Expression) -> Template:
@@ -196,9 +175,9 @@ def _leaf_map(tree: Expression, hole: Callable[[Expression], int | None]) -> tup
         if kind is Const:
             if not power:
                 j = hole(e)
-                consts.append(None if j is None else (0, j, math.copysign(1.0, e.value)))
+                consts.append(None if j is None else (j, math.copysign(1.0, e.value)))
         elif kind is Var:
-            names.append((0, hole(e)))
+            names.append(hole(e))
         elif kind is Unary:
             stack.append((e.arg, False))
         else:
@@ -361,7 +340,7 @@ class Trees(Sequence):
 
 class Forms:
     """The literals and names of the forms (see ``shape``) of a set of
-    trees, by index: ``rows[k]`` is one part of a template's row (see
+    trees, by index: ``rows[k]`` is form ``k``, a row of a template (see
     ``Template``), and ``trees[k]``, where given, the tree of form ``k``,
     whose nodes the trees built from it share.  Vector mode gathers from
     the forms as matrices, one row per form, padded where forms are
@@ -396,12 +375,12 @@ def _padded(items: list[tuple], values: np.ndarray, fill) -> np.ndarray:
 
 class Rows(Sequence):
     """Expressions given by templates and rows.  ``groups`` holds each
-    template with its positions and, per position, its row: the index in
-    ``forms`` of each of its parts (see ``Template``).  ``trees[pos]`` is
+    template with its positions and, per position, its row: the index of
+    one form in ``forms`` (see ``Template``).  ``trees[pos]`` is
     expression ``pos`` where it is not None, and is not None at every
     position of no group.  A tree of a template is built on its first
-    read, and shares nodes with the trees built before from a form of its
-    row (``memos``, which ``Rows`` of one ``forms`` may share).  The
+    read, and shares nodes with the trees built before from its row's form
+    (``memos``, which ``Rows`` of one ``forms`` may share).  The
     compiler gathers the rows of a template that reaches vector mode, and
     builds none of its trees."""
 

@@ -50,7 +50,7 @@ def _compiles(game):
     return {
         "kernel": (game.partial_rows, game.cost_rows),
         "cost kernel": (game.cost_rows + game.partial_rows, ()),
-        "jacobian": (_jacobian_rows(game)[2], ()),
+        "jacobian": (_jacobian_rows(game)[3], ()),
     }
 
 
@@ -172,7 +172,7 @@ def test_no_tree_is_lifted_where_no_shape_can_reach_vector_mode(monkeypatch):
         for value in rows[first][0]:
             tree = Binary("add", tree, Const(value))
         at = np.arange(first, first + 10)
-        groups.append((template(tree), at, at[:, None]))
+        groups.append((template(tree), at, at))
     lifts = []
     lift = expr._lift
     monkeypatch.setattr(expr, "_lift", lambda e: lifts.append(e) or lift(e))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coalseek import oracle
 from coalseek.corpus import random_quadratic_game
-from coalseek.expr import DomainError, free_variables, parse
+from coalseek.expr import DomainError, evaluate, free_variables, parse
 from coalseek.game import (
     Coalition,
     FlowAgent,
@@ -24,8 +24,8 @@ from coalseek.oracle import (
     solve_stationary,
     verify_nash,
 )
-from coalseek.scenario import load_scenario
-from conftest import STATIONARY_SECOND, ring_game
+from coalseek.scenario import load_scenario, parse_scenario
+from conftest import STATIONARY_SECOND, bench_generators, ring_game
 
 
 def _quadratic_single(cost="(x1_1 - 3)^2"):
@@ -57,6 +57,36 @@ def test_newton_exact_on_quadratics(quadratic_corpus):
         assert report.converged
         assert report.iterations <= 2  # affine map: one Newton step suffices
         assert np.abs(report.x - x_star).max() <= 1e-10
+
+
+def _assert_jacobian_walks_its_trees(game, x):
+    """The compiled Jacobian's entries at ``x`` equal ``evaluate`` of each
+    entry's tree (``_jacobian_exprs``), where +0 and -0 are equal."""
+    x = np.asarray(x, dtype=float)
+    env = dict(zip(game.var_names, x.tolist()))
+    reference = [evaluate(e, env) for e in oracle._jacobian_exprs(game).values()]
+    assert _jacobian_function(game)[2](x).tolist() == reference
+
+
+@pytest.mark.parametrize("name", ["example2", "congestion-demo", "coalition1-fig1"])
+def test_jacobian_entries_match_the_tree_walk_on_presets(name):
+    scenario = load_scenario(name)
+    _assert_jacobian_walks_its_trees(scenario.game, scenario.initial_x)
+
+
+@pytest.mark.parametrize("name", ["ring_game", "congestion_network"])
+def test_jacobian_entries_match_the_tree_walk_on_the_benchmark_documents(name):
+    made = getattr(bench_generators(), name)(5)
+    scenario = parse_scenario(made.doc if name == "ring_game" else made)
+    _assert_jacobian_walks_its_trees(scenario.game, scenario.initial_x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jacobian_entries_match_the_tree_walk_on_quadratic_games(seed):
+    rng = np.random.default_rng(seed)
+    game = random_quadratic_game(rng).game
+    _assert_jacobian_walks_its_trees(game, rng.uniform(-2.0, 2.0, game.n_actions))
 
 
 def _dense_jacobian(game):
@@ -128,6 +158,9 @@ def test_newton_singular_jacobian_at_a_start_reported():
     # P = (x1 + x2 - 1, x1 + x2 + 1): a rank-one jacobian, with no solution.
     game = _one_agent_coalitions("0.5*x1_1^2 + x1_1*x2_1 - x1_1", "0.5*x2_1^2 + x1_1*x2_1 + x2_1")
     report = solve_stationary(game, np.zeros(2))
+    assert (report.converged, report.iterations, report.message) == (False, 0, "singular jacobian")
+    # P = 2 has a jacobian with no entry.
+    report = solve_stationary(_quadratic_single("2*x1_1"), np.array([0.5]))
     assert (report.converged, report.iterations, report.message) == (False, 0, "singular jacobian")
 
 

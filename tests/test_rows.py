@@ -1,4 +1,4 @@
-"""A game's templated partials and Newton Jacobian entries are compiled from
+"""A game's templated partials and Newton Jacobian terms are compiled from
 the rows of its costs' literals and names (``coalseek.rows``): no tree of an
 instance is built where vector mode reads the rows, and a domain error
 builds the trees it names only when its message is read."""
@@ -96,7 +96,8 @@ def test_a_vector_mode_domain_error_names_the_first_failure_of_evaluate(monkeypa
         raised[name] = info.value
     assert builds == []  # no tree is built until a message is read
     messages = {name: str(err) for name, err in raised.items()}
-    assert builds and "_p0" in functions["jacobian"].__globals__  # the Jacobian's message built its entries
+    # The Jacobian sums the terms of one compiled function, whose message built its terms.
+    assert builds and "_p0" in functions["jacobian"].args[0].__globals__
     label = functools.partial(_kernel_label, game.var_names, game.layout.keys)
     partials = list(game.partials.values())
     assert messages["kernel"] == _first_failure(list(game.costs) + partials, label, x)

@@ -507,6 +507,53 @@ def test_cli_jacobian_domain_exit_names_entry_and_operation(tmp_path, capsys):
     )
 
 
+def _solve_message(tmp_path, capsys, costs, start):
+    """``solve``'s message on one coalition of two agents that communicate,
+    where it exits 3."""
+    doc = {
+        "schema": SCHEMA_KEY,
+        "name": "two-agents",
+        "coalitions": [{"costs": costs, "communication": [[1, 2]]}],
+        "initial_x": start,
+    }
+    path = tmp_path / "two-agents.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--format", "kv"]) == 3
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())["message"]
+
+
+def test_cli_jacobian_entry_whose_finite_terms_overflow(tmp_path, capsys):
+    # Both costs add 1e308 to the entry d/dx1_2 of component x1_1: each
+    # term is finite and their sum is not.
+    costs = ["1e308*x1_1*x1_2 + x1_1^2", "1e308*x1_1*x1_2 + x1_2^2"]
+    assert _solve_message(tmp_path, capsys, costs, [0.25, 0.25]) == (
+        "jacobian left the domain: non-finite value in the jacobian entry d/dx1_2 of component x1_1"
+    )
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        # The entry d/dx1_2 of component x1_2 sums 1e308*2, which overflows
+        # with no failing operation, and then 0.75*x1_2^-0.5, whose pow
+        # fails at 0: the first term outside the domain names the entry.
+        (
+            ["x1_1^2 + 1e308*x1_2^2", "x1_1*x1_2^1.5 + x1_2^2"],
+            "non-finite value in the jacobian entry d/dx1_2 of component x1_2",
+        ),
+        # The entry d/dx1_2 of component x1_1 sums two finite terms of 1e308,
+        # and a term of the later entry d/dx1_2 of component x1_2 fails: a
+        # failing term is named before a sum of finite terms.
+        (
+            ["1e308*x1_1*x1_2 + x1_1^2", "1e308*x1_1*x1_2 + x1_2^1.5"],
+            "pow(0.0, -0.5) left the real domain in the jacobian entry d/dx1_2 of component x1_2",
+        ),
+    ],
+)
+def test_cli_jacobian_domain_exit_names_the_first_term_outside(tmp_path, capsys, costs, message):
+    assert _solve_message(tmp_path, capsys, costs, [0.25, 0.0]) == f"jacobian left the domain: {message}"
+
+
 def _example2_rk4_file(tmp_path):
     """example2's document with fixed-step RK4 as its integrator: h = 0.005
     to t = 200, every 200th step recorded."""
