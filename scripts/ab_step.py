@@ -54,9 +54,13 @@ stops, so no call's time includes freeing an earlier result.  Each also
 times loading: ``Seeker(load_scenario(source).game)``, batched as the audits
 are, and counts the expression nodes (``Binary``, ``Unary``, ``Var`` and
 ``Const`` objects the garbage collector tracks) that one ``load_scenario``
-leaves alive.  Per input the script prints the load's median and IQR on
-each side, the change's relative move, how many pairs the change won and
-the node count on each side.
+leaves alive.  It times the template layer too, batched the same way:
+``Game.partial_rows`` on freshly loaded games whose ``layout`` is built
+before the clock starts, with the ``templates`` and ``cost_rows`` it reads,
+and ``oracle._jacobian_rows`` on a game whose ``partial_rows`` are built.
+Per input the script prints the load's median and IQR on each side, the
+change's relative move, how many pairs the change won, the node count on
+each side, and the median milliseconds of each template-layer build.
 """
 
 from __future__ import annotations
@@ -259,20 +263,37 @@ def _best_per_call(call, calls: int, batches: int) -> float:
 
 
 def _best_batch_ms(call) -> float:
-    """Milliseconds per call of ``call()``: the best of 5 batches of up to
-    20 calls, each batch sized by a first call to run about 50 ms.  A batch
-    keeps its results until its clock stops, so no call's time includes
-    freeing an earlier call's result."""
+    """Milliseconds per call of ``call()`` (see ``_fresh_batch_ms``)."""
+    return _fresh_batch_ms(lambda: None, lambda _: call())
+
+
+def _fresh_batch_ms(fresh, call) -> float:
+    """Milliseconds per call of ``call(fresh())``, with every call's
+    ``fresh()`` made before its batch's clock starts: the best of 5 batches
+    of up to 20 calls, each batch sized by a first call to run about 50 ms.
+    A batch keeps its results until its clock stops, so no call's time
+    includes freeing an earlier call's result."""
+    made = fresh()
     start = time.perf_counter()
-    call()
+    call(made)
     calls = max(1, min(20, int(0.05 / (time.perf_counter() - start))))
     best = float("inf")
     for _ in range(5):
+        made = [fresh() for _ in range(calls)]
         start = time.perf_counter()
-        kept = [call() for _ in range(calls)]
+        kept = [call(m) for m in made]
         best = min(best, time.perf_counter() - start)
-        del kept
+        del kept, made
     return best / calls * 1e3
+
+
+def _laid_out(source: str):
+    """A freshly loaded game whose ``layout`` is built."""
+    from coalseek.scenario import load_scenario
+
+    game = load_scenario(source).game
+    game.layout
+    return game
 
 
 def _nodes_after_load(source: str) -> int:
@@ -307,7 +328,7 @@ def _times(docs: Path, repeats: int) -> dict:
     import numpy as np
     from coalseek.analysis import cost_accounting
     from coalseek.dynamics import Seeker
-    from coalseek.oracle import gradient_check, solve_stationary
+    from coalseek.oracle import _jacobian_rows, gradient_check, solve_stationary
     from coalseek.scenario import load_scenario
 
     out = {}
@@ -333,6 +354,8 @@ def _times(docs: Path, repeats: int) -> dict:
             "costs_ms": _best_batch_ms(lambda: cost_accounting(scenario.game).render_kv()),
             "solve_ms": _best_batch_ms(lambda: solve_stationary(scenario.game, x)),
             "setup_ms": _best_batch_ms(lambda: Seeker(load_scenario(source).game)),
+            "partial_rows_ms": _fresh_batch_ms(lambda: _laid_out(source), lambda game: game.partial_rows),
+            "jacobian_rows_ms": _best_batch_ms(lambda: _jacobian_rows(scenario.game)),
             "rhs_evals": trajectory.rhs_evals,
             "nodes": nodes,
         }
@@ -413,16 +436,19 @@ def main() -> int:
               f"{f'{solve[0]:.2f} -> {solve[1]:.2f}':>18} "
               f"{'/'.join(map(str, sorted(evals))):>9}")
     print(f"\n{'input':<16} {'setup parent ms (IQR)':>22} {'change ms (IQR)':>20} {'move':>7} {'wins':>6} "
-          f"{'tree nodes after a load':>24}")
+          f"{'tree nodes after a load':>24} {'partial_rows ms':>16} {'_jacobian_rows ms':>18}")
     for label, _ in _inputs(Path()):
         parent = [r[label]["setup_ms"] for r in runs["parent"]]
         change = [r[label]["setup_ms"] for r in runs["change"]]
         (pm, piqr), (cm, ciqr) = _quartiles(parent), _quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
         nodes = [statistics.median(r[label]["nodes"] for r in runs[side]) for side in sides]
+        partial = [statistics.median(r[label]["partial_rows_ms"] for r in runs[side]) for side in sides]
+        jacobian = [statistics.median(r[label]["jacobian_rows_ms"] for r in runs[side]) for side in sides]
         print(f"{label:<16} {f'{pm:.2f} ({piqr:.2f})':>22} {f'{cm:.2f} ({ciqr:.2f})':>20} "
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
-              f"{f'{nodes[0]:.0f} -> {nodes[1]:.0f}':>24}")
+              f"{f'{nodes[0]:.0f} -> {nodes[1]:.0f}':>24} {f'{partial[0]:.3f} -> {partial[1]:.3f}':>16} "
+              f"{f'{jacobian[0]:.3f} -> {jacobian[1]:.3f}':>18}")
     return 1 if differ else 0
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "differentiate",
     "gradient",
     "template_key",
-    "templates_for",
     "free_variables",
 ]
 
@@ -926,9 +925,10 @@ def _vector_groups(
     vector mode.  The expressions of a template that reaches it are gathered from
     their rows, and none is built."""
     keyed: list[tuple[list[int], object, np.ndarray | None]]  # positions, template, rows
-    keyed = [([pos], None, None) for pos, key in enumerate(_keys(exprs)) if key is None]
     if hasattr(exprs, "groups"):
-        keyed += [(positions.tolist(), template, rows) for template, positions, rows in exprs.groups]
+        keyed = [(positions.tolist(), template, rows) for template, positions, rows in exprs.groups]
+    else:
+        keyed = [([pos], None, None) for pos in range(len(exprs))]
     keyed.sort(key=lambda part: (-len(part[0]), part[0][0]))  # the largest first, then in position order
     shapes: dict[str, list] = {}  # shape -> its parts: the positions, template, rows and lifted leaves of a key
     counts: Counter = Counter()
@@ -1267,15 +1267,6 @@ def template_key(form: tuple[str, tuple, tuple], wrt: Container[str], powers: di
 # of the presets, ring-sparse and congestion-net), so it pays from about
 # four trees.
 TEMPLATE_MIN_TREES = 4
-
-
-def templates_for(keys: Iterable) -> dict:
-    """A table of the keys of a set of trees of ``keys`` that make a
-    template: each key of at least ``TEMPLATE_MIN_TREES`` of them but None,
-    the key of no template, with no template until its first tree makes
-    one (see ``rows.template``)."""
-    counts = Counter(keys)
-    return dict.fromkeys(k for k, n in counts.items() if n >= TEMPLATE_MIN_TREES and k is not None)
 
 
 def _walk(e: Expression) -> Iterator[Expression]:

@@ -15,7 +15,6 @@ the compiler's rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
@@ -39,10 +38,9 @@ from .expr import (
     gradient as differentiate,
     shape,
     template_key,
-    templates_for,
 )
 from .graphs import Graph, laplacian
-from .rows import Forms, Rows, Trees, template
+from .rows import Forms, Rows, Trees, kept, numbered, template
 
 __all__ = [
     "Coalition",
@@ -224,94 +222,80 @@ class Game:
     @cached_property
     def templates(self) -> tuple[int | None, ...]:
         """For each cost, in profile order, the number of its derivatives'
-        template in its coalition's names, one per ``expr.template_key``,
-        or None where too few costs share its skeleton to share a
-        template.  A number hashes in one step, where a key hashes every
-        item it holds."""
+        template in its coalition's names, one per ``expr.template_key`` of
+        at least ``TEMPLATE_MIN_TREES`` costs, or None where fewer costs
+        share its key, which then has a kept template of its own (see
+        ``cost_rows``).  A number hashes in one step, where a key hashes
+        every item it holds."""
         skeletons = Counter(form[0] for c in self.coalitions for form in c.forms)
         powers: dict = {}
-        out = []
+        keys = []
         for i, c in enumerate(self.coalitions, start=1):
             own = frozenset(action_name(i, k) for k in range(1, c.m + 1))
             for form in c.forms:
                 enough = skeletons[form[0]] >= TEMPLATE_MIN_TREES
-                out.append(template_key(form, own, powers) if enough else None)
-        number: dict = {None: None}
-        return tuple([number.setdefault(key, len(number) - 1) for key in out])
+                keys.append(template_key(form, own, powers) if enough else None)
+        first: dict = {None: None}  # each key's number among every key
+        numbers = [first.setdefault(key, len(first) - 1) for key in keys]
+        counts = Counter(numbers)
+        number: dict = {}
+        return tuple([
+            number.setdefault(n, len(number)) if n is not None and counts[n] >= TEMPLATE_MIN_TREES else None
+            for n in numbers
+        ])
 
     @cached_property
     def cost_rows(self) -> Rows:
         """Every cost, in profile order, as ``rows.Rows`` over the costs'
-        forms and trees: its tree and, where it has a template, made from
-        the first cost of each key in ``templates`` of at least
-        ``expr.TEMPLATE_MIN_TREES`` costs, that and its form.  Only the
-        first cost of each template and the costs of none are read here."""
-        literals_and_names = [(literals, names) for c in self.coalitions for _, literals, names in c.forms]
+        forms and trees: one group per number of ``templates``, whose
+        template is made from its first cost, and a kept template of each
+        other cost.  Only the first cost of each group is read here."""
+        rows = [(literals, names) for c in self.coalitions for _, literals, names in c.forms]
         costs = self.costs
-        made = templates_for(self.templates)
-        trees: list = [None] * len(costs)
-        positions: dict = {}
-        for pos, key in enumerate(self.templates):
-            if key not in made:
-                trees[pos] = costs[pos]
-                continue
-            if made[key] is None:
-                made[key] = template(costs[pos])
-            positions.setdefault(key, []).append(pos)
+        positions: dict = {}  # each group's template number, or its kept cost as a tuple -> its positions
+        for pos, number in enumerate(self.templates):
+            positions.setdefault((pos,) if number is None else number, []).append(pos)
         groups = []
         for key, at in positions.items():
+            first = at[0]
+            made = kept(costs[first], rows[first][1]) if type(key) is tuple else template(costs[first])
             at = np.array(at, dtype=np.intp)
-            groups.append((made[key], at, at))
-        return Rows(Forms(literals_and_names, costs), trees, groups)
+            groups.append((made, at, at))
+        return Rows(Forms(rows, costs), groups)
 
     @cached_property
     def partial_rows(self) -> Rows:
         """Every partial d f_ij / d x_ik, in slot order (``Layout.keys``),
         as ``rows.Rows`` over the costs' forms, sharing the nodes of
-        ``cost_rows``: where its cost has a template, the template of the
-        derivative in the name, from one differentiation of the cost's
-        template in its coalition's names, and its cost's form; else its
-        tree, from a differentiation of its cost."""
+        ``cost_rows``: the template of the derivative in the name, from one
+        differentiation of its cost's template in the names of its cost's
+        partials, and its cost's form."""
         costs = self.cost_rows
         owner, column = self.layout.owner, self.layout.column
-        names = self.var_names
-        starts = [0, *itertools.accumulate(self.sizes)]
-        own = [set(names[a:b]) for a, b in zip(starts, starts[1:])]  # each coalition's names
-        coalition = [i for i, c in enumerate(self.coalitions) for _ in range(c.m)]  # each cost's
-        of_cost = np.full(self.n_actions, -1, dtype=np.intp)  # each cost's group in ``costs``
+        of_cost = np.empty(self.n_actions, dtype=np.intp)  # each cost's group in ``costs``
         for g, (_, at, _) in enumerate(costs.groups):
             of_cost[at] = g
-        of_slot = of_cost[owner]
+        # Each slot's template: its cost's group, and the first place of
+        # its name among its cost's names, or one past them where it reads
+        # none.
+        read = costs.forms.slots(self.var_index)[owner]
+        match = read == column[:, None]
+        width = read.shape[1] + 1
+        code = of_cost[owner] * width + np.where(match.any(axis=1), match.argmax(axis=1), width - 1)
+        order, firsts, _ = numbered(code)
+        codes = code[order[firsts]].tolist()
+        wrt: dict = {}  # each cost group -> the places of the names its partials are taken in
+        for c in codes:
+            wrt.setdefault(c // width, set()).add(c % width)
+        # Each cost group's derivative templates, by the name's first place, and its zero.
+        made = {g: costs.groups[g][0].gradient(differentiate, places) for g, places in wrt.items()}
+        owners = owner[order]
+        bounds = [*firsts.tolist(), len(order)]
         groups = []
-        if costs.groups:
-            # Each slot's template: its cost's group, and one more than the
-            # first place of its name among its cost's names (0 where it
-            # reads none).
-            read = costs.forms.slots(self.var_index)[owner]
-            match = read == column[:, None]
-            width = read.shape[1] + 1
-            place = np.where(match.any(axis=1), match.argmax(axis=1) + 1, 0)
-            code = np.where(of_slot < 0, -1, of_slot * width + place)
-            made = []  # each group's derivative templates, by the name's first place, and its zero
-            for cost_template, at, _ in costs.groups:
-                first = int(at[0])
-                wrt = {j for j, name in enumerate(costs.forms.rows[first][1]) if name in own[coalition[first]]}
-                made.append(cost_template.gradient(differentiate, wrt))
-            for c in np.flatnonzero(np.bincount(code + 1)[1:]).tolist():
-                g, j = divmod(c, width)
-                at = np.flatnonzero(code == c)
-                derivs, zero = made[g]
-                groups.append((derivs.get(j - 1, zero) if j else zero, at, owner[at]))
-        trees: list = [None] * self.layout.size
-        grads: dict[int, tuple] = {}  # cost -> its gradient in its coalition's names
-        owners, columns = owner.tolist(), column.tolist()
-        for slot in np.flatnonzero(of_slot < 0).tolist():
-            cost = owners[slot]
-            if cost not in grads:
-                grads[cost] = differentiate(costs.trees[cost], own[coalition[cost]])
-            derivs, zero = grads[cost]
-            trees[slot] = derivs.get(names[columns[slot]], zero)
-        return Rows(costs.forms, trees, groups, costs.memos)
+        for c, a, b in zip(codes, bounds, bounds[1:]):
+            derivs, zero = made[c // width]
+            groups.append((derivs.get(c % width, zero), order[a:b], owners[a:b]))
+        return Rows(costs.forms, groups, costs.memos)
 
     @cached_property
     def partials(self) -> dict[tuple[int, int, int], Expression]:

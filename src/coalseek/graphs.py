@@ -218,7 +218,8 @@ def validate_containment(g_interference: Graph, g_comm: Graph) -> ContainmentRep
     failures = []
     gi_conn = is_connected(g_interference)
     gc_conn = is_connected(g_comm)
-    subset = set(g_comm.edge_pairs()) <= set(g_interference.edge_pairs())
+    comm_pairs = g_comm.edge_pairs()
+    subset = set(comm_pairs) <= set(g_interference.edge_pairs())
     if not gi_conn:
         failures.append("interference graph is not connected")
     if not gc_conn:
@@ -226,11 +227,12 @@ def validate_containment(g_interference: Graph, g_comm: Graph) -> ContainmentRep
     if not subset:
         failures.append("communication edges are not a subset of interference edges")
 
-    kernel_pairs = _greedy_triangle_free(g_comm.vertices, g_comm.edge_pairs())
-    kernel = Graph(
-        g_comm.vertices, tuple(e for e in g_comm.edges if (e[0], e[1]) in kernel_pairs)
-    )
-    spans = is_connected(kernel)
+    kernel_pairs = _greedy_triangle_free(g_comm.vertices, comm_pairs)
+    if len(kernel_pairs) == len(comm_pairs):  # the kernel keeps every edge: it is g_comm
+        kernel, spans = g_comm, gc_conn
+    else:
+        kernel = Graph(g_comm.vertices, tuple(e for e in g_comm.edges if (e[0], e[1]) in kernel_pairs))
+        spans = is_connected(kernel)
     adj = kernel.adjacency
     maximal = all(
         (j, l) in kernel_pairs or not adj[j].keys().isdisjoint(adj[l])

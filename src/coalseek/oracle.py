@@ -14,7 +14,7 @@ import numpy as np
 from .expr import DomainError, all_finite, compile_vector_function
 from .expr import gradient as differentiate  # ``bench/tracing.py`` times it by this name
 from .game import Game, coalition_cost, pseudo_gradient
-from .rows import Rows
+from .rows import Rows, numbered
 
 __all__ = [
     "AuditPlan",
@@ -37,79 +37,55 @@ class StationaryReport:
     message: str = ""
 
 
+_NONE = np.empty(0, dtype=np.intp)
+
+
 def _jacobian_rows(game: Game) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rows]:
     """The second-derivative terms of each pseudo-gradient component: the
     row and column indices of the entries they sum, each term's entry, and
     the terms as ``rows.Rows`` over the costs' forms; absent entries are
     identically zero.  The entries are in order of first appearance as the
     partials are read in slot order, each one's columns in ascending order,
-    and the terms in entry order, each entry's in that reading order.  A
-    partial with a template (see ``Game.partial_rows``) is differentiated
-    in every name once per template, any other on its own: the terms form
-    one group per second-derivative template, with their costs' forms, and
-    the trees of the others."""
-    index = game.var_index
+    and the terms in entry order, each entry's in that reading order.  Each
+    template of ``Game.partial_rows`` is differentiated in every name once,
+    and the terms form one group per second-derivative template, with
+    their costs' forms."""
     partials = game.partial_rows
     forms = partials.forms
-    # Every term: its slot, its column, its template's number or, where it
-    # has none, -1 - the number of its tree, and its cost.  The terms of a
-    # template are arrays, and those of no template one array at the end.
-    terms: list[tuple] = []
-    seconds: list = []  # the terms' templates
-    loose: list = []  # the trees of the terms of no template
-    if partials.groups:
-        read = forms.slots(index)
+    # Each second-derivative template, with its partials' slots and costs,
+    # and the place of its name in their costs' forms.
+    seconds, slots, costs, places = [], [], [], []
     for partial_template, at, owners in partials.groups:
         for j, second in partial_template.gradient(differentiate)[0].items():
-            terms.append((at, read[owners, j], np.full(len(at), len(seconds)), owners))
             seconds.append(second)
-    by_slot: list[tuple] = []
-    for slot, key in enumerate(partials.keys()):
-        if key is None:
-            for name, d in differentiate(partials.trees[slot], index)[0].items():
-                by_slot.append((slot, index[name], -1 - len(loose), -1))
-                loose.append(d)
-    if by_slot:
-        terms.append(tuple(np.array(column, dtype=np.intp) for column in zip(*by_slot)))
-    if not terms:
-        empty = np.empty(0, np.intp)
-        return empty, empty, empty, Rows(forms, [], [])
-    slots, cols, kinds, costs = (np.concatenate(column).astype(np.intp) for column in zip(*terms))
+            slots.append(at)
+            costs.append(owners)
+            places.append(j)
+    sizes = np.fromiter(map(len, slots), np.intp, len(slots))
+    slots, costs = np.concatenate([_NONE, *slots]), np.concatenate([_NONE, *costs])
+    cols = forms.slots(game.var_index)[costs, np.repeat(np.array(places, dtype=np.intp), sizes)]
+    kinds = np.repeat(np.arange(len(seconds)), sizes)
     n = game.n_actions
     order = np.argsort(slots * n + cols, kind="stable")  # reading order
     rows, cols, kinds, costs = game.layout.column[slots[order]], cols[order], kinds[order], costs[order]
     # The entries in order of first appearance, and each term's entry.
-    first, entry = _numbered(rows * n + cols)
+    by_value, starts, entry = numbered(rows * n + cols)
+    first = by_value[starts]
     appearance = np.argsort(first, kind="stable")
     rank = np.empty_like(appearance)
     rank[appearance] = np.arange(len(appearance))
     entry = rank[entry]
     order = np.argsort(entry, kind="stable")  # each entry's terms in reading order
     entry, kinds, costs = entry[order], kinds[order], costs[order]
-    by_kind = np.argsort(kinds, kind="stable")  # the terms of no template, then each template's
-    starts = np.searchsorted(kinds[by_kind], np.arange(len(seconds) + 1))
-    trees: list = [None] * len(entry)
-    for pos in by_kind[: starts[0]].tolist():
-        trees[pos] = loose[-1 - int(kinds[pos])]
-    groups = [(second, at, costs[at]) for second, at in zip(seconds, np.split(by_kind, starts)[1:])]
+    by_kind, starts, _ = numbered(kinds)  # each template's terms
+    costs = costs[by_kind]
+    bounds = [*starts.tolist(), len(by_kind)]
+    groups = [(second, by_kind[a:b], costs[a:b]) for second, a, b in zip(seconds, bounds, bounds[1:])]
     # The trees built from each cost's form, the partials' to start with,
     # which the second derivatives read: a table of this Jacobian's own.
     memos = {k: dict(memo) for k, memo in partials.memos.items()}
     firsts = first[appearance]
-    return rows[firsts], cols[firsts], entry, Rows(forms, trees, groups, memos)
-
-
-def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first place of each distinct value of the integers ``codes``, in
-    value order, and each code's number in that order: what ``np.unique``
-    returns, which imports ``numpy.ma`` (20 ms) on its first call."""
-    order = np.argsort(codes, kind="stable")
-    ordered = codes[order]
-    new = np.ones(len(codes), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    number = np.empty(len(codes), dtype=np.intp)
-    number[order] = np.cumsum(new) - 1
-    return order[new], number
+    return rows[firsts], cols[firsts], entry, Rows(forms, groups, memos)
 
 
 def _jacobian_exprs(game: Game) -> dict:

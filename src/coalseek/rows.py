@@ -6,8 +6,10 @@ their partials and the second-derivative terms of the Newton Jacobian.  A
 of a tree whose holes are markers and whose names are labels (see
 ``expr.template_key``), or a derivative of such a copy.  Each tree it
 stands for is a row: one form, whose literals and names fill its holes.
-``Rows`` hold a set of expressions as templates and rows, over one table of
-forms (``Forms``), and build an expression's tree only when it is read.
+A tree whose form too few trees share is a kept template of its own
+(``kept``), whose one row is its own form.  ``Rows`` hold a set of
+expressions as templates and rows, over one table of forms (``Forms``),
+and build an expression's tree only when it is read.
 ``expr.compile_vector_function`` gathers the constants and slots of a
 template that reaches vector mode from the rows, with no tree built.
 
@@ -21,31 +23,35 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Container, Iterator, Mapping
 
 import numpy as np
 
 from .expr import Binary, Const, Expression, Unary, Var, _kept, _Parser, _tokens, _walk
 
-__all__ = ["Template", "template", "program", "run", "parse_shaped", "shaped", "Trees", "Forms", "Rows"]
+__all__ = ["Template", "template", "kept", "numbered", "program", "run", "parse_shaped", "shaped", "Trees", "Forms", "Rows"]
 
 
 class Template:
     """A tree that stands for one tree per row, a form (see ``shape``).
-    ``template`` makes a marked copy of a tree of a key, and ``gradient``
-    the derivatives of such a copy.  Its leaf map (``leaves``) gives each
-    leaf of the tree but the pow exponents, left to right: a constant is
-    kept (None) or literal ``j`` of the form times ``sign`` (``(j,
-    sign)``), and a name is name ``j`` of the form."""
+    ``template`` makes a marked copy of a tree of a key, ``kept`` the
+    template of one tree alone, and ``gradient`` the derivatives of
+    either.  Its leaf map (``leaves``) gives each leaf of the tree but the
+    pow exponents, left to right: a constant is kept (None) or literal
+    ``j`` of the form times ``sign`` (``(j, sign)``), and a name is kept
+    (None) or name ``j`` of the form.  A kept template and its derivatives
+    keep every leaf, and each is its own one tree."""
 
     __slots__ = ("tree", "_marks", "_shared", "_program", "_sources", "_leaves")
 
     def __init__(self, tree: Expression, marks=None, shared: dict | None = None):
         self.tree = tree
-        self._marks = marks  # of a marked copy: its ``hole``, label -> name, and a form's sizes
+        # Its ``hole``, label -> name, and a form's sizes, None where kept.
+        self._marks = marks
         # Its ancestors' operations, which the trees of a form share (see
-        # ``program``); None for a marked copy, whose trees are its forms'.
+        # ``program``); None for a marked copy, whose trees are its forms',
+        # and where kept.
         self._shared = shared
         self._program = self._sources = None
         self._leaves = None
@@ -63,7 +69,9 @@ class Template:
         per form of the trees built from it, by template, so that a tree is
         built once, and reads the nodes it shares with the trees of the
         templates it derives from, the form's own tree among them where
-        ``forms`` has it."""
+        ``forms`` has it.  A kept template's tree is its own."""
+        if self._marks[2] is None:
+            return self.tree
         memo = memos.get(k)
         if memo is None:
             memo = memos[k] = {_LEAVES: _leaf_nodes(*forms.rows[k])}
@@ -88,15 +96,17 @@ class Template:
         ``gradient`` as the caller binds it: the derivative in each name
         the trees read, by the name's first place in a row, and the one in
         any other name."""
-        labels = self._marks[1]
+        marks = self._marks
+        labels = marks[1]
         if wrt is not None:
             wrt = {label for label, j in labels.items() if j in wrt}
         derivs, zero = differentiate(self.tree, labels if wrt is None else wrt)
-        shared = self._shared or {}
-        if id(self.tree) not in shared:  # a shared root's operations are all shared
-            shared = {**_paths(self.tree, self), **shared}
-        derived = partial(Template, marks=self._marks, shared=shared)
-        return {labels[label]: derived(d) for label, d in derivs.items()}, derived(zero)
+        shared = self._shared
+        # A kept tree's derivatives are their own trees, and a shared
+        # root's operations are all shared.
+        if marks[2] is not None and (shared is None or id(self.tree) not in shared):
+            shared = {**_paths(self.tree, self), **(shared or {})}
+        return {labels[label]: Template(d, marks, shared) for label, d in derivs.items()}, Template(zero, marks, shared)
 
 
 def template(tree: Expression) -> Template:
@@ -142,6 +152,16 @@ def template(tree: Expression) -> Template:
 
     marked = copy(tree)
     return Template(marked, marks=(hole, labels, (next(count[Const]), next(count[Var]))))
+
+
+def kept(tree: Expression, names: Sequence[str]) -> Template:
+    """The template of ``tree`` alone, whose row holds ``names``, its
+    names in leaf order: every leaf is kept, each name is its own label,
+    at its first place in ``names``, and its one tree is ``tree``."""
+    labels: dict[str, int] = {}
+    for j, name in enumerate(names):
+        labels.setdefault(name, j)
+    return Template(tree, marks=(lambda leaf: None, labels, None))
 
 
 # The key, in a form's table of built trees, of its leaves (see ``_leaf_nodes``).
@@ -373,37 +393,57 @@ def _padded(items: list[tuple], values: np.ndarray, fill) -> np.ndarray:
     return out
 
 
+def numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of the integers ``codes``: their places, by value and stably; where
+    the places of each distinct value start among those; and each code's
+    number among the distinct values, in value order.  That is what
+    ``np.unique`` finds, which imports ``numpy.ma`` (20 ms) on its first
+    call."""
+    # ndarray methods, where numpy's functions add a Python call each.
+    order = codes.argsort(kind="stable")
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    number = np.empty(len(codes), dtype=np.intp)
+    number[order] = new.cumsum() - 1
+    return order, new.nonzero()[0], number
+
+
 class Rows(Sequence):
     """Expressions given by templates and rows.  ``groups`` holds each
     template with its positions and, per position, its row: the index of
-    one form in ``forms`` (see ``Template``).  ``trees[pos]`` is
-    expression ``pos`` where it is not None, and is not None at every
-    position of no group.  A tree of a template is built on its first
-    read, and shares nodes with the trees built before from its row's form
-    (``memos``, which ``Rows`` of one ``forms`` may share).  The
-    compiler gathers the rows of a template that reaches vector mode, and
-    builds none of its trees."""
+    one form in ``forms`` (see ``Template``).  Every position is in one
+    group, and an expression of a key too few others share has a kept
+    template (``kept``) of its own tree.  A position indexes as in any
+    sequence.  A tree of a marked template is built on
+    its first read, and shares nodes with the trees built before from its
+    row's form (``memos``, which ``Rows`` of one ``forms`` may share).
+    The compiler gathers the rows of a template that reaches vector mode,
+    and builds none of its trees."""
 
-    def __init__(self, forms: Forms, trees: list, groups: list[tuple["Template", np.ndarray, np.ndarray]], memos=None):
-        self.forms, self.trees, self.groups = forms, trees, groups
+    def __init__(self, forms: Forms, groups: list[tuple["Template", np.ndarray, np.ndarray]], memos=None):
+        self.forms, self.groups = forms, groups
         self.memos = {} if memos is None else memos
-        self._where: dict[int, tuple] | None = None  # position -> its template and row
+        self._size = sum(len(positions) for _, positions, _ in groups)
+        self._where: tuple[list, list] | None = None  # each position's template, and its row
+
+    def _placed(self) -> tuple[list, list]:
+        if self._where is None:
+            templates: list = [None] * self._size
+            rows: list = [None] * self._size
+            for template, positions, group_rows in self.groups:
+                for pos, row in zip(positions.tolist(), group_rows.tolist()):
+                    templates[pos], rows[pos] = template, row
+            self._where = templates, rows
+        return self._where
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return self._size
 
     def __getitem__(self, pos: int) -> Expression:
-        tree = self.trees[pos]
-        if tree is not None:
-            return tree
-        if self._where is None:
-            self._where = {
-                at: (template, row)
-                for template, positions, rows in self.groups
-                for at, row in zip(positions.tolist(), rows.tolist())
-            }
-        template, row = self._where[pos]
-        return template.build(row, self.forms, self.memos)
+        templates, rows = self._where or self._placed()
+        return templates[pos].build(rows[pos], self.forms, self.memos)
 
     def __iter__(self) -> Iterator[Expression]:
         return map(self.__getitem__, range(len(self)))
@@ -411,12 +451,8 @@ class Rows(Sequence):
     def __add__(self, other: "Rows") -> "Rows":
         shift = len(self)
         groups = [(template, positions + shift, rows) for template, positions, rows in other.groups]
-        return Rows(self.forms, self.trees + other.trees, self.groups + groups, self.memos)
+        return Rows(self.forms, self.groups + groups, self.memos)
 
     def keys(self) -> list:
-        """Each expression's template, or None."""
-        keys = [None] * len(self)
-        for template, positions, _ in self.groups:
-            for pos in positions.tolist():
-                keys[pos] = template
-        return keys
+        """Each expression's template."""
+        return list(self._placed()[0])

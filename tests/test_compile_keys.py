@@ -176,7 +176,7 @@ def test_no_tree_is_lifted_where_no_shape_can_reach_vector_mode(monkeypatch):
     lifts = []
     lift = expr._lift
     monkeypatch.setattr(expr, "_lift", lambda e: lifts.append(e) or lift(e))
-    function = compile_vector_function(Rows(Forms(rows), [None] * 300, groups), names)
+    function = compile_vector_function(Rows(Forms(rows), groups), names)
     assert len(lifts) == 6
     x = np.arange(300.0)
     assert function(x).tolist() == [x[j] + j * (j // 10) for j in range(300)]

@@ -190,6 +190,55 @@ def test_comm_not_subset_fails():
     assert not validate_containment(gi, gc).passed
 
 
+def _containment_by_the_full_computation(gi, gc):
+    """Every field of ``validate_containment(gi, gc)``, with the kernel
+    always built as a graph of its own and its connectivity always
+    checked, and the kernel's maximality checked pair by pair."""
+    kept = set()
+    for j, l in gc.edge_pairs():  # greedy, in lexicographic order
+        if not any((min(j, v), max(j, v)) in kept and (min(l, v), max(l, v)) in kept for v in gc.vertices):
+            kept.add((j, l))
+    kernel = Graph(gc.vertices, tuple(e for e in gc.edges if (e[0], e[1]) in kept))
+    fields = {
+        "interference_connected": is_connected(gi),
+        "comm_connected": is_connected(gc),
+        "comm_subset_of_interference": set(gc.edge_pairs()) <= set(gi.edge_pairs()),
+        "kernel_spans": is_connected(kernel),
+        "kernel_maximal": all(
+            kernel.has_edge(j, l) or any(kernel.has_edge(j, v) and kernel.has_edge(l, v) for v in gc.vertices)
+            for j, l in gi.edge_pairs()
+        ),
+    }
+    messages = {
+        "interference_connected": "interference graph is not connected",
+        "comm_connected": "communication graph is not connected",
+        "comm_subset_of_interference": "communication edges are not a subset of interference edges",
+        "kernel_spans": "triangle-free kernel of the communication graph is not spanning-connected",
+        "kernel_maximal": "communication graph contains no maximal triangle-free spanning subgraph "
+        "of the interference graph",
+    }
+    failures = tuple(messages[name] for name, holds in fields.items() if not holds)
+    return {**fields, "kernel": kernel, "failures": failures}
+
+
+def _containment_inputs():
+    rng = np.random.default_rng(29)
+    pairs = [random_containment_pair(rng, n) for n in (1, 2, 3, 5, 8, 13) for _ in range(4)]
+    ring = Graph.build(range(1, 10), [(j, j % 9 + 1) for j in range(1, 10)])
+    triangle = Graph.build([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+    apart = Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)])  # triangle-free, not connected
+    pairs += [(ring, ring), (triangle, triangle), (triangle, Graph.build([1, 2, 3], [(1, 2), (2, 3)]))]
+    pairs += [(apart, apart), (triangle, Graph.build([1, 2, 3]))]
+    return pairs
+
+
+@pytest.mark.parametrize("gi, gc", _containment_inputs())
+def test_containment_matches_the_full_computation(gi, gc):
+    report = validate_containment(gi, gc)
+    expected = _containment_by_the_full_computation(gi, gc)
+    assert {name: getattr(report, name) for name in expected} == expected
+
+
 def test_vertex_mismatch_raises():
     with pytest.raises(GraphError):
         validate_containment(Graph.build([1, 2]), Graph.build([1, 2, 3]))

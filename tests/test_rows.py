@@ -15,7 +15,7 @@ from coalseek import rows
 from coalseek.dynamics import Seeker
 from coalseek.expr import VECTOR_MIN_INSTANCES, Binary, Const, DomainError, Unary, Var, evaluate, gradient
 from coalseek.game import _kernel_label
-from coalseek.oracle import _jacobian_exprs, _jacobian_function
+from coalseek.oracle import _jacobian_exprs, _jacobian_function, _jacobian_rows
 from coalseek.scenario import SCHEMA_KEY, parse_scenario
 from conftest import bench_generators, ring_game
 
@@ -132,3 +132,16 @@ def test_a_dropped_game_leaves_no_tree_in_cycle_garbage():
         gc.garbage.clear()
         gc.enable()
     assert nodes == []
+
+
+def test_rows_index_as_a_sequence():
+    # A negative position counts from the end, and one out of range raises
+    # IndexError, in the rows of the costs, the partials and the Newton
+    # terms of the benchmark's ring, whose every expression is templated.
+    game = parse_scenario(bench_generators().ring_game(5).doc).game
+    for exprs in (game.cost_rows, game.partial_rows, _jacobian_rows(game)[3]):
+        n = len(exprs)
+        assert exprs[-1] is exprs[n - 1] and exprs[-n] is exprs[0]
+        for pos in (n, -n - 1):
+            with pytest.raises(IndexError):
+                exprs[pos]

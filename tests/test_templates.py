@@ -5,6 +5,7 @@ partials and the Newton second derivatives must be those of a per-cost
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 import coalseek.game
 import coalseek.oracle
 from coalseek.corpus import random_quadratic_game
-from coalseek.expr import TEMPLATE_MIN_TREES, Binary, Const, Unary, Var, gradient, parse, render, templates_for
+from coalseek.expr import TEMPLATE_MIN_TREES, Binary, Const, Unary, Var, gradient, parse, render, template_key
 from coalseek.game import Coalition, FlowAgent, Game, build_congestion_game, infer_interference_graph
-from coalseek.oracle import _jacobian_exprs
-from coalseek.scenario import SCHEMA_KEY, parse_scenario
+from coalseek.oracle import _jacobian_exprs, _jacobian_rows
+from coalseek.scenario import SCHEMA_KEY, load_scenario, parse_scenario
+from conftest import bench_generators
 
 M = 4  # agents in each of the document's two coalitions
 NAMES = [f"x{i}_{j}" for i in (1, 2) for j in range(1, M + 1)]
@@ -190,10 +192,69 @@ def test_games_built_in_code_take_templates_from_their_trees():
     links.update({f"s{j}": 12.0 + 0.5 * j for j in range(m)})
     agents = [FlowAgent(i, (f"p{i}_{j}", f"s{j}"), 1.5 + 0.25 * j) for i in (1, 2) for j in range(m)]
     game = build_congestion_game(links, agents, kappa=0.5)
-    assert len(templates_for(game.templates)) == 2
+    assert len(set(game.templates) - {None}) == 2
     _assert_as_per_cost(game)
     for seed in range(6):
         _assert_as_per_cost(random_quadratic_game(np.random.default_rng(seed)).game)
+
+
+PRESETS = ("example2", "congestion-demo", "coalition1-fig1")
+
+
+def _shipped_game(name):
+    """A preset's game, or the benchmark's seed-5 congestion network's."""
+    if name == "congestion-net":
+        return parse_scenario(bench_generators().congestion_network(5)).game
+    return load_scenario(name).game
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "congestion-net"])
+def test_shipped_games_are_as_per_cost(name):
+    # Their costs mostly share no template with enough others, so each
+    # has a kept template of its own.
+    _assert_as_per_cost(_shipped_game(name))
+
+
+def _keys(game):
+    """Each cost's ``expr.template_key`` in its coalition's names."""
+    keys = []
+    for i, c in enumerate(game.coalitions, start=1):
+        own = {f"x{i}_{k}" for k in range(1, c.m + 1)}
+        keys += [template_key(form, own, {}) for form in c.forms]
+    return keys
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "congestion-net", "ring-sparse", "mixed"])
+def test_every_expression_has_one_template(name):
+    if name == "ring-sparse":
+        game = parse_scenario(bench_generators().ring_game(5).doc).game
+    elif name == "mixed":
+        # Two forms of one skeleton over five coalitions, the second with
+        # its literal d = 0.625 spelled 1, which is kept, in two of them:
+        # keys of five, three and two costs.
+        forms = ["{c}*{x}^2 + {d}*{x}*{y}", "{c}*{x}^2 + {d}*{y}*{x}"]
+        texts = _repeated(forms)
+        for at in (1, 5):
+            texts[at] = texts[at].replace("0.625", "1")
+        game = parse_scenario(_document(texts, len(forms))).game
+        assert sorted(Counter(_keys(game)).values()) == [2, 3, 5]
+    else:
+        game = _shipped_game(name)
+    # Each position of the costs, the partials and the Newton terms is in
+    # exactly one group.
+    for exprs in (game.cost_rows, game.partial_rows, _jacobian_rows(game)[3]):
+        positions = [pos for _, at, _ in exprs.groups for pos in at.tolist()]
+        assert sorted(positions) == list(range(len(exprs)))
+    # A template number stands for one key of at least TEMPLATE_MIN_TREES
+    # costs, and every such key has one.
+    keys = _keys(game)
+    count = Counter(keys)
+    numbered = {}
+    for key, number in zip(keys, game.templates):
+        assert (number is not None) == (count[key] >= TEMPLATE_MIN_TREES)
+        if number is not None:
+            assert numbered.setdefault(number, key) == key
+    assert sorted(numbered) == list(range(len(numbered)))
 
 
 def test_each_template_is_differentiated_once(monkeypatch):
