@@ -61,6 +61,10 @@ and ``oracle._jacobian_rows`` on a game whose ``partial_rows`` are built.
 Per input the script prints the load's median and IQR on each side, the
 change's relative move, how many pairs the change won, the node count on
 each side, and the median milliseconds of each template-layer build.
+
+Last, it prints the lines added and deleted and the net lines of each
+module of ``src/coalseek`` that differs between the trees, and their
+total, from ``git diff --no-index --numstat``, which reads the files alone.
 """
 
 from __future__ import annotations
@@ -376,6 +380,28 @@ def _worker(argv: list[str]) -> None:
 # -- driver side ---------------------------------------------------------------
 
 
+def _net_loc(parent: Path, change: Path) -> dict[str, tuple[int, int]]:
+    """The lines added and deleted in each module of ``src/coalseek`` that
+    differs from the parent tree to the change, by its path there."""
+    roots = [tree / "src" / "coalseek" for tree in (parent, change)]
+    done = subprocess.run(
+        ["git", "diff", "--no-index", "--numstat", "-z", *map(str, roots)],
+        capture_output=True, text=True, check=False,
+    )
+    if done.returncode > 1:  # 1 means the trees differ
+        sys.exit(f"git diff failed:\n{done.stderr}")
+    # A record is "added<TAB>deleted<TAB>", then the parent's path and the
+    # change's, each ended by a NUL, /dev/null for a file on one side only.
+    fields = done.stdout.split("\0")
+    loc = {}
+    for stat, before, after in zip(fields[::3], fields[1::3], fields[2::3]):
+        added, deleted, _ = stat.split("\t")
+        root, path = (roots[1], after) if after != "/dev/null" else (roots[0], before)
+        if path.endswith(".py"):
+            loc[str(Path(path).relative_to(root))] = int(added), int(deleted)
+    return loc
+
+
 def _quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
         return values[0], 0.0
@@ -449,6 +475,11 @@ def main() -> int:
               f"{(cm / pm - 1) * 100:>+6.1f}% {f'{wins}/{len(parent)}':>6} "
               f"{f'{nodes[0]:.0f} -> {nodes[1]:.0f}':>24} {f'{partial[0]:.3f} -> {partial[1]:.3f}':>16} "
               f"{f'{jacobian[0]:.3f} -> {jacobian[1]:.3f}':>18}")
+    loc = _net_loc(sides["parent"], sides["change"])
+    print(f"\n{'src/coalseek module':<24} {'added':>6} {'deleted':>8} {'net':>6}")
+    total = sum(added for added, _ in loc.values()), sum(deleted for _, deleted in loc.values())
+    for path, (added, deleted) in sorted(loc.items()) + [("total", total)]:
+        print(f"{path:<24} {added:>6} {deleted:>8} {added - deleted:>+6}")
     return 1 if differ else 0
 
 

@@ -20,7 +20,6 @@ import math
 import re
 import struct
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Mapping, Union
 
@@ -665,8 +664,8 @@ def _nonzero(den: np.ndarray) -> np.ndarray:
 def _lift(e: Expression) -> tuple[str | None, list[Const], list[Var]]:
     """Vector-mode source of ``e`` with its leaves renamed ``c<n>`` and
     ``g<n>`` in order (the shape), None where vector mode does not cover
-    ``e``; and its constant and its variable leaves in that order, which is
-    a template's leaf order (see ``rows.Template``)."""
+    ``e``; and its constant and its variable leaves in that order, the
+    order of the columns ``_leaf_columns`` reads for them."""
     leaves: dict[type, list] = {Const: [], Var: []}
 
     def lift(leaf: Expression) -> str:
@@ -678,33 +677,27 @@ def _lift(e: Expression) -> tuple[str | None, list[Const], list[Var]]:
 
 
 def _leaf_columns(
-    template,
-    consts: list[Const],
-    names: list[Var],
-    rows: np.ndarray | None,
-    slot_of: dict[str, int],
-    gather: Callable[[bool], np.ndarray],
+    template, consts: list[Const], names: list[Var], rows: np.ndarray, forms, slot_of: dict[str, int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The constant and slot columns, one entry per row of ``rows``, of
     the leaves ``consts`` and ``names`` lifted from ``template``'s tree: a
-    kept leaf's own value or slot, and else the literal, signed, or the
-    name's slot that its leaf map reads from each row.  ``rows[r]`` is the
-    form of row ``r``, a row of the matrices of ``gather`` (see
-    ``rows.Forms``): of the literals, and, with True, of the slots.  A
-    tree with no template keeps every leaf, so it is its own one row."""
-    n = 1 if rows is None else len(rows)
-    at_consts, at_names = (itertools.repeat(None),) * 2 if template is None else template.leaves
+    kept leaf's own value or slot, and else the literal, with the leaf's
+    sign, or the name's slot that the template's ``hole`` places in each
+    row.  ``rows[r]`` is the form of row ``r`` in ``forms``
+    (``rows.Forms``)."""
+    hole = template.hole
     columns = []
-    for leaf, at in zip(consts, at_consts):
-        if at is None:
-            columns.append(np.full(n, leaf.value, dtype=float))
+    for leaf in consts:
+        j = hole(leaf)
+        if j is None:
+            columns.append(np.full(len(rows), leaf.value, dtype=float))
         else:
-            j, sign = at
-            column = gather(False)[rows, j]
-            columns.append(column if sign > 0 else -column)
+            column = forms.literals()[rows, j]
+            columns.append(-column if leaf.value < 0 else column)
     slots = []
-    for leaf, j in zip(names, at_names):
-        slots.append(np.full(n, slot_of[leaf.name]) if j is None else gather(True)[rows, j])
+    for leaf in names:
+        j = hole(leaf)
+        slots.append(np.full(len(rows), slot_of[leaf.name]) if j is None else forms.slots(slot_of)[rows, j])
     return columns, slots
 
 
@@ -738,7 +731,7 @@ class _Dag:
             self.uses[ref] += 1
         return ref
 
-    def guards(self, trees: Sequence[Expression]) -> list[tuple[str, _Ref]]:
+    def guards(self, trees) -> list[tuple[str, _Ref]]:
         """Guards for the operations of ``trees`` that can fail, in tree
         order: ``("log", u)`` for ``log(u)``, ``("div", d)`` for a
         denominator ``d``, and ``("call", e)`` for an exp or a power ``e``
@@ -751,11 +744,9 @@ class _Dag:
         that can fail, the others are not read."""
         found: dict[tuple[str, _Ref], None] = {}
         fails: dict = {}  # template -> whether its first tree has an operation that can fail
-        for pos, key in enumerate(_keys(trees)):
+        for pos, key in enumerate(trees.keys()):
             if fails.get(key, True):
-                can_fail = self._guard_walk(trees[pos], found)
-                if key is not None:
-                    fails.setdefault(key, can_fail)
+                fails.setdefault(key, self._guard_walk(trees[pos], found))
         divided = set()
         for op, *operands in self.nodes:
             if op == "div":
@@ -907,28 +898,16 @@ def _output_label(pos: int) -> str:
     return f"output {pos}"
 
 
-def _keys(exprs: Sequence[Expression]) -> list:
-    """Each expression's template, where ``exprs`` are ``rows.Rows``, or
-    None, its own."""
-    return exprs.keys() if hasattr(exprs, "groups") else [None] * len(exprs)
-
-
-def _vector_groups(
-    exprs: Sequence[Expression], slot_of: dict[str, int]
-) -> list[tuple[str, np.ndarray, list[np.ndarray], list[np.ndarray]]]:
-    """The shapes of ``exprs`` (see ``_lift``) that at least
-    ``VECTOR_MIN_INSTANCES`` of them share, in the order of their first
-    expression, each with its expressions' positions, and their constant
-    and slot columns, in position order.  Of the expressions of a template
-    (see ``rows.Rows``) only its tree is lifted, the largest templates
-    first, and none once the expressions left could not bring a shape to
-    vector mode.  The expressions of a template that reaches it are gathered from
-    their rows, and none is built."""
-    keyed: list[tuple[list[int], object, np.ndarray | None]]  # positions, template, rows
-    if hasattr(exprs, "groups"):
-        keyed = [(positions.tolist(), template, rows) for template, positions, rows in exprs.groups]
-    else:
-        keyed = [([pos], None, None) for pos in range(len(exprs))]
+def _vector_groups(exprs, slot_of: dict[str, int]) -> list[tuple[str, np.ndarray, list[np.ndarray], list[np.ndarray]]]:
+    """The shapes of ``exprs``, ``rows.Rows`` (see ``_lift``), that at
+    least ``VECTOR_MIN_INSTANCES`` of them share, in the order of their
+    first expression, each with its expressions' positions, and their
+    constant and slot columns, in position order.  Of the expressions of a
+    template only its tree is lifted, the largest templates first, and
+    none once the expressions left could not bring a shape to vector mode.
+    The expressions of a template that reaches it are gathered from their
+    rows, and none is built."""
+    keyed = [(positions.tolist(), template, rows) for template, positions, rows in exprs.groups]
     keyed.sort(key=lambda part: (-len(part[0]), part[0][0]))  # the largest first, then in position order
     shapes: dict[str, list] = {}  # shape -> its parts: the positions, template, rows and lifted leaves of a key
     counts: Counter = Counter()
@@ -938,23 +917,16 @@ def _vector_groups(
         if largest + left < VECTOR_MIN_INSTANCES:
             break
         left -= len(positions)
-        shape, consts, names = _lift(exprs[positions[0]] if template is None else template.tree)
+        shape, consts, names = _lift(template.tree)
         if shape is not None:
             shapes.setdefault(shape, []).append((positions, template, rows, consts, names))
             counts[shape] += len(positions)
             largest = max(largest, counts[shape])
-    matrices: dict[bool, np.ndarray] = {}
-
-    def gather(slots: bool) -> np.ndarray:
-        if slots not in matrices:
-            matrices[slots] = exprs.forms.slots(slot_of) if slots else exprs.forms.literals()
-        return matrices[slots]
-
     groups = []
     for shape, parts in shapes.items():
         if counts[shape] < VECTOR_MIN_INSTANCES:
             continue
-        read = [_leaf_columns(t, consts, names, rows, slot_of, gather) for _, t, rows, consts, names in parts]
+        read = [_leaf_columns(t, consts, names, rows, exprs.forms, slot_of) for _, t, rows, consts, names in parts]
         positions = np.array([pos for part in parts for pos in part[0]])
         order = np.argsort(positions, kind="stable")
         consts = [np.concatenate(column)[order] for column in zip(*[c for c, _ in read])]
@@ -987,13 +959,16 @@ def compile_vector_function(
     count the guarded expressions first.
 
     Either set may be ``rows.Rows``, whose expressions of one template are
-    its tree with other literals and names.  The compiler lifts each
-    template's tree alone, reads the constants and slots of a template
-    that reaches vector mode from its rows, builds the trees of the others
-    only, and walks the guarded trees of a template for guards only where
-    the first has an operation that can fail."""
-    exprs = exprs if isinstance(exprs, Sequence) else list(exprs)
-    guarded = guarded if isinstance(guarded, Sequence) else list(guarded)
+    its tree with other literals and names; any other set is made
+    ``Rows`` of one kept template per tree (``rows.kept_rows``).  The
+    compiler lifts each template's tree alone, reads the constants and
+    slots of a template that reaches vector mode from its rows, by its
+    ``hole``, builds the trees of the others only, and walks the guarded
+    trees of a template for guards only where the first has an operation
+    that can fail."""
+    from .rows import Rows, kept_rows  # ``rows`` imports this module
+
+    exprs, guarded = (e if isinstance(e, Rows) else kept_rows(e) for e in (exprs, guarded))
     slot_of = {name: i for i, name in enumerate(names)}
     vector_groups = []
     if len(exprs) >= VECTOR_MIN_INSTANCES:  # else no group can reach vector mode

@@ -10,8 +10,10 @@ A tree whose form too few trees share is a kept template of its own
 (``kept``), whose one row is its own form.  ``Rows`` hold a set of
 expressions as templates and rows, over one table of forms (``Forms``),
 and build an expression's tree only when it is read.
-``expr.compile_vector_function`` gathers the constants and slots of a
-template that reaches vector mode from the rows, with no tree built.
+``expr.compile_vector_function`` compiles ``Rows`` alone (``kept_rows``
+makes them of any trees).  It gathers the constants and slots of a
+template that reaches vector mode from the rows, each leaf from the
+column that the template's ``hole`` gives, with no tree built.
 
 One builder, ``program`` and ``run``, makes every tree from a form: the
 trees of templates, and each later cost of a skeleton, on its first read
@@ -24,26 +26,26 @@ import itertools
 import math
 from collections.abc import Sequence
 from functools import reduce
-from typing import Callable, Container, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .expr import Binary, Const, Expression, Unary, Var, _kept, _Parser, _tokens, _walk
 
-__all__ = ["Template", "template", "kept", "numbered", "program", "run", "parse_shaped", "shaped", "Trees", "Forms", "Rows"]
+__all__ = ["Template", "template", "kept", "kept_rows", "numbered", "program", "run", "parse_shaped", "shaped", "Trees", "Forms", "Rows"]
 
 
 class Template:
     """A tree that stands for one tree per row, a form (see ``shape``).
     ``template`` makes a marked copy of a tree of a key, ``kept`` the
     template of one tree alone, and ``gradient`` the derivatives of
-    either.  Its leaf map (``leaves``) gives each leaf of the tree but the
-    pow exponents, left to right: a constant is kept (None) or literal
-    ``j`` of the form times ``sign`` (``(j, sign)``), and a name is kept
-    (None) or name ``j`` of the form.  A kept template and its derivatives
-    keep every leaf, and each is its own one tree."""
+    either.  ``hole(leaf)`` is the place in a row of a leaf of the tree,
+    but a pow exponent: a constant is kept (None) or literal ``j`` of the
+    form times the leaf's sign, and a name is kept (None) or name ``j`` of
+    the form.  A kept template and its derivatives keep every leaf, and
+    each is its own one tree."""
 
-    __slots__ = ("tree", "_marks", "_shared", "_program", "_sources", "_leaves")
+    __slots__ = ("tree", "_marks", "_shared", "_program", "_sources")
 
     def __init__(self, tree: Expression, marks=None, shared: dict | None = None):
         self.tree = tree
@@ -54,15 +56,10 @@ class Template:
         # and where kept.
         self._shared = shared
         self._program = self._sources = None
-        self._leaves = None
 
     @property
-    def leaves(self) -> tuple[tuple, tuple]:
-        """The leaf map, as the constants' and the names', worked out on
-        first read."""
-        if self._leaves is None:
-            self._leaves = _leaf_map(self.tree, self._marks[0])
-        return self._leaves
+    def hole(self) -> Callable[[Expression], int | None]:
+        return self._marks[0]
 
     def build(self, k: int, forms: "Forms", memos: dict) -> Expression:
         """The tree of the row ``forms.rows[k]``.  ``memos`` holds a table
@@ -185,27 +182,6 @@ def _paths(tree: Expression, source: Template) -> dict[int, tuple]:
     return out
 
 
-def _leaf_map(tree: Expression, hole: Callable[[Expression], int | None]) -> tuple[tuple, tuple]:
-    """The leaf map of ``tree``, whose leaves' places in a row are ``hole``'s."""
-    consts, names = [], []
-    stack = [(tree, False)]
-    while stack:
-        e, power = stack.pop()
-        kind = type(e)
-        if kind is Const:
-            if not power:
-                j = hole(e)
-                consts.append(None if j is None else (j, math.copysign(1.0, e.value)))
-        elif kind is Var:
-            names.append(hole(e))
-        elif kind is Unary:
-            stack.append((e.arg, False))
-        else:
-            stack.append((e.right, e.op == "pow"))
-            stack.append((e.left, False))
-    return tuple(consts), tuple(names)
-
-
 # ---------------------------------------------------------------------------
 # Building trees from a form
 #
@@ -228,7 +204,8 @@ def program(tree: Expression, hole: Callable, sizes: tuple[int, int], shared: Ma
     names, the instructions ``(code, argument, operand, operand, register)``
     and the root's register that build ``tree``'s structure.  ``hole(leaf)``
     is a leaf's index among the literals or names, or None to keep a
-    constant; a negative leaf negates its literal.  ``shared`` maps the ids
+    constant, as ``Template.hole`` gives it; a negative leaf negates its
+    literal.  ``shared`` maps the ids
     of the operations read from the tree of another template to it and
     their paths of attributes in it."""
     literals, first = sizes[0], sum(sizes)
@@ -336,6 +313,11 @@ def shaped(forms: Sequence[tuple], shapes: Mapping, programs: dict, j: int) -> E
     return run(built, _leaf_nodes(literals, names))
 
 
+def _sliced(trees: Sequence[Expression], j: slice) -> tuple[Expression, ...]:
+    """The slice ``j`` of trees built on their reads, as a tuple of them."""
+    return tuple(map(trees.__getitem__, range(len(trees))[j]))
+
+
 class Trees(Sequence):
     """Trees each built on its first read, which every later read returns:
     ``trees[j]`` where it is not None, else ``build(j)``.  A slice is a
@@ -351,7 +333,7 @@ class Trees(Sequence):
 
     def __getitem__(self, j):
         if type(j) is slice:
-            return tuple(map(self.__getitem__, range(len(self))[j]))
+            return _sliced(self, j)
         tree = self._trees[j]
         if tree is None:
             tree = self._trees[j] = self._build(j)
@@ -369,6 +351,7 @@ class Forms:
     def __init__(self, rows: list[tuple[tuple, tuple]], trees: list | None = None):
         self.rows, self.trees = rows, trees
         self._literals: np.ndarray | None = None
+        self._slots: tuple[Mapping, np.ndarray] | None = None  # the mapping of the last ``slots``, and its matrix
 
     def literals(self) -> np.ndarray:
         """Each form's literals, padded with 0.0; built on first read."""
@@ -379,9 +362,16 @@ class Forms:
 
     def slots(self, slot_of: Mapping[str, int]) -> np.ndarray:
         """Each form's names as their values in ``slot_of``, one lookup
-        per name, padded with -1."""
-        names = [names for _, names in self.rows]
-        return _padded(names, np.fromiter(map(slot_of.__getitem__, itertools.chain.from_iterable(names)), np.intp), -1)
+        per name, padded with -1; built on first read, and again only for
+        a mapping unequal to the last one read, so that a game's readers
+        share one matrix."""
+        last = self._slots
+        if last is None or (last[0] is not slot_of and last[0] != slot_of):
+            names = [names for _, names in self.rows]
+            slots = np.fromiter(map(slot_of.__getitem__, itertools.chain.from_iterable(names)), np.intp)
+            last = slot_of, _padded(names, slots, -1)
+        self._slots = slot_of, last[1]  # so that the next read with it is one identity test
+        return last[1]
 
 
 def _padded(items: list[tuple], values: np.ndarray, fill) -> np.ndarray:
@@ -416,9 +406,10 @@ class Rows(Sequence):
     one form in ``forms`` (see ``Template``).  Every position is in one
     group, and an expression of a key too few others share has a kept
     template (``kept``) of its own tree.  A position indexes as in any
-    sequence.  A tree of a marked template is built on
-    its first read, and shares nodes with the trees built before from its
-    row's form (``memos``, which ``Rows`` of one ``forms`` may share).
+    sequence, and a slice is a tuple of trees, as of ``Trees``.  A tree of
+    a marked template is built on its first read, and shares nodes with
+    the trees built before from its row's form (``memos``, which ``Rows``
+    of one ``forms`` may share).
     The compiler gathers the rows of a template that reaches vector mode,
     and builds none of its trees."""
 
@@ -441,7 +432,9 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, pos: int) -> Expression:
+    def __getitem__(self, pos):
+        if type(pos) is slice:
+            return _sliced(self, pos)
         templates, rows = self._where or self._placed()
         return templates[pos].build(rows[pos], self.forms, self.memos)
 
@@ -456,3 +449,12 @@ class Rows(Sequence):
     def keys(self) -> list:
         """Each expression's template."""
         return list(self._placed()[0])
+
+
+def kept_rows(trees: Iterable[Expression]) -> Rows:
+    """``trees`` as ``Rows``, one group per tree, whose template is the
+    tree kept (``kept``) with no names: such a template is never
+    differentiated, and its one row reads no form."""
+    trees = list(trees)
+    at = np.arange(len(trees), dtype=np.intp)
+    return Rows(Forms([]), [(kept(tree, ()), at[k : k + 1], at[k : k + 1]) for k, tree in enumerate(trees)])

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from coalseek import expr
 from coalseek.expr import VECTOR_MIN_INSTANCES, Binary, Const, DomainError, Unary, Var, compile_vector_function, render
 from coalseek.oracle import _jacobian_rows
-from coalseek.rows import Forms, Rows, template
-from coalseek.scenario import SCHEMA_KEY, parse_scenario
+from coalseek.rows import Forms, Rows, Trees, template
+from coalseek.scenario import SCHEMA_KEY, load_scenario, parse_scenario
 from conftest import bench_generators
 
 
@@ -127,6 +127,18 @@ def test_keyed_compiles_are_byte_identical_on_the_benchmark_games(name):
     made = getattr(bench_generators(), name)(5)
     game = parse_scenario(made.doc if name == "ring_game" else made).game
     _assert_keys_change_no_byte(game)
+
+
+@pytest.mark.parametrize("name", ["example2", "ring_game"])
+def test_a_list_a_generator_and_trees_compile_alike(name):
+    # The compiler makes any set of trees ``Rows`` of one kept template per
+    # tree, whatever sequence or iterable holds them.
+    game = parse_scenario(bench_generators().ring_game(5).doc).game if name == "ring_game" else load_scenario(name).game
+    trees = game.costs
+    assert type(trees) is Trees
+    compiled = _compiled(trees, game.var_names, trees)
+    assert _compiled(list(trees), game.var_names, list(trees)) == compiled
+    assert _compiled((e for e in trees), game.var_names, (e for e in trees)) == compiled
 
 
 # -- what is walked ---------------------------------------------------------------

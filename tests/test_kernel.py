@@ -39,6 +39,7 @@ from coalseek.expr import (
 from coalseek.game import Coalition, FlowAgent, Game, build_congestion_game, pseudo_gradient
 from coalseek.graphs import Graph
 from coalseek.oracle import _jacobian_exprs
+from coalseek.rows import kept_rows
 
 NAMES = ("x1_1", "x1_2", "x1_3", "x1_4")
 
@@ -578,7 +579,7 @@ def test_congestion_guards_compare_values_the_partials_compute():
     for e in game.partials.values():
         dag.output(e)
     nodes = len(dag.nodes)
-    guards = dag.guards(game.costs)
+    guards = dag.guards(kept_rows(game.costs))
     # One guard per flow's log(own + 1); every operand is a node of the
     # partials, so no node is added.  A link's kappa/(capacity - load) gets
     # none (it had one, 104 guards in all): the partials divide by
@@ -606,7 +607,7 @@ def test_a_division_the_outputs_compute_gets_no_guard():
     dag = expr._Dag({name: i for i, name in enumerate(NAMES)})
     for e in outputs:
         dag.output(e)
-    assert [kind for kind, _ in dag.guards(guarded)] == ["div"]
+    assert [kind for kind, _ in dag.guards(kept_rows(guarded))] == ["div"]
     fn = compile_vector_function(outputs, NAMES, _entry, guarded=guarded)
     assert fn(np.array([0.5, 2.0, 1.0, 1.0])).tolist() == [1.0, 0.125]
     for point, message in (

@@ -16,7 +16,7 @@ from coalseek.dynamics import Seeker
 from coalseek.expr import VECTOR_MIN_INSTANCES, Binary, Const, DomainError, Unary, Var, evaluate, gradient
 from coalseek.game import _kernel_label
 from coalseek.oracle import _jacobian_exprs, _jacobian_function, _jacobian_rows
-from coalseek.scenario import SCHEMA_KEY, parse_scenario
+from coalseek.scenario import SCHEMA_KEY, load_scenario, parse_scenario
 from conftest import bench_generators, ring_game
 
 
@@ -145,3 +145,30 @@ def test_rows_index_as_a_sequence():
         for pos in (n, -n - 1):
             with pytest.raises(IndexError):
                 exprs[pos]
+
+
+@pytest.mark.parametrize("source", ["example2", "ring-sparse"])
+def test_rows_slice_as_tuples_of_trees(source):
+    # A slice of rows, as of ``rows.Trees``, is a tuple of the trees each
+    # position reads.
+    doc = bench_generators().ring_game(5).doc if source == "ring-sparse" else None
+    game = parse_scenario(doc).game if doc else load_scenario(source).game
+    for exprs in (game.cost_rows, game.partial_rows, _jacobian_rows(game)[3], game.costs):
+        n = len(exprs)
+        for a, b in ((1, 3), (0, 5), (n - 4, n), (3, 3)):
+            assert exprs[a:b] == tuple(exprs[i] for i in range(a, b))
+        assert exprs[-3:] == tuple(exprs[i] for i in range(n - 3, n))
+        assert exprs[5:0:-2] == (exprs[5], exprs[3], exprs[1])
+
+
+def test_a_game_builds_one_slot_matrix(monkeypatch):
+    # ``Game.partial_rows``, ``oracle._jacobian_rows`` and the compiler's
+    # vector mode read the slot matrix of the benchmark ring's forms, built
+    # once.
+    game = parse_scenario(bench_generators().ring_game(5).doc).game
+    builds = []
+    padded = rows._padded
+    monkeypatch.setattr(rows, "_padded", lambda items, values, fill: builds.append(fill) or padded(items, values, fill))
+    game.kernel
+    _jacobian_function(game)
+    assert builds.count(-1) == 1
